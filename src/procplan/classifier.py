@@ -6,7 +6,7 @@ import numpy as np
 
 from .losses import cross_entropy
 from .optim import ParamStore, adamw_step
-from .tensor import Tensor, matmul, relu, softmax_lastdim
+from .tensor import Tensor, matmul, relu
 
 HIDDEN_DIM = 256
 
@@ -38,11 +38,6 @@ class TaskClassifier:
             )
         h = relu(matmul(Tensor(x), self.w1) + self.b1)
         return matmul(h, self.w2) + self.b2
-
-    def predict_task(self, o_s: np.ndarray, o_g: np.ndarray) -> tuple[int, np.ndarray]:
-        """(label, probabilities); probabilities sum to one."""
-        probs = softmax_lastdim(self.logits(o_s, o_g)).data[0]
-        return int(np.argmax(probs)), probs
 
     def predict_batch(self, o_s: np.ndarray, o_g: np.ndarray) -> np.ndarray:
         logits = self.logits(o_s, o_g).data

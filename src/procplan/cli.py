@@ -8,6 +8,7 @@ error family maps to its own exit code so scripts can branch on failures:
     3  configuration error
     4  missing prerequisite (stage order, absent artifacts)
     5  data or checkpoint format error
+    6  numeric error (a non-finite value, reported with stage, step and op)
     1  anything else
 """
 
@@ -31,10 +32,12 @@ from .pipeline import (
     generate_dataset,
     train_stage,
 )
+from .tensor import NumericError
 
 EXIT_CONFIG = 3
 EXIT_PREREQ = 4
 EXIT_FORMAT = 5
+EXIT_NUMERIC = 6
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -119,10 +122,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "eval":
         report = evaluate(config, args.workdir)
-        macc = report.macc if config.flags.macc_mode == "positional" else report.macc_set
         print(
             f"{report.dataset} {report.curation} T={report.horizon}: "
-            f"SR={report.sr:.4f} mAcc={macc:.4f} mSIoU={report.msiou:.4f} "
+            f"SR={report.sr:.4f} mAcc={report.macc:.4f} mSIoU={report.msiou:.4f} "
             f"({report.num_plans} plans, config {report.fingerprint})"
         )
         return 0
@@ -151,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CheckpointError, ManifestError, CorpusError, CurationError) as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except NumericError as exc:
+        print(f"error: numeric: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (PipelineError, MetricsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,9 +53,7 @@ class StageParams:
 class Flags:
     use_eps: bool = True
     inject_constraints: bool = True
-    fusion_fresh_eps: bool = False
     gt_boundary_eval: bool = False
-    macc_mode: str = "positional"
     loss_masking: bool = True
 
 
@@ -97,8 +95,6 @@ class RunConfig:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.curation not in ("pdpp", "kepp"):
             raise ConfigError(f"curation must be pdpp or kepp, got {self.curation!r}")
-        if self.flags.macc_mode not in ("positional", "set"):
-            raise ConfigError(f"macc_mode must be positional or set, got {self.flags.macc_mode!r}")
         for name in ("vae", "classifier", "diffusion"):
             stage: StageParams = getattr(self, name)
             for attr in ("epochs", "steps_per_epoch", "batch_size"):

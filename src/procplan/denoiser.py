@@ -19,7 +19,7 @@ import numpy as np
 
 from .optim import ParamStore
 from .tensor import Tensor, concat, conv1d_same, gelu, layer_norm, matmul, reshape
-from .vae import LATENT_DIM, LatentCode
+from .vae import LATENT_DIM
 
 TIME_EMBED_DIM = 64
 BASE_CHANNELS = 64
@@ -76,18 +76,6 @@ class ConditionedUNet:
         self.fuse_w, self.fuse_b = linear("denoiser.fuse", FUSION_INPUT_DIM, c2, gain=1.0)
 
     # -- constraint fusion ---------------------------------------------------
-
-    def fuse_constraints(
-        self, z_start: LatentCode, z_goal: LatentCode, use_eps: bool
-    ) -> Tensor:
-        """Fused constraint vector for a single (start, goal) code pair."""
-        return self.fuse_batch(
-            z_start.z[None, :],
-            z_start.eps[None, :],
-            z_goal.z[None, :],
-            z_goal.eps[None, :],
-            use_eps=use_eps,
-        )
 
     def fuse_batch(
         self,

@@ -50,11 +50,8 @@ class NoiseSchedule:
             raise ScheduleError(f"step {n} outside [1, {self.n_steps}]")
 
 
-def make_schedule(
-    n_steps: int, beta_start: float = 1e-4, beta_end: float = 0.05, kind: str = "linear"
-) -> NoiseSchedule:
-    if kind != "linear":
-        raise ScheduleError(f"unknown schedule kind {kind!r}")
+def make_schedule(n_steps: int, beta_start: float = 1e-4, beta_end: float = 0.05) -> NoiseSchedule:
+    """Linear beta schedule from ``beta_start`` to ``beta_end``."""
     if n_steps < 1:
         raise ScheduleError(f"n_steps must be >= 1, got {n_steps}")
     if not 0.0 < beta_start <= beta_end < 1.0:
@@ -155,27 +152,20 @@ def _constraint_inputs(
     samples: list[Sample],
     vae: StateAutoencoder,
     use_eps: bool,
-    fresh_eps: bool,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Latent codes and fusion noise slots for a batch of samples.
 
     The noise slots reuse each code's reparameterization draw so the
-    fused vector carries (z, eps) jointly; ``fresh_eps`` switches to
-    independent draws instead.
+    fused vector carries (z, eps) jointly.
     """
-    z_s, e_s, z_g, e_g = [], [], [], []
     codes = vae.encode_constraints_batch(samples, use_eps=use_eps, rngs=rngs)
-    for (cs, cg), rng in zip(codes, rngs):
-        eps_s, eps_g = cs.eps, cg.eps
-        if fresh_eps and use_eps:
-            eps_s = rng.standard_normal(cs.eps.shape)
-            eps_g = rng.standard_normal(cg.eps.shape)
-        z_s.append(cs.z)
-        e_s.append(eps_s)
-        z_g.append(cg.z)
-        e_g.append(eps_g)
-    return np.stack(z_s), np.stack(e_s), np.stack(z_g), np.stack(e_g)
+    return (
+        np.stack([cs.z for cs, _ in codes]),
+        np.stack([cs.eps for cs, _ in codes]),
+        np.stack([cg.z for _, cg in codes]),
+        np.stack([cg.eps for _, cg in codes]),
+    )
 
 
 def diffusion_loss(
@@ -188,7 +178,6 @@ def diffusion_loss(
     onehot_scale: float = 1.0,
     use_eps: bool = True,
     inject_constraints: bool = True,
-    fresh_eps: bool = False,
     mask_conditions: bool = True,
 ) -> Tensor:
     """Training loss over a batch: predict x_0 from a uniformly noised x_n.
@@ -216,9 +205,7 @@ def diffusion_loss(
         steps.append(n)
 
     if inject_constraints:
-        z_s, e_s, z_g, e_g = _constraint_inputs(
-            samples, vae, use_eps, fresh_eps, [rng] * len(samples)
-        )
+        z_s, e_s, z_g, e_g = _constraint_inputs(samples, vae, use_eps, [rng] * len(samples))
         z_c = denoiser.fuse_batch(z_s, e_s, z_g, e_g, use_eps=use_eps)
     else:
         z_c = denoiser.zero_constraint(len(samples))
@@ -242,7 +229,6 @@ def generate_plans(
     onehot_scale: float = 1.0,
     use_eps: bool = True,
     inject_constraints: bool = True,
-    fresh_eps: bool = False,
 ) -> list[DiffusionState]:
     """Reverse-diffuse one plan per condition, batched over conditions.
 
@@ -259,7 +245,7 @@ def generate_plans(
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     if inject_constraints:
-        z_s, e_s, z_g, e_g = _constraint_inputs(conditions, vae, use_eps, fresh_eps, rngs)
+        z_s, e_s, z_g, e_g = _constraint_inputs(conditions, vae, use_eps, rngs)
         z_c = Tensor(denoiser.fuse_batch(z_s, e_s, z_g, e_g, use_eps=use_eps).data)
     else:
         z_c = denoiser.zero_constraint(batch)
@@ -280,8 +266,6 @@ def generate_plans(
         x[i, :, layout.action_cols] = rng.standard_normal((horizon, layout.num_actions))
     impose(x)
 
-    imposed_task = x[:, :, layout.task_cols].copy()
-    imposed_obs = x[:, :, layout.obs_cols].copy()
     for n in range(schedule.n_steps, 0, -1):
         pred_x0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
         abar_n = schedule.alpha_bars[n]
@@ -295,23 +279,6 @@ def generate_plans(
             noise = np.stack([rng.standard_normal(x.shape[1:]) for rng in rngs])
             x += np.sqrt(beta) * noise
         impose(x)
-        assert np.array_equal(x[:, :, layout.task_cols], imposed_task)
-        assert np.array_equal(x[:, :, layout.obs_cols], imposed_obs)
 
     return [DiffusionState(values=x[i].copy(), step=0, layout=layout) for i in range(batch)]
 
-
-def sample_plan(
-    condition: Sample,
-    task_label: int,
-    schedule: NoiseSchedule,
-    denoiser: ConditionedUNet,
-    vae: StateAutoencoder,
-    layout: BlockLayout,
-    seed: int,
-    **kwargs,
-) -> DiffusionState:
-    """Single-condition convenience wrapper around ``generate_plans``."""
-    return generate_plans(
-        [condition], [task_label], schedule, denoiser, vae, layout, [seed], **kwargs
-    )[0]

@@ -115,9 +115,19 @@ class PlanReport:
 _CSV_COLUMNS = ("dataset", "curation", "T", "SR", "mAcc", "mSIoU")
 
 
+def aligned_csv(rows: list[tuple[str, ...]]) -> str:
+    """CSV with every cell right-aligned to its column's widest cell."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([cell.rjust(widths[i]) for i, cell in enumerate(row)])
+    return buf.getvalue()
+
+
 def reports_to_csv(reports: list[PlanReport]) -> str:
     """Aligned-column CSV matching the usual results-table layout."""
-    rows = [_CSV_COLUMNS] + [
+    return aligned_csv([_CSV_COLUMNS] + [
         (
             r.dataset,
             r.curation,
@@ -127,13 +137,7 @@ def reports_to_csv(reports: list[PlanReport]) -> str:
             f"{r.msiou:.4f}",
         )
         for r in reports
-    ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(_CSV_COLUMNS))]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow([cell.rjust(widths[i]) for i, cell in enumerate(row)])
-    return buf.getvalue()
+    ])
 
 
 def score_pairs(pairs: list[PlanPair]) -> dict[str, float]:

@@ -26,8 +26,9 @@ from .curation import curate_corpus, normalize_splits, split
 from .denoiser import ConditionedUNet
 from .diffusion import BlockLayout, diffusion_loss, decode_plan, generate_plans, make_schedule
 from .manifest import read_manifest, write_manifest
-from .metrics import PlanPair, PlanReport, apply_gt_boundary, score_pairs, write_report
+from .metrics import PlanPair, PlanReport, aligned_csv, apply_gt_boundary, score_pairs, write_report
 from .optim import adamw_step
+from .tensor import NumericError
 from .vae import StateAutoencoder, state_vectors
 
 
@@ -40,6 +41,7 @@ class PipelineError(Exception):
 
 
 STAGES = ("vae", "classifier", "diffusion")
+StageModel = StateAutoencoder | TaskClassifier | ConditionedUNet
 
 
 def stage_seed(seed: int, tag: str, index: int = 0) -> int:
@@ -150,12 +152,45 @@ def _load_split(config: RunConfig, workdir: str, name: str) -> list[Sample]:
         raise PipelineError(
             f"{name} manifest metadata {meta} does not match config {expected}"
         )
+    for sample in samples:
+        if len(sample.actions) != config.horizon:
+            raise PipelineError(
+                f"{name} manifest holds plans of {len(sample.actions)} actions, "
+                f"config horizon is {config.horizon}"
+            )
     return samples
 
 
 def _ckpt_path(workdir: str, stage: str, tag: str = "") -> str:
-    suffix = f"_{tag}" if tag else ""
+    # Only diffusion checkpoints carry the tag: ablation variants share
+    # one autoencoder and one classifier.
+    suffix = f"_{tag}" if tag and stage == "diffusion" else ""
     return os.path.join(workdir, f"{stage}{suffix}.ckpt")
+
+
+def _stage_model(stage: str, config: RunConfig, seed: int) -> tuple[StageModel, dict]:
+    """A fresh model for ``stage`` and the ``_meta.`` fields its checkpoint stores."""
+    data = config.data
+    if stage == "vae":
+        input_dim = data.obs_dim + data.text_dim
+        return StateAutoencoder(input_dim=input_dim, seed=seed), {"vae.input_dim": input_dim}
+    if stage == "classifier":
+        model = TaskClassifier(obs_dim=data.obs_dim, num_tasks=data.num_tasks, seed=seed)
+        return model, {"classifier.obs_dim": data.obs_dim, "classifier.num_tasks": data.num_tasks}
+    if stage == "diffusion":
+        feature_dim = _layout(config).feature_dim
+        model = ConditionedUNet(
+            feature_dim=feature_dim, time_steps=config.schedule.steps, seed=seed
+        )
+        return model, {
+            "denoiser.feature_dim": feature_dim,
+            "denoiser.time_steps": config.schedule.steps,
+            "schedule.steps": config.schedule.steps,
+            "schedule.beta_start": config.schedule.beta_start,
+            "schedule.beta_end": config.schedule.beta_end,
+            "onehot_scale": config.onehot_scale,
+        }
+    raise PipelineError(f"unknown stage {stage!r}, expected one of {STAGES}")
 
 
 def _write_loss_curve(path: str, header: list[str], rows: list[list[float]]) -> None:
@@ -171,10 +206,10 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
     The diffusion stage refuses to run without a vae checkpoint and
     verifies that the frozen autoencoder is bit-identical afterwards.
+    A non-finite value raises ``NumericError`` naming the stage and step.
     """
-    if stage not in STAGES:
-        raise PipelineError(f"unknown stage {stage!r}, expected one of {STAGES}")
     config.validate()
+    model, meta = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
     train_samples = _load_split(config, workdir, "train")
     params: StageParams = getattr(config, stage)
     schedule = LRSchedule.from_stage(params)
@@ -182,68 +217,47 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     total_steps = params.epochs * params.steps_per_epoch
     rows: list[list[float]] = []
 
+    # Each stage supplies its data size, loss-curve header and a step
+    # closure that takes (batch indices, lr) and returns the loss columns.
     if stage == "vae":
-        model = StateAutoencoder(
-            input_dim=config.data.obs_dim + config.data.text_dim,
-            seed=stage_seed(config.seed, "init.vae"),
-        )
-        states = np.stack(
-            [vec for s in train_samples for vec in state_vectors(s)]
-        )
-        for step in range(total_steps):
-            idx = rng.integers(0, len(states), params.batch_size)
-            lr = schedule.lr_at(step)
+        states = np.stack([vec for s in train_samples for vec in state_vectors(s)])
+        size = len(states)
+        header = ["step", "lr", "loss", "recon_bce", "kl"]
+
+        def train_step(idx: np.ndarray, lr: float) -> list[float]:
             recon, kl = model.train_step(
                 states[idx], lr=lr, rng=rng, weight_decay=params.weight_decay
             )
-            rows.append([step, lr, recon + kl, recon, kl])
-        arrays = model.state_arrays()
-        arrays.update(ckpt.pack_meta({"vae.input_dim": model.input_dim}))
-        header = ["step", "lr", "loss", "recon_bce", "kl"]
+            return [recon + kl, recon, kl]
 
     elif stage == "classifier":
-        model = TaskClassifier(
-            obs_dim=config.data.obs_dim,
-            num_tasks=config.data.num_tasks,
-            seed=stage_seed(config.seed, "init.classifier"),
-        )
         o_s = np.stack([s.o_s for s in train_samples])
         o_g = np.stack([s.o_g for s in train_samples])
         labels = np.array([s.task for s in train_samples])
-        for step in range(total_steps):
-            idx = rng.integers(0, len(labels), params.batch_size)
-            lr = schedule.lr_at(step)
-            loss = model.train_step(
-                o_s[idx], o_g[idx], labels[idx], lr=lr, weight_decay=params.weight_decay
-            )
-            rows.append([step, lr, loss])
-        arrays = model.state_arrays()
-        arrays.update(
-            ckpt.pack_meta(
-                {"classifier.obs_dim": model.obs_dim, "classifier.num_tasks": model.num_tasks}
-            )
-        )
+        size = len(labels)
         header = ["step", "lr", "loss"]
 
-    else:  # diffusion
-        vae = load_vae(config, workdir)
+        def train_step(idx: np.ndarray, lr: float) -> list[float]:
+            return [
+                model.train_step(
+                    o_s[idx], o_g[idx], labels[idx], lr=lr, weight_decay=params.weight_decay
+                )
+            ]
+
+    else:
+        vae = load_stage("vae", config, workdir)
         vae.freeze()
         frozen_checksum = vae.params.checksum()
         layout = _layout(config)
         noise_schedule = make_schedule(
             config.schedule.steps, config.schedule.beta_start, config.schedule.beta_end
         )
-        model = ConditionedUNet(
-            feature_dim=layout.feature_dim,
-            time_steps=config.schedule.steps,
-            seed=stage_seed(config.seed, "init.diffusion"),
-        )
-        for step in range(total_steps):
-            idx = rng.integers(0, len(train_samples), params.batch_size)
-            batch = [train_samples[i] for i in idx]
-            lr = schedule.lr_at(step)
+        size = len(train_samples)
+        header = ["step", "lr", "loss"]
+
+        def train_step(idx: np.ndarray, lr: float) -> list[float]:
             loss = diffusion_loss(
-                batch,
+                [train_samples[i] for i in idx],
                 noise_schedule,
                 model,
                 vae,
@@ -252,7 +266,6 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
                 onehot_scale=config.onehot_scale,
                 use_eps=config.flags.use_eps,
                 inject_constraints=config.flags.inject_constraints,
-                fresh_eps=config.flags.fusion_fresh_eps,
                 mask_conditions=config.flags.loss_masking,
             )
             model.params.zero_grads()
@@ -264,25 +277,22 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
                     tensor = model.params[name]
                     tensor.grad = np.zeros_like(tensor.data)
             adamw_step(model.params, lr=lr, weight_decay=params.weight_decay)
-            rows.append([step, lr, loss.item()])
-        if vae.params.checksum() != frozen_checksum:
-            raise PipelineError("frozen autoencoder changed during diffusion training")
-        arrays = model.state_arrays()
-        arrays.update(
-            ckpt.pack_meta(
-                {
-                    "denoiser.feature_dim": layout.feature_dim,
-                    "denoiser.time_steps": config.schedule.steps,
-                    "schedule.steps": config.schedule.steps,
-                    "schedule.beta_start": config.schedule.beta_start,
-                    "schedule.beta_end": config.schedule.beta_end,
-                    "onehot_scale": config.onehot_scale,
-                }
-            )
-        )
-        header = ["step", "lr", "loss"]
+            return [loss.item()]
 
-    path = _ckpt_path(workdir, stage, tag if stage == "diffusion" else "")
+    for step in range(total_steps):
+        idx = rng.integers(0, size, params.batch_size)
+        lr = schedule.lr_at(step)
+        try:
+            losses = train_step(idx, lr)
+        except NumericError as exc:
+            raise NumericError(f"{stage} step {step}: {exc}") from exc
+        rows.append([step, lr, *losses])
+
+    if stage == "diffusion" and vae.params.checksum() != frozen_checksum:
+        raise PipelineError("frozen autoencoder changed during diffusion training")
+    arrays = model.state_arrays()
+    arrays.update(ckpt.pack_meta(meta))
+    path = _ckpt_path(workdir, stage, tag)
     ckpt.save_checkpoint(path, arrays)
     curve_path = path[: -len(".ckpt")] + "_loss.csv"
     _write_loss_curve(curve_path, header, rows)
@@ -295,55 +305,30 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     }
 
 
-def load_vae(config: RunConfig, workdir: str) -> StateAutoencoder:
-    path = _ckpt_path(workdir, "vae")
+def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> StageModel:
+    """Load a trained stage's model, checking its checkpoint against ``config``.
+
+    Every ``_meta.`` field the checkpoint stores must equal the value
+    ``train_stage`` would store for ``config``; a mismatched, missing or
+    unknown field raises ``PipelineError`` naming the key.
+    """
+    model, expected = _stage_model(stage, config, seed=0)
+    path = _ckpt_path(workdir, stage, tag)
     if not os.path.exists(path):
         raise PrerequisiteError(
-            "diffusion training requires a frozen autoencoder: vae checkpoint "
-            f"missing at {path!r} (train the vae stage first)"
+            f"{stage} checkpoint missing at {path!r} (train the {stage} stage first)"
         )
     arrays, meta = ckpt.split_meta(ckpt.load_checkpoint(path))
-    input_dim = config.data.obs_dim + config.data.text_dim
-    if int(meta.get("vae.input_dim", input_dim)) != input_dim:
-        raise PipelineError(
-            f"vae checkpoint was trained with input dim {meta['vae.input_dim']}, "
-            f"config expects {input_dim}"
-        )
-    model = StateAutoencoder(input_dim=input_dim, seed=0)
-    model.load_state(arrays)
-    return model
-
-
-def load_classifier(config: RunConfig, workdir: str) -> TaskClassifier:
-    path = _ckpt_path(workdir, "classifier")
-    if not os.path.exists(path):
-        raise PrerequisiteError(f"classifier checkpoint missing at {path!r}")
-    arrays, meta = ckpt.split_meta(ckpt.load_checkpoint(path))
-    model = TaskClassifier(
-        obs_dim=config.data.obs_dim, num_tasks=config.data.num_tasks, seed=0
-    )
-    if int(meta.get("classifier.num_tasks", model.num_tasks)) != model.num_tasks:
-        raise PipelineError("classifier checkpoint does not match config task count")
-    model.load_state(arrays)
-    return model
-
-
-def load_denoiser(config: RunConfig, workdir: str, tag: str = "") -> ConditionedUNet:
-    path = _ckpt_path(workdir, "diffusion", tag)
-    if not os.path.exists(path):
-        raise PrerequisiteError(f"diffusion checkpoint missing at {path!r}")
-    arrays, meta = ckpt.split_meta(ckpt.load_checkpoint(path))
-    layout = _layout(config)
-    if int(meta.get("denoiser.feature_dim", layout.feature_dim)) != layout.feature_dim:
-        raise PipelineError(
-            f"diffusion checkpoint feature dim {meta['denoiser.feature_dim']} does not "
-            f"match config layout {layout.feature_dim}"
-        )
-    if int(meta.get("schedule.steps", config.schedule.steps)) != config.schedule.steps:
-        raise PipelineError("diffusion checkpoint schedule does not match config")
-    model = ConditionedUNet(
-        feature_dim=layout.feature_dim, time_steps=config.schedule.steps, seed=0
-    )
+    for key, value in expected.items():
+        if key not in meta:
+            raise PipelineError(f"{path}: checkpoint metadata lacks {key!r}")
+        if meta[key] != float(value):
+            raise PipelineError(
+                f"{path}: checkpoint has {key} = {meta[key]!r}, config expects {value!r}"
+            )
+    unknown = sorted(meta.keys() - expected.keys())
+    if unknown:
+        raise PipelineError(f"{path}: unknown checkpoint metadata {unknown}")
     model.load_state(arrays)
     return model
 
@@ -370,10 +355,10 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
     test_samples = _load_split(config, workdir, "test")
     if not test_samples:
         raise PipelineError("test split is empty")
-    vae = load_vae(config, workdir)
+    vae = load_stage("vae", config, workdir)
     vae.freeze()
-    clf = load_classifier(config, workdir)
-    den = load_denoiser(config, workdir, tag)
+    clf = load_stage("classifier", config, workdir)
+    den = load_stage("diffusion", config, workdir, tag)
     layout = _layout(config)
     noise_schedule = make_schedule(
         config.schedule.steps, config.schedule.beta_start, config.schedule.beta_end
@@ -394,7 +379,6 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
         onehot_scale=config.onehot_scale,
         use_eps=config.flags.use_eps,
         inject_constraints=config.flags.inject_constraints,
-        fresh_eps=config.flags.fusion_fresh_eps,
     )
     pairs = [
         PlanPair(predicted=decode_plan(state), truth=sample.actions)
@@ -490,39 +474,18 @@ def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = No
     with open(os.path.join(workdir, "ablation.json"), "w", encoding="utf-8") as fh:
         json.dump(table, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    _write_ablation_csv(os.path.join(workdir, "ablation.csv"), rows, medians)
+    columns = ("sr", "macc", "msiou")
+    lines = [("variant", "seed", "SR", "mAcc", "mSIoU")]
+    lines += [
+        (row["variant"], str(row["seed"]), *(f"{row[m]:.4f}" for m in columns)) for row in rows
+    ]
+    lines += [
+        (variant, "median", *(f"{med[m]:.4f}" for m in columns))
+        for variant, med in medians.items()
+    ]
+    with open(os.path.join(workdir, "ablation.csv"), "w", encoding="utf-8") as fh:
+        fh.write(aligned_csv(lines))
     return table
-
-
-def _write_ablation_csv(path: str, rows: list[dict], medians: dict) -> None:
-    header = ("variant", "seed", "SR", "mAcc", "mSIoU")
-    lines = [header]
-    for row in rows:
-        lines.append(
-            (
-                row["variant"],
-                str(row["seed"]),
-                f"{row['sr']:.4f}",
-                f"{row['macc']:.4f}",
-                f"{row['msiou']:.4f}",
-            )
-        )
-    for variant, med in medians.items():
-        lines.append(
-            (
-                variant,
-                "median",
-                f"{med['sr']:.4f}",
-                f"{med['macc']:.4f}",
-                f"{med['msiou']:.4f}",
-            )
-        )
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    text = "\n".join(
-        ",".join(cell.rjust(widths[i]) for i, cell in enumerate(line)) for line in lines
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
 def run_full_pipeline(config: RunConfig, workdir: str) -> PlanReport:

@@ -146,30 +146,22 @@ class StateAutoencoder:
         adamw_step(self.params, lr=lr, weight_decay=weight_decay)
         return recon.item(), kl.item()
 
-    def encode_constraints(
-        self, sample: Sample, use_eps: bool, rng: np.random.Generator
-    ) -> tuple[LatentCode, LatentCode]:
-        """Latent codes of a sample's start and goal states.
-
-        Only valid once the model is frozen (phase two).  With
-        ``use_eps=False`` the noise is forced to zero, so z is exactly mu.
-        """
-        return self.encode_constraints_batch([sample], use_eps, [rng])[0]
-
     def encode_constraints_batch(
         self,
         samples: list[Sample],
         use_eps: bool,
         rngs: list[np.random.Generator],
     ) -> list[tuple[LatentCode, LatentCode]]:
-        """Constraint codes for many samples with one encoder pass.
+        """(start, goal) latent codes for many samples with one encoder pass.
 
-        Each sample draws its noise from its own generator, in (start,
-        goal) order, so results are independent of batching.
+        Only valid once the model is frozen (phase two).  Each sample
+        draws its noise from its own generator, in (start, goal) order,
+        so results are independent of batching.  With ``use_eps=False``
+        the noise is forced to zero, so z is exactly mu.
         """
         if not self.frozen:
             raise PhaseError(
-                "encode_constraints: autoencoder must be frozen before it can "
+                "encode_constraints_batch: autoencoder must be frozen before it can "
                 "serve as the constraint provider"
             )
         stacked = np.stack([vec for s in samples for vec in state_vectors(s)])

@@ -29,8 +29,7 @@ from procplan.pipeline import (
     classifier_accuracy,
     evaluate,
     generate_dataset,
-    load_classifier,
-    load_vae,
+    load_stage,
     train_stage,
 )
 from procplan.tensor import Tensor
@@ -284,14 +283,16 @@ class TestCriterion6EpsilonAblation:
     def test_no_eps_equals_mu_only_encoding_bit_exactly(self, noisy_ablation):
         workdir, config, _ = noisy_ablation
         seed_dir = os.path.join(workdir, "seed0")
-        vae = load_vae(config, seed_dir)
+        vae = load_stage("vae", config, seed_dir)
         vae.freeze()
         samples, _ = read_manifest(os.path.join(seed_dir, "test.json"))
         exact = True
         for i, sample in enumerate(samples[:25]):
             rng = np.random.default_rng(i)
-            with_eps = vae.encode_constraints(sample, use_eps=True, rng=rng)
-            no_eps = vae.encode_constraints(sample, use_eps=False, rng=np.random.default_rng(i))
+            with_eps = vae.encode_constraints_batch([sample], use_eps=True, rngs=[rng])[0]
+            no_eps = vae.encode_constraints_batch(
+                [sample], use_eps=False, rngs=[np.random.default_rng(i)]
+            )[0]
             for on, off in zip(with_eps, no_eps):
                 # Clamping sigma to zero in the eps-bearing encoding must
                 # reproduce the no-eps path down to the bit: mu + 0 * eps.
@@ -308,7 +309,7 @@ class TestCriterion7Classifier:
         workdir = str(tmp_path)
         generate_dataset(config, workdir)
         train_stage("classifier", config, workdir)
-        clf = load_classifier(config, workdir)
+        clf = load_stage("classifier", config, workdir)
         test_samples, _ = read_manifest(os.path.join(workdir, "test.json"))
         accuracy = classifier_accuracy(clf, test_samples)
         _verdict(7, accuracy == 1.0, f"noise-free held-out task accuracy {accuracy:.4f} (= 1.0)")
@@ -317,7 +318,7 @@ class TestCriterion7Classifier:
         workdir, config, _ = noisy_ablation
         seed_dir = os.path.join(workdir, "seed0")
         seed_config = apply_overrides(config, {"seed": "0"})
-        clf = load_classifier(seed_config, seed_dir)
+        clf = load_stage("classifier", seed_config, seed_dir)
         test_samples, _ = read_manifest(os.path.join(seed_dir, "test.json"))
         accuracy = classifier_accuracy(clf, test_samples)
         threshold = 0.92 - 0.05

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from procplan.classifier import TaskClassifier
+from procplan.tensor import softmax_lastdim
 
 OBS_DIM = 6
 NUM_TASKS = 5
@@ -29,29 +30,28 @@ def _separable_batch(rng, n=64):
 class TestPredict:
     def test_probabilities_sum_to_one(self, model):
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            _, probs = model.predict_task(rng.normal(size=OBS_DIM), rng.normal(size=OBS_DIM))
-            assert probs.shape == (NUM_TASKS,)
-            assert abs(probs.sum() - 1.0) <= 1e-12
+        o_s, o_g = rng.normal(size=(5, OBS_DIM)), rng.normal(size=(5, OBS_DIM))
+        probs = softmax_lastdim(model.logits(o_s, o_g)).data
+        assert probs.shape == (5, NUM_TASKS)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_zero_weights_uniform_and_tie_to_zero(self, model):
         for t in model.params.tensors():
             t.data[:] = 0.0
-        label, probs = model.predict_task(np.ones(OBS_DIM), np.ones(OBS_DIM))
-        assert label == 0
-        assert np.allclose(probs, 1.0 / NUM_TASKS)
+        o_s = o_g = np.ones((1, OBS_DIM))
+        assert model.predict_batch(o_s, o_g).tolist() == [0]
+        assert np.allclose(softmax_lastdim(model.logits(o_s, o_g)).data, 1.0 / NUM_TASKS)
 
     def test_argmax_shift_invariant(self, model):
         rng = np.random.default_rng(1)
-        o_s, o_g = rng.normal(size=OBS_DIM), rng.normal(size=OBS_DIM)
-        label, _ = model.predict_task(o_s, o_g)
+        o_s, o_g = rng.normal(size=(8, OBS_DIM)), rng.normal(size=(8, OBS_DIM))
+        labels = model.predict_batch(o_s, o_g)
         model.params["classifier.b2"].data += 7.5  # constant logit shift
-        shifted_label, _ = model.predict_task(o_s, o_g)
-        assert shifted_label == label
+        assert np.array_equal(model.predict_batch(o_s, o_g), labels)
 
     def test_dim_mismatch(self, model):
         with pytest.raises(ValueError, match="dim"):
-            model.predict_task(np.zeros(OBS_DIM + 1), np.zeros(OBS_DIM))
+            model.predict_batch(np.zeros((1, OBS_DIM + 1)), np.zeros((1, OBS_DIM)))
 
 
 class TestTraining:

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from procplan.checkpoint import save_checkpoint
-from procplan.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_PREREQ, main
+from procplan.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_PREREQ, main
 
 TINY_ARGS = [
     "--set", "data.videos_per_task=4",
@@ -55,6 +57,14 @@ class TestTrainEvalFlow:
     def test_eval_without_training_exits_prereq(self, tmp_path):
         _gen(tmp_path)
         assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_PREREQ
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_exits_numeric_naming_stage_step_and_op(self, tmp_path, capsys):
+        _gen(tmp_path)
+        args = ["train", "--stage", "classifier", "--workdir", str(tmp_path), *TINY_ARGS]
+        assert main([*args, "--set", "classifier.peak_lr=1e200"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"numeric: classifier step \d+: \w+: produced non-finite", err), err
 
 
 class TestAblate:

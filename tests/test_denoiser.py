@@ -26,6 +26,11 @@ def _code(rng):
     return LatentCode(mu=mu, logvar=np.zeros(2), z=mu.copy(), eps=rng.normal(size=2))
 
 
+def _fuse(net, zs, zg, use_eps=True):
+    """Fused constraint batch of one (start, goal) code pair."""
+    return net.fuse_batch(zs.z[None], zs.eps[None], zg.z[None], zg.eps[None], use_eps=use_eps)
+
+
 class TestTimestepEmbedding:
     def test_step_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +61,7 @@ class TestFusion:
             net.fuse_w.data[i, i] = 1.0
         rng = np.random.default_rng(0)
         zs, zg = _code(rng), _code(rng)
-        out = net.fuse_constraints(zs, zg, use_eps=True).data[0]
+        out = _fuse(net, zs, zg).data[0]
         packed = np.concatenate([zs.z, zs.eps, zg.z, zg.eps])
         assert packed.shape == (FUSION_INPUT_DIM,)
         assert np.allclose(out[:FUSION_INPUT_DIM], packed, atol=1e-12)
@@ -69,15 +74,15 @@ class TestFusion:
             LatentCode(zs.mu, zs.logvar, zs.z, np.zeros(2)),
             LatentCode(zg.mu, zg.logvar, zg.z, np.zeros(2)),
         )
-        a = net.fuse_constraints(zs, zg, use_eps=False).data
-        b = net.fuse_constraints(zeroed[0], zeroed[1], use_eps=True).data
+        a = _fuse(net, zs, zg, use_eps=False).data
+        b = _fuse(net, zeroed[0], zeroed[1]).data
         assert np.array_equal(a, b)
 
     def test_zero_weight_fusion_gives_bias(self, net):
         net.fuse_w.data[:] = 0.0
         net.fuse_b.data[:] = np.arange(BOTTLENECK_CHANNELS) * 0.01
         rng = np.random.default_rng(2)
-        out = net.fuse_constraints(_code(rng), _code(rng), use_eps=True).data[0]
+        out = _fuse(net, _code(rng), _code(rng)).data[0]
         assert np.allclose(out, np.arange(BOTTLENECK_CHANNELS) * 0.01)
 
     def test_latent_dim_validated(self, net):
@@ -110,7 +115,7 @@ class TestForward:
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
         zs, zg = _code(rng), _code(rng)
-        with_c = net.forward(x, 2, net.fuse_constraints(zs, zg, use_eps=True)).data
+        with_c = net.forward(x, 2, _fuse(net, zs, zg)).data
         without = net.forward(x, 2, net.zero_constraint(1)).data
         assert not np.array_equal(with_c, without)
 
@@ -124,7 +129,7 @@ class TestForward:
     def test_gradient_reaches_fusion_weights(self, net):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
-        z_c = net.fuse_constraints(_code(rng), _code(rng), use_eps=True)
+        z_c = _fuse(net, _code(rng), _code(rng))
         from procplan import tensor as T
 
         net.params.zero_grads()

@@ -15,7 +15,6 @@ from procplan.diffusion import (
     generate_plans,
     make_schedule,
     q_forward,
-    sample_plan,
 )
 from procplan.tensor import Tensor
 from procplan.vae import PhaseError, StateAutoencoder
@@ -84,8 +83,6 @@ class TestSchedule:
             make_schedule(10, 0.2, 0.1)
         with pytest.raises(ScheduleError):
             make_schedule(10, 0.1, 1.0)
-        with pytest.raises(ScheduleError):
-            make_schedule(10, kind="cosine")
 
 
 class TestForwardNoising:
@@ -241,8 +238,8 @@ class TestSampling:
         rng = np.random.default_rng(15)
         sample = _sample(rng, actions=(2, 1, 3), task=1)
         oracle = _StubDenoiser(build_x0(sample, LAYOUT).values[None])
-        state = sample_plan(
-            sample, 1, make_schedule(1), oracle, frozen_vae, LAYOUT, seed=0,
+        [state] = generate_plans(
+            [sample], [1], make_schedule(1), oracle, frozen_vae, LAYOUT, seeds=[0],
             inject_constraints=False,
         )
         assert decode_plan(state) == (2, 1, 3)
@@ -252,16 +249,17 @@ class TestSampling:
         rng = np.random.default_rng(16)
         sample = _sample(rng)
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
-        a = sample_plan(sample, 0, make_schedule(8), net, frozen_vae, LAYOUT, seed=11)
-        b = sample_plan(sample, 0, make_schedule(8), net, frozen_vae, LAYOUT, seed=11)
+        [a] = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
+        [b] = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
         assert np.array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self, frozen_vae):
         rng = np.random.default_rng(17)
         sample = _sample(rng)
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
-        a = sample_plan(sample, 0, make_schedule(8), net, frozen_vae, LAYOUT, seed=1)
-        b = sample_plan(sample, 0, make_schedule(8), net, frozen_vae, LAYOUT, seed=2)
+        a, b = generate_plans(
+            [sample, sample], [0, 0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[1, 2]
+        )
         assert not np.array_equal(a.values, b.values)
 
     def test_condition_blocks_exactly_imposed(self, frozen_vae):
@@ -269,9 +267,9 @@ class TestSampling:
         sample = _sample(rng, task=0)
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
         predicted_task = 2  # deliberately different from the sample's label
-        state = sample_plan(
-            sample, predicted_task, make_schedule(8), net, frozen_vae, LAYOUT,
-            seed=3, onehot_scale=1.25,
+        [state] = generate_plans(
+            [sample], [predicted_task], make_schedule(8), net, frozen_vae, LAYOUT,
+            seeds=[3], onehot_scale=1.25,
         )
         task_block = state.values[:, LAYOUT.task_cols]
         assert np.array_equal(task_block, np.tile([0.0, 0.0, 1.25], (3, 1)))

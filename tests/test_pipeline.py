@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -172,10 +173,34 @@ class TestTrainedPipeline:
         with pytest.raises(PipelineError, match="manifest"):
             evaluate(other, workdir)
 
-    def test_corrupted_checkpoint_meta_detected(self, trained_workdir, tmp_path):
+    def test_horizon_mismatch_detected(self, trained_workdir):
+        workdir, cfg, _ = trained_workdir
+        other = apply_overrides(cfg, {"horizon": "5"})
+        with pytest.raises(PipelineError, match="horizon is 5"):
+            evaluate(other, workdir)
+
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("schedule.steps", "corrupt"),
+            ("schedule.beta_end", "0.2"),
+            ("schedule.beta_start", "0.0002"),
+            ("onehot_scale", "3.0"),
+            ("denoiser.feature_dim", "delete"),
+        ],
+    )
+    def test_corrupted_checkpoint_meta_detected(self, trained_workdir, tmp_path, key, change):
+        """A stored ``_meta.`` entry that is corrupted, deleted, or that
+        differs from an eval-time override must fail the load, naming it."""
         workdir, cfg, _ = trained_workdir
         arrays = load_checkpoint(os.path.join(workdir, "diffusion.ckpt"))
-        arrays["_meta.schedule.steps"] = np.asarray([999.0])
+        overrides = {}
+        if change == "corrupt":
+            arrays["_meta." + key] = np.asarray([999.0])
+        elif change == "delete":
+            del arrays["_meta." + key]
+        else:
+            overrides[key] = change
         clone = str(tmp_path / "clone")
         os.makedirs(clone)
         for name in ("train.json", "train.f32", "test.json", "test.f32", "vae.ckpt", "classifier.ckpt"):
@@ -183,8 +208,8 @@ class TestTrainedPipeline:
                 with open(os.path.join(clone, name), "wb") as dst:
                     dst.write(src.read())
         save_checkpoint(os.path.join(clone, "diffusion.ckpt"), arrays)
-        with pytest.raises(PipelineError, match="schedule"):
-            evaluate(cfg, clone)
+        with pytest.raises(PipelineError, match=re.escape(key)):
+            evaluate(apply_overrides(cfg, overrides), clone)
 
 
 class TestDeterminismEndToEnd:

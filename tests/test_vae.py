@@ -162,12 +162,14 @@ class TestEncodeConstraints:
     def test_requires_frozen_model(self, model, trained_setup):
         _, train, _ = trained_setup
         with pytest.raises(PhaseError):
-            model.encode_constraints(train[0], use_eps=True, rng=np.random.default_rng(0))
+            model.encode_constraints_batch(
+                [train[0]], use_eps=True, rngs=[np.random.default_rng(0)]
+            )
 
     def test_no_eps_returns_mu_exactly(self, trained_setup):
         model, train, _ = trained_setup
-        code_s, code_g = model.encode_constraints(
-            train[0], use_eps=False, rng=np.random.default_rng(0)
+        [(code_s, code_g)] = model.encode_constraints_batch(
+            [train[0]], use_eps=False, rngs=[np.random.default_rng(0)]
         )
         for code in (code_s, code_g):
             assert np.array_equal(code.z, code.mu)
@@ -175,15 +177,16 @@ class TestEncodeConstraints:
 
     def test_same_seed_reproduces_codes(self, trained_setup):
         model, train, _ = trained_setup
-        a = model.encode_constraints(train[1], use_eps=True, rng=np.random.default_rng(9))
-        b = model.encode_constraints(train[1], use_eps=True, rng=np.random.default_rng(9))
+        [a] = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
+        [b] = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.z, cb.z) and np.array_equal(ca.eps, cb.eps)
 
     def test_reparameterization_identity_machine_precision(self, trained_setup):
         model, train, _ = trained_setup
-        for i, sample in enumerate(train[:20]):
-            for code in model.encode_constraints(sample, use_eps=True, rng=np.random.default_rng(i)):
+        rngs = [np.random.default_rng(i) for i in range(20)]
+        for pair in model.encode_constraints_batch(train[:20], use_eps=True, rngs=rngs):
+            for code in pair:
                 assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
 
     def test_distinct_tasks_get_distinct_code_pairs(self, trained_setup):
@@ -191,7 +194,9 @@ class TestEncodeConstraints:
         by_task: dict[int, tuple] = {}
         for sample in train:
             if sample.task not in by_task:
-                cs, cg = model.encode_constraints(sample, use_eps=False, rng=np.random.default_rng(0))
+                [(cs, cg)] = model.encode_constraints_batch(
+                    [sample], use_eps=False, rngs=[np.random.default_rng(0)]
+                )
                 by_task[sample.task] = np.concatenate([cs.z, cg.z])
         tasks = sorted(by_task)
         for i in tasks:
