@@ -51,9 +51,3 @@ class TaskClassifier:
         loss.backward()
         adamw_step(self.params, lr=lr, weight_decay=weight_decay)
         return loss.item()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.state_arrays()
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.params.load_state(arrays)

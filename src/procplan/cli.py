@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .checkpoint import CheckpointError, inspect_checkpoint
 from .config import ConfigError, load_config
 from .corpus import CorpusError
@@ -143,7 +145,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        # Non-finite values surface as NumericError from the op that made
+        # them, so numpy's own floating-point warnings would only duplicate it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _run(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,13 +48,26 @@ class StageParams:
     decay_factor: float = 0.5
     weight_decay: float = 0.0
 
+    def lr_at(self, step: int) -> float:
+        """Linear warmup, hold, then stepwise decay inside a final window."""
+        if step < 0:
+            raise ValueError(f"lr_at: step must be >= 0, got {step}")
+        warmup_steps = self.warmup_epochs * self.steps_per_epoch
+        if warmup_steps > 0 and step < warmup_steps:
+            return self.peak_lr * step / warmup_steps
+        epoch = step // self.steps_per_epoch
+        decay_start = self.epochs - self.decay_window_epochs
+        if self.decay_window_epochs > 0 and epoch >= decay_start:
+            k = (epoch - decay_start) // self.decay_every + 1
+            return self.peak_lr * self.decay_factor**k
+        return self.peak_lr
+
 
 @dataclass
 class Flags:
     use_eps: bool = True
     inject_constraints: bool = True
     gt_boundary_eval: bool = False
-    loss_masking: bool = True
 
 
 @dataclass
@@ -62,7 +75,6 @@ class RunConfig:
     seed: int = 0
     horizon: int = 3
     curation: str = "pdpp"
-    onehot_scale: float = 1.0
     dataset_name: str = "synthetic"
     data: DataParams = field(default_factory=DataParams)
     schedule: ScheduleParams = field(default_factory=ScheduleParams)

@@ -77,29 +77,17 @@ class ConditionedUNet:
 
     # -- constraint fusion ---------------------------------------------------
 
-    def fuse_batch(
-        self,
-        z_s: np.ndarray,
-        eps_s: np.ndarray,
-        z_g: np.ndarray,
-        eps_g: np.ndarray,
-        use_eps: bool = True,
-    ) -> Tensor:
-        """Fusion net over [z_s | eps_s | z_g | eps_g], shape [B, 8] -> [B, C].
+    def fuse_batch(self, z: np.ndarray, eps: np.ndarray) -> Tensor:
+        """Fusion net over the packed [z_s | eps_s | z_g | eps_g] batch.
 
-        With ``use_eps=False`` both noise slots are zeroed, which matches
-        passing explicit zero noise.
+        ``z`` and ``eps`` are the [B, 2, LATENT_DIM] (start, goal) codes of
+        a ``LatentCode``; the output is the [B, C] constraint batch.
         """
-        if z_s.shape[-1] != LATENT_DIM or z_g.shape[-1] != LATENT_DIM:
-            raise ValueError(f"fuse: latent codes must have dim {LATENT_DIM}")
-        if not use_eps:
-            eps_s = np.zeros_like(eps_s)
-            eps_g = np.zeros_like(eps_g)
-        packed = np.concatenate([z_s, eps_s, z_g, eps_g], axis=-1)
-        if packed.shape[-1] != FUSION_INPUT_DIM:
+        if z.shape[1:] != (2, LATENT_DIM) or eps.shape != z.shape:
             raise ValueError(
-                f"fuse: packed constraint must have dim {FUSION_INPUT_DIM}, got {packed.shape[-1]}"
+                f"fuse: latent codes must be [B, 2, {LATENT_DIM}], got {z.shape} and {eps.shape}"
             )
+        packed = np.concatenate([z, eps], axis=-1).reshape(len(z), FUSION_INPUT_DIM)
         return matmul(Tensor(packed), self.fuse_w) + self.fuse_b
 
     def zero_constraint(self, batch: int) -> Tensor:
@@ -139,9 +127,3 @@ class ConditionedUNet:
         d1 = gelu(conv1d_same(concat([mid, h2], axis=-1), self.dec1_w, self.dec1_b))
         out = conv1d_same(concat([d1, h1], axis=-1), self.out_w, self.out_b)
         return out.reshape(*out.shape[1:]) if single else out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.state_arrays()
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.params.load_state(arrays)

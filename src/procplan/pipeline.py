@@ -10,7 +10,6 @@ curves, reports) live under one working directory.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import statistics
@@ -24,7 +23,7 @@ from .config import RunConfig, StageParams, apply_overrides
 from .corpus import CorpusConfig, Sample, generate_corpus
 from .curation import curate_corpus, normalize_splits, split
 from .denoiser import ConditionedUNet
-from .diffusion import BlockLayout, diffusion_loss, decode_plan, generate_plans, make_schedule
+from .diffusion import BlockLayout, decode_plans, diffusion_loss, generate_plans, make_schedule
 from .manifest import read_manifest, write_manifest
 from .metrics import PlanPair, PlanReport, aligned_csv, apply_gt_boundary, score_pairs, write_report
 from .optim import adamw_step
@@ -47,44 +46,6 @@ StageModel = StateAutoencoder | TaskClassifier | ConditionedUNet
 def stage_seed(seed: int, tag: str, index: int = 0) -> int:
     """Stable derived seed for one component of a run."""
     return (seed * 1_000_003 + zlib.crc32(tag.encode("ascii")) + index) % (2**63)
-
-
-@dataclasses.dataclass(frozen=True)
-class LRSchedule:
-    """Linear warmup, hold, then stepwise decay inside a final window."""
-
-    peak_lr: float
-    steps_per_epoch: int
-    total_epochs: int
-    warmup_epochs: int
-    decay_window_epochs: int
-    decay_every: int
-    decay_factor: float
-
-    @classmethod
-    def from_stage(cls, stage: StageParams) -> "LRSchedule":
-        return cls(
-            peak_lr=stage.peak_lr,
-            steps_per_epoch=stage.steps_per_epoch,
-            total_epochs=stage.epochs,
-            warmup_epochs=stage.warmup_epochs,
-            decay_window_epochs=stage.decay_window_epochs,
-            decay_every=stage.decay_every,
-            decay_factor=stage.decay_factor,
-        )
-
-    def lr_at(self, step: int) -> float:
-        if step < 0:
-            raise ValueError(f"lr_at: step must be >= 0, got {step}")
-        warmup_steps = self.warmup_epochs * self.steps_per_epoch
-        if warmup_steps > 0 and step < warmup_steps:
-            return self.peak_lr * step / warmup_steps
-        epoch = step // self.steps_per_epoch
-        decay_start = self.total_epochs - self.decay_window_epochs
-        if self.decay_window_epochs > 0 and epoch >= decay_start:
-            k = (epoch - decay_start) // self.decay_every + 1
-            return self.peak_lr * self.decay_factor**k
-        return self.peak_lr
 
 
 def _layout(config: RunConfig) -> BlockLayout:
@@ -188,7 +149,6 @@ def _stage_model(stage: str, config: RunConfig, seed: int) -> tuple[StageModel, 
             "schedule.steps": config.schedule.steps,
             "schedule.beta_start": config.schedule.beta_start,
             "schedule.beta_end": config.schedule.beta_end,
-            "onehot_scale": config.onehot_scale,
         }
     raise PipelineError(f"unknown stage {stage!r}, expected one of {STAGES}")
 
@@ -212,7 +172,6 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     model, meta = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
     train_samples = _load_split(config, workdir, "train")
     params: StageParams = getattr(config, stage)
-    schedule = LRSchedule.from_stage(params)
     rng = np.random.default_rng(stage_seed(config.seed, f"train.{stage}"))
     total_steps = params.epochs * params.steps_per_epoch
     rows: list[list[float]] = []
@@ -246,7 +205,6 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
     else:
         vae = load_stage("vae", config, workdir)
-        vae.freeze()
         frozen_checksum = vae.params.checksum()
         layout = _layout(config)
         noise_schedule = make_schedule(
@@ -263,10 +221,8 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
                 vae,
                 layout,
                 rng=rng,
-                onehot_scale=config.onehot_scale,
                 use_eps=config.flags.use_eps,
                 inject_constraints=config.flags.inject_constraints,
-                mask_conditions=config.flags.loss_masking,
             )
             model.params.zero_grads()
             loss.backward()
@@ -281,7 +237,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
     for step in range(total_steps):
         idx = rng.integers(0, size, params.batch_size)
-        lr = schedule.lr_at(step)
+        lr = params.lr_at(step)
         try:
             losses = train_step(idx, lr)
         except NumericError as exc:
@@ -290,7 +246,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
     if stage == "diffusion" and vae.params.checksum() != frozen_checksum:
         raise PipelineError("frozen autoencoder changed during diffusion training")
-    arrays = model.state_arrays()
+    arrays = model.params.state_arrays()
     arrays.update(ckpt.pack_meta(meta))
     path = _ckpt_path(workdir, stage, tag)
     ckpt.save_checkpoint(path, arrays)
@@ -306,7 +262,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
 
 def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> StageModel:
-    """Load a trained stage's model, checking its checkpoint against ``config``.
+    """Load a trained stage's model, frozen, checking its checkpoint against ``config``.
 
     Every ``_meta.`` field the checkpoint stores must equal the value
     ``train_stage`` would store for ``config``; a mismatched, missing or
@@ -329,7 +285,8 @@ def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> St
     unknown = sorted(meta.keys() - expected.keys())
     if unknown:
         raise PipelineError(f"{path}: unknown checkpoint metadata {unknown}")
-    model.load_state(arrays)
+    model.params.load_state(arrays)
+    model.params.freeze()
     return model
 
 
@@ -356,7 +313,6 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
     if not test_samples:
         raise PipelineError("test split is empty")
     vae = load_stage("vae", config, workdir)
-    vae.freeze()
     clf = load_stage("classifier", config, workdir)
     den = load_stage("diffusion", config, workdir, tag)
     layout = _layout(config)
@@ -368,7 +324,7 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
     o_g = np.stack([s.o_g for s in test_samples])
     predicted_tasks = [int(t) for t in clf.predict_batch(o_s, o_g)]
     seeds = [stage_seed(config.seed, "eval", i) for i in range(len(test_samples))]
-    states = generate_plans(
+    plans = generate_plans(
         test_samples,
         predicted_tasks,
         noise_schedule,
@@ -376,13 +332,12 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
         vae,
         layout,
         seeds=seeds,
-        onehot_scale=config.onehot_scale,
         use_eps=config.flags.use_eps,
         inject_constraints=config.flags.inject_constraints,
     )
     pairs = [
-        PlanPair(predicted=decode_plan(state), truth=sample.actions)
-        for state, sample in zip(states, test_samples)
+        PlanPair(predicted=tuple(plan), truth=sample.actions)
+        for plan, sample in zip(decode_plans(plans, layout).tolist(), test_samples)
     ]
     raw = score_pairs(pairs)
     if config.flags.gt_boundary_eval:
@@ -411,22 +366,12 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
     return report
 
 
-ABLATION_VARIANTS = ("full", "no_eps", "no_injection")
-
-
-def _variant_config(config: RunConfig, variant: str) -> RunConfig:
-    cfg = apply_overrides(config, {})
-    if variant == "full":
-        cfg.flags.use_eps = True
-        cfg.flags.inject_constraints = True
-    elif variant == "no_eps":
-        cfg.flags.use_eps = False
-        cfg.flags.inject_constraints = True
-    elif variant == "no_injection":
-        cfg.flags.inject_constraints = False
-    else:
-        raise PipelineError(f"unknown ablation variant {variant!r}")
-    return cfg
+# Config overrides of each ablation variant, in report order.
+ABLATION_VARIANTS = {
+    "full": {"flags.use_eps": "true", "flags.inject_constraints": "true"},
+    "no_eps": {"flags.use_eps": "false", "flags.inject_constraints": "true"},
+    "no_injection": {"flags.inject_constraints": "false"},
+}
 
 
 def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = None) -> dict:
@@ -447,8 +392,8 @@ def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = No
         generate_dataset(seed_cfg, seed_dir)
         train_stage("vae", seed_cfg, seed_dir)
         train_stage("classifier", seed_cfg, seed_dir)
-        for variant in ABLATION_VARIANTS:
-            var_cfg = _variant_config(seed_cfg, variant)
+        for variant, overrides in ABLATION_VARIANTS.items():
+            var_cfg = apply_overrides(seed_cfg, overrides)
             train_stage("diffusion", var_cfg, seed_dir, tag=variant)
             report = evaluate(var_cfg, seed_dir, tag=variant, report_name="report")
             rows.append(

@@ -31,30 +31,13 @@ class PhaseError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatentCode:
-    """Reparameterized code of one state: z = mu + exp(logvar/2) * eps."""
+    """Reparameterized (start, goal) codes of a batch, each [B, 2, LATENT_DIM]:
+    z = mu + exp(logvar/2) * eps, with index 0 the start and 1 the goal."""
 
     mu: np.ndarray
     logvar: np.ndarray
     z: np.ndarray
     eps: np.ndarray
-
-
-def reparameterize(
-    mu: np.ndarray,
-    logvar: np.ndarray,
-    eps: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> LatentCode:
-    """Build a LatentCode; eps defaults to a standard-normal draw."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if eps is None:
-        if rng is None:
-            raise ValueError("reparameterize: supply eps or an rng to draw it")
-        eps = rng.standard_normal(mu.shape)
-    eps = np.asarray(eps, dtype=np.float64)
-    z = mu + np.exp(0.5 * logvar) * eps
-    return LatentCode(mu=mu, logvar=logvar, z=z, eps=eps)
 
 
 def state_vectors(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
@@ -151,38 +134,30 @@ class StateAutoencoder:
         samples: list[Sample],
         use_eps: bool,
         rngs: list[np.random.Generator],
-    ) -> list[tuple[LatentCode, LatentCode]]:
+    ) -> LatentCode:
         """(start, goal) latent codes for many samples with one encoder pass.
 
         Only valid once the model is frozen (phase two).  Each sample
-        draws its noise from its own generator, in (start, goal) order,
-        so results are independent of batching.  With ``use_eps=False``
-        the noise is forced to zero, so z is exactly mu.
+        draws its noise from its own generator, start then goal, so
+        results are independent of batching.  With ``use_eps=False`` the
+        noise is zero and no generator is drawn from, so z is exactly mu.
         """
         if not self.frozen:
             raise PhaseError(
                 "encode_constraints_batch: autoencoder must be frozen before it can "
                 "serve as the constraint provider"
             )
+        if len(rngs) != len(samples):
+            raise ValueError(
+                f"encode_constraints_batch: {len(samples)} samples but {len(rngs)} generators"
+            )
         stacked = np.stack([vec for s in samples for vec in state_vectors(s)])
         mu_t, logvar_t = self.encode(stacked)
-        mu_all, lv_all = mu_t.data, logvar_t.data
-        codes: list[tuple[LatentCode, LatentCode]] = []
-        for i, rng in enumerate(rngs):
-            pair = []
-            for j in (2 * i, 2 * i + 1):
-                mu_v, lv_v = mu_all[j], lv_all[j]
-                if use_eps:
-                    pair.append(reparameterize(mu_v, lv_v, rng=rng))
-                else:
-                    pair.append(
-                        LatentCode(mu=mu_v, logvar=lv_v, z=mu_v.copy(), eps=np.zeros_like(mu_v))
-                    )
-            codes.append((pair[0], pair[1]))
-        return codes
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.state_arrays()
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.params.load_state(arrays)
+        mu = mu_t.data.reshape(len(samples), 2, LATENT_DIM)
+        logvar = logvar_t.data.reshape(len(samples), 2, LATENT_DIM)
+        if use_eps:
+            eps = np.stack([rng.standard_normal((2, LATENT_DIM)) for rng in rngs])
+        else:
+            eps = np.zeros_like(mu)
+        z = mu + np.exp(0.5 * logvar) * eps
+        return LatentCode(mu=mu, logvar=logvar, z=z, eps=eps)

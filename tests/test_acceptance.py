@@ -289,17 +289,16 @@ class TestCriterion6EpsilonAblation:
         exact = True
         for i, sample in enumerate(samples[:25]):
             rng = np.random.default_rng(i)
-            with_eps = vae.encode_constraints_batch([sample], use_eps=True, rngs=[rng])[0]
-            no_eps = vae.encode_constraints_batch(
+            on = vae.encode_constraints_batch([sample], use_eps=True, rngs=[rng])
+            off = vae.encode_constraints_batch(
                 [sample], use_eps=False, rngs=[np.random.default_rng(i)]
-            )[0]
-            for on, off in zip(with_eps, no_eps):
-                # Clamping sigma to zero in the eps-bearing encoding must
-                # reproduce the no-eps path down to the bit: mu + 0 * eps.
-                sigma_zero = on.mu + 0.0 * on.eps
-                exact &= np.array_equal(off.z, sigma_zero)
-                exact &= np.array_equal(off.z, off.mu)
-                exact &= np.array_equal(on.mu, off.mu)
+            )
+            # Clamping sigma to zero in the eps-bearing encoding must
+            # reproduce the no-eps path down to the bit: mu + 0 * eps.
+            sigma_zero = on.mu + 0.0 * on.eps
+            exact &= np.array_equal(off.z, sigma_zero)
+            exact &= np.array_equal(off.z, off.mu)
+            exact &= np.array_equal(on.mu, off.mu)
         _verdict(6, exact, "use_eps=false equals mu-only (sigma=0) encoding bit-exactly")
 
 

@@ -58,7 +58,7 @@ class TestTrainEvalFlow:
         _gen(tmp_path)
         assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_PREREQ
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_exits_numeric_naming_stage_step_and_op(self, tmp_path, capsys):
         _gen(tmp_path)
         args = ["train", "--stage", "classifier", "--workdir", str(tmp_path), *TINY_ARGS]

@@ -9,8 +9,9 @@ from procplan.denoiser import (
     ConditionedUNet,
     timestep_embedding,
 )
+from procplan.corpus import Sample
 from procplan.tensor import Tensor
-from procplan.vae import LatentCode
+from procplan.vae import LatentCode, StateAutoencoder
 
 FEATURE_DIM = 20
 TIME_STEPS = 50
@@ -21,14 +22,15 @@ def net():
     return ConditionedUNet(feature_dim=FEATURE_DIM, time_steps=TIME_STEPS, seed=0)
 
 
-def _code(rng):
-    mu = rng.normal(size=2)
-    return LatentCode(mu=mu, logvar=np.zeros(2), z=mu.copy(), eps=rng.normal(size=2))
+def _code(rng, batch=1):
+    """A batch of (start, goal) codes with unit sigma."""
+    mu = rng.normal(size=(batch, 2, 2))
+    eps = rng.normal(size=(batch, 2, 2))
+    return LatentCode(mu=mu, logvar=np.zeros_like(mu), z=mu + eps, eps=eps)
 
 
-def _fuse(net, zs, zg, use_eps=True):
-    """Fused constraint batch of one (start, goal) code pair."""
-    return net.fuse_batch(zs.z[None], zs.eps[None], zg.z[None], zg.eps[None], use_eps=use_eps)
+def _fuse(net, code):
+    return net.fuse_batch(code.z, code.eps)
 
 
 class TestTimestepEmbedding:
@@ -59,35 +61,40 @@ class TestFusion:
         net.fuse_b.data[:] = 0.0
         for i in range(FUSION_INPUT_DIM):
             net.fuse_w.data[i, i] = 1.0
-        rng = np.random.default_rng(0)
-        zs, zg = _code(rng), _code(rng)
-        out = _fuse(net, zs, zg).data[0]
-        packed = np.concatenate([zs.z, zs.eps, zg.z, zg.eps])
-        assert packed.shape == (FUSION_INPUT_DIM,)
-        assert np.allclose(out[:FUSION_INPUT_DIM], packed, atol=1e-12)
-        assert np.allclose(out[FUSION_INPUT_DIM:], 0.0)
+        code = _code(np.random.default_rng(0), batch=3)
+        out = _fuse(net, code).data
+        for i in range(3):
+            packed = np.concatenate([code.z[i, 0], code.eps[i, 0], code.z[i, 1], code.eps[i, 1]])
+            assert packed.shape == (FUSION_INPUT_DIM,)
+            assert np.allclose(out[i, :FUSION_INPUT_DIM], packed, atol=1e-12)
+            assert np.allclose(out[i, FUSION_INPUT_DIM:], 0.0)
 
     def test_no_eps_equals_explicit_zero_noise(self, net):
+        # The no-eps encoding (z = mu, eps = 0) fuses exactly like mu with
+        # explicit zero noise in both noise slots.
+        vae = StateAutoencoder(input_dim=6, seed=1)
+        vae.freeze()
         rng = np.random.default_rng(1)
-        zs, zg = _code(rng), _code(rng)
-        zeroed = (
-            LatentCode(zs.mu, zs.logvar, zs.z, np.zeros(2)),
-            LatentCode(zg.mu, zg.logvar, zg.z, np.zeros(2)),
+        sample = Sample(
+            task=0, actions=(0, 1, 2), o_s=rng.random(3), o_g=rng.random(3),
+            n_es=rng.random(3), n_eg=rng.random(3),
         )
-        a = _fuse(net, zs, zg, use_eps=False).data
-        b = _fuse(net, zeroed[0], zeroed[1]).data
+        code = vae.encode_constraints_batch([sample], use_eps=False, rngs=[rng])
+        a = _fuse(net, code).data
+        b = net.fuse_batch(code.mu, np.zeros((1, 2, 2))).data
         assert np.array_equal(a, b)
 
     def test_zero_weight_fusion_gives_bias(self, net):
         net.fuse_w.data[:] = 0.0
         net.fuse_b.data[:] = np.arange(BOTTLENECK_CHANNELS) * 0.01
-        rng = np.random.default_rng(2)
-        out = _fuse(net, _code(rng), _code(rng)).data[0]
+        out = _fuse(net, _code(np.random.default_rng(2))).data[0]
         assert np.allclose(out, np.arange(BOTTLENECK_CHANNELS) * 0.01)
 
     def test_latent_dim_validated(self, net):
         with pytest.raises(ValueError, match="latent"):
-            net.fuse_batch(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)))
+            net.fuse_batch(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+        with pytest.raises(ValueError, match="latent"):
+            net.fuse_batch(np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 class TestForward:
@@ -114,8 +121,7 @@ class TestForward:
     def test_constraint_changes_output(self, net):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
-        zs, zg = _code(rng), _code(rng)
-        with_c = net.forward(x, 2, _fuse(net, zs, zg)).data
+        with_c = net.forward(x, 2, _fuse(net, _code(rng))).data
         without = net.forward(x, 2, net.zero_constraint(1)).data
         assert not np.array_equal(with_c, without)
 
@@ -129,7 +135,7 @@ class TestForward:
     def test_gradient_reaches_fusion_weights(self, net):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
-        z_c = _fuse(net, _code(rng), _code(rng))
+        z_c = _fuse(net, _code(rng))
         from procplan import tensor as T
 
         net.params.zero_grads()

@@ -7,10 +7,9 @@ from procplan.corpus import Sample
 from procplan.denoiser import BOTTLENECK_CHANNELS, ConditionedUNet
 from procplan.diffusion import (
     BlockLayout,
-    DiffusionState,
     ScheduleError,
     build_x0,
-    decode_plan,
+    decode_plans,
     diffusion_loss,
     generate_plans,
     make_schedule,
@@ -47,8 +46,7 @@ class _StubDenoiser:
         self.x0 = np.asarray(x0_batch)
 
     def forward(self, x, steps, z_c):
-        data = self.x0 if x.ndim == 3 else self.x0[0]
-        return Tensor(data)
+        return Tensor(self.x0)
 
     def zero_constraint(self, batch):
         return Tensor(np.zeros((batch, BOTTLENECK_CHANNELS)))
@@ -88,18 +86,18 @@ class TestSchedule:
 class TestForwardNoising:
     def test_zero_noise_scales_by_sqrt_alpha_bar(self):
         rng = np.random.default_rng(0)
-        x0 = build_x0(_sample(rng), LAYOUT)
+        x0 = build_x0([_sample(rng)], LAYOUT)
         sched = make_schedule(10)
         for n in (1, 5, 10):
-            xn = q_forward(x0, n, sched, noise=np.zeros_like(x0.values))
-            assert np.allclose(xn.values, np.sqrt(sched.alpha_bars[n]) * x0.values, atol=1e-15)
+            xn = q_forward(x0, [n], sched, np.zeros_like(x0))
+            assert np.allclose(xn, np.sqrt(sched.alpha_bars[n]) * x0, atol=1e-15)
 
     def test_tiny_beta_is_nearly_identity(self):
         rng = np.random.default_rng(1)
-        x0 = build_x0(_sample(rng), LAYOUT)
+        x0 = build_x0([_sample(rng)], LAYOUT)
         sched = make_schedule(5, 1e-12, 1e-12)
-        xn = q_forward(x0, 5, sched, noise=np.zeros_like(x0.values))
-        assert np.allclose(xn.values, x0.values, atol=1e-10)
+        xn = q_forward(x0, [5], sched, np.zeros_like(x0))
+        assert np.allclose(xn, x0, atol=1e-10)
 
     def test_composed_single_steps_match_closed_form(self):
         # Iterating x_n = sqrt(1 - beta_n) x_{n-1} with zero noise must agree
@@ -112,69 +110,83 @@ class TestForwardNoising:
 
     def test_step_out_of_range(self):
         rng = np.random.default_rng(2)
-        x0 = build_x0(_sample(rng), LAYOUT)
+        x0 = build_x0([_sample(rng)], LAYOUT)
         sched = make_schedule(10)
         with pytest.raises(ScheduleError):
-            q_forward(x0, 0, sched, noise=np.zeros_like(x0.values))
+            q_forward(x0, [0], sched, np.zeros_like(x0))
         with pytest.raises(ScheduleError):
-            q_forward(x0, 11, sched, noise=np.zeros_like(x0.values))
+            q_forward(x0, [11], sched, np.zeros_like(x0))
 
     def test_known_statistics(self):
+        # Many copies of one clean state noised to one step: per entry, the
+        # mean is sqrt(abar) x0 and the variance is 1 - abar.
         rng = np.random.default_rng(3)
-        x0 = build_x0(_sample(rng), LAYOUT)
+        x0 = np.repeat(build_x0([_sample(rng)], LAYOUT), 20000, axis=0)
         sched = make_schedule(100)
-        xn = q_forward(x0, 100, sched, rng=np.random.default_rng(0))
-        assert xn.step == 100
-        assert xn.values.shape == x0.values.shape
+        n = 40
+        xn = q_forward(x0, [n] * len(x0), sched, rng.standard_normal(x0.shape))
+        abar = sched.alpha_bars[n]
+        assert np.allclose(xn.mean(axis=0), np.sqrt(abar) * x0[0], atol=0.04)
+        assert np.allclose(xn.var(axis=0), 1.0 - abar, atol=0.04)
+
+    def test_per_item_steps_match_scalar_closed_form(self):
+        rng = np.random.default_rng(21)
+        x0 = build_x0([_sample(rng) for _ in range(3)], LAYOUT)
+        noise = rng.standard_normal(x0.shape)
+        sched = make_schedule(10)
+        batched = q_forward(x0, [2, 7, 10], sched, noise)
+        for i, n in enumerate((2, 7, 10)):
+            abar = sched.alpha_bars[n]
+            expected = np.sqrt(abar) * x0[i] + np.sqrt(1.0 - abar) * noise[i]
+            assert np.array_equal(batched[i], expected)
 
 
 class TestBuildState:
     def test_middle_observation_rows_are_zero(self):
         rng = np.random.default_rng(4)
-        state = build_x0(_sample(rng), LAYOUT)
-        assert np.array_equal(state.values[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
-        assert np.array_equal(state.values[0, LAYOUT.obs_cols], state.values[0, LAYOUT.obs_cols])
+        sample = _sample(rng)
+        [state] = build_x0([sample], LAYOUT)
+        assert np.array_equal(state[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
+        assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s)
+        assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g)
 
     def test_action_argmax_round_trip(self):
         rng = np.random.default_rng(5)
-        sample = _sample(rng, actions=(3, 0, 2))
-        assert decode_plan(build_x0(sample, LAYOUT)) == (3, 0, 2)
+        samples = [_sample(rng, actions=(3, 0, 2)), _sample(rng, actions=(1, 1, 0))]
+        assert decode_plans(build_x0(samples, LAYOUT), LAYOUT).tolist() == [[3, 0, 2], [1, 1, 0]]
 
     def test_task_rows_identical(self):
         rng = np.random.default_rng(6)
-        state = build_x0(_sample(rng, task=2), LAYOUT, onehot_scale=1.5)
-        task_block = state.values[:, LAYOUT.task_cols]
+        [state] = build_x0([_sample(rng, task=2)], LAYOUT)
+        task_block = state[:, LAYOUT.task_cols]
         assert np.array_equal(task_block, np.tile(task_block[0], (3, 1)))
-        assert task_block[0].tolist() == [0.0, 0.0, 1.5]
+        assert task_block[0].tolist() == [0.0, 0.0, 1.0]
 
     def test_label_validation(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="task"):
-            build_x0(_sample(rng, task=5), LAYOUT)
+            build_x0([_sample(rng, task=5)], LAYOUT)
         with pytest.raises(ValueError, match="action"):
-            build_x0(_sample(rng, actions=(1, 9, 2)), LAYOUT)
+            build_x0([_sample(rng, actions=(1, 9, 2))], LAYOUT)
 
 
 class TestDecodePlan:
     def test_tie_breaks_to_lowest_label(self):
-        values = np.zeros((3, LAYOUT.feature_dim))
-        values[:, LAYOUT.action_cols] = 0.7  # uniform positive block
-        state = DiffusionState(values=values, step=0, layout=LAYOUT)
-        assert decode_plan(state) == (0, 0, 0)
+        values = np.zeros((1, 3, LAYOUT.feature_dim))
+        values[:, :, LAYOUT.action_cols] = 0.7  # uniform positive block
+        assert decode_plans(values, LAYOUT).tolist() == [[0, 0, 0]]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
-        values = rng.normal(size=(4, LAYOUT.feature_dim))
-        state = DiffusionState(values=values, step=0, layout=LAYOUT)
-        scaled = DiffusionState(values=3.7 * values, step=0, layout=LAYOUT)
-        assert decode_plan(state) == decode_plan(scaled)
+        values = rng.normal(size=(2, 4, LAYOUT.feature_dim))
+        assert np.array_equal(decode_plans(values, LAYOUT), decode_plans(3.7 * values, LAYOUT))
 
 
 class TestDiffusionLoss:
     def test_oracle_denoiser_reaches_zero(self, frozen_vae):
         rng = np.random.default_rng(9)
         samples = [_sample(rng) for _ in range(4)]
-        x0s = np.stack([build_x0(s, LAYOUT).values for s in samples])
+        x0s = build_x0(samples, LAYOUT)
         oracle = _StubDenoiser(x0s)
         loss = diffusion_loss(
             samples, make_schedule(10), oracle, frozen_vae, LAYOUT,
@@ -185,7 +197,7 @@ class TestDiffusionLoss:
     def test_zero_denoiser_hits_mean_squared_actions(self, frozen_vae):
         rng = np.random.default_rng(10)
         samples = [_sample(rng) for _ in range(3)]
-        x0s = np.stack([build_x0(s, LAYOUT).values for s in samples])
+        x0s = build_x0(samples, LAYOUT)
         zero = _StubDenoiser(np.zeros_like(x0s))
         loss = diffusion_loss(
             samples, make_schedule(10), zero, frozen_vae, LAYOUT,
@@ -193,17 +205,6 @@ class TestDiffusionLoss:
         )
         expected = np.mean(x0s[:, :, LAYOUT.action_cols] ** 2)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
-
-    def test_unmasked_mode_covers_whole_matrix(self, frozen_vae):
-        rng = np.random.default_rng(11)
-        samples = [_sample(rng) for _ in range(3)]
-        x0s = np.stack([build_x0(s, LAYOUT).values for s in samples])
-        zero = _StubDenoiser(np.zeros_like(x0s))
-        loss = diffusion_loss(
-            samples, make_schedule(10), zero, frozen_vae, LAYOUT,
-            rng=np.random.default_rng(0), inject_constraints=False, mask_conditions=False,
-        )
-        assert loss.item() == pytest.approx(np.mean(x0s**2), rel=1e-12)
 
     def test_finite_positive_at_init(self, frozen_vae):
         rng = np.random.default_rng(12)
@@ -237,21 +238,20 @@ class TestSampling:
     def test_single_step_oracle_recovers_truth(self, frozen_vae):
         rng = np.random.default_rng(15)
         sample = _sample(rng, actions=(2, 1, 3), task=1)
-        oracle = _StubDenoiser(build_x0(sample, LAYOUT).values[None])
-        [state] = generate_plans(
+        oracle = _StubDenoiser(build_x0([sample], LAYOUT))
+        plans = generate_plans(
             [sample], [1], make_schedule(1), oracle, frozen_vae, LAYOUT, seeds=[0],
             inject_constraints=False,
         )
-        assert decode_plan(state) == (2, 1, 3)
-        assert state.step == 0
+        assert decode_plans(plans, LAYOUT).tolist() == [[2, 1, 3]]
 
     def test_same_seed_bit_identical(self, frozen_vae):
         rng = np.random.default_rng(16)
         sample = _sample(rng)
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
-        [a] = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
-        [b] = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
-        assert np.array_equal(a.values, b.values)
+        a = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
+        b = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, frozen_vae):
         rng = np.random.default_rng(17)
@@ -260,7 +260,7 @@ class TestSampling:
         a, b = generate_plans(
             [sample, sample], [0, 0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[1, 2]
         )
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_condition_blocks_exactly_imposed(self, frozen_vae):
         rng = np.random.default_rng(18)
@@ -269,13 +269,13 @@ class TestSampling:
         predicted_task = 2  # deliberately different from the sample's label
         [state] = generate_plans(
             [sample], [predicted_task], make_schedule(8), net, frozen_vae, LAYOUT,
-            seeds=[3], onehot_scale=1.25,
+            seeds=[3],
         )
-        task_block = state.values[:, LAYOUT.task_cols]
-        assert np.array_equal(task_block, np.tile([0.0, 0.0, 1.25], (3, 1)))
-        assert np.array_equal(state.values[0, LAYOUT.obs_cols], sample.o_s)
-        assert np.array_equal(state.values[-1, LAYOUT.obs_cols], sample.o_g)
-        assert np.array_equal(state.values[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
+        task_block = state[:, LAYOUT.task_cols]
+        assert np.array_equal(task_block, np.tile([0.0, 0.0, 1.0], (3, 1)))
+        assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s)
+        assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g)
+        assert np.array_equal(state[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
 
     def test_batched_results_are_per_item_seeded(self, frozen_vae):
         rng = np.random.default_rng(19)
@@ -287,8 +287,7 @@ class TestSampling:
         batch_again = generate_plans(
             samples, [0, 1, 2], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[5, 6, 7]
         )
-        for a, b in zip(batch, batch_again):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(batch, batch_again)
 
     def test_alignment_validated(self, frozen_vae):
         rng = np.random.default_rng(20)

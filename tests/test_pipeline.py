@@ -10,12 +10,13 @@ import pytest
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.config import ConfigError, RunConfig, StageParams, apply_overrides, load_config
 from procplan.pipeline import (
-    LRSchedule,
+    STAGES,
     PipelineError,
     PrerequisiteError,
     ablation_suite,
     evaluate,
     generate_dataset,
+    load_stage,
     stage_seed,
     train_stage,
 )
@@ -23,10 +24,11 @@ from tests.conftest import make_tiny_config
 
 
 def _crosstask_like_schedule():
-    return LRSchedule(
+    return StageParams(
         peak_lr=5e-4,
         steps_per_epoch=200,
-        total_epochs=120,
+        epochs=120,
+        batch_size=128,
         warmup_epochs=20,
         decay_window_epochs=30,
         decay_every=5,
@@ -71,8 +73,8 @@ class TestLRSchedule:
             _crosstask_like_schedule().lr_at(-1)
 
     def test_no_warmup_starts_at_peak(self):
-        sched = LRSchedule(
-            peak_lr=1e-3, steps_per_epoch=10, total_epochs=5,
+        sched = StageParams(
+            peak_lr=1e-3, steps_per_epoch=10, epochs=5, batch_size=8,
             warmup_epochs=0, decay_window_epochs=0, decay_every=1, decay_factor=1.0,
         )
         assert sched.lr_at(0) == 1e-3
@@ -173,6 +175,13 @@ class TestTrainedPipeline:
         with pytest.raises(PipelineError, match="manifest"):
             evaluate(other, workdir)
 
+    def test_loaded_models_are_frozen(self, trained_workdir):
+        workdir, cfg, _ = trained_workdir
+        for stage in STAGES:
+            model = load_stage(stage, cfg, workdir)
+            assert model.params.frozen, stage
+            assert not any(t.requires_grad for t in model.params.tensors()), stage
+
     def test_horizon_mismatch_detected(self, trained_workdir):
         workdir, cfg, _ = trained_workdir
         other = apply_overrides(cfg, {"horizon": "5"})
@@ -185,18 +194,21 @@ class TestTrainedPipeline:
             ("schedule.steps", "corrupt"),
             ("schedule.beta_end", "0.2"),
             ("schedule.beta_start", "0.0002"),
-            ("onehot_scale", "3.0"),
+            ("onehot_scale", "stale"),
             ("denoiser.feature_dim", "delete"),
         ],
     )
     def test_corrupted_checkpoint_meta_detected(self, trained_workdir, tmp_path, key, change):
-        """A stored ``_meta.`` entry that is corrupted, deleted, or that
-        differs from an eval-time override must fail the load, naming it."""
+        """A stored ``_meta.`` entry that is corrupted, deleted, stale (no
+        longer written), or that differs from an eval-time override must
+        fail the load, naming it."""
         workdir, cfg, _ = trained_workdir
         arrays = load_checkpoint(os.path.join(workdir, "diffusion.ckpt"))
         overrides = {}
         if change == "corrupt":
             arrays["_meta." + key] = np.asarray([999.0])
+        elif change == "stale":
+            arrays["_meta." + key] = np.asarray([1.0])
         elif change == "delete":
             del arrays["_meta." + key]
         else:

@@ -9,7 +9,6 @@ from procplan.vae import (
     LATENT_DIM,
     PhaseError,
     StateAutoencoder,
-    reparameterize,
     state_vectors,
 )
 
@@ -74,33 +73,51 @@ class TestEncode:
         assert logvar.data.max() <= 10.0
 
 
+def _biased_codes(model, samples, mu, logvar, use_eps=True, seed=0):
+    """Codes from a frozen encoder whose mu/logvar heads output only their biases."""
+    for name in ("vae.enc.w_mu", "vae.enc.w_logvar"):
+        model.params[name].data[:] = 0.0
+    model.params["vae.enc.b_mu"].data[:] = mu
+    model.params["vae.enc.b_logvar"].data[:] = logvar
+    model.freeze()
+    rngs = [np.random.default_rng(seed + i) for i in range(len(samples))]
+    return model.encode_constraints_batch(samples, use_eps=use_eps, rngs=rngs)
+
+
 class TestReparameterize:
-    def test_elementwise_formula(self):
-        code = reparameterize(
-            np.array([1.0, 2.0]), np.zeros(2), eps=np.array([0.5, -0.5])
-        )
-        assert code.z.tolist() == [1.5, 1.5]
+    def test_elementwise_formula(self, model, trained_setup):
+        _, train, _ = trained_setup
+        code = _biased_codes(model, train[:1], [1.0, 2.0], [0.0, 0.0])
+        eps = np.random.default_rng(0).standard_normal((2, LATENT_DIM))
+        assert np.array_equal(code.z[0], np.array([1.0, 2.0]) + eps)
 
-    def test_standard_normal_passthrough(self):
-        e = np.array([0.3, -1.7])
-        code = reparameterize(np.zeros(2), np.zeros(2), eps=e)
-        assert np.array_equal(code.z, e)
+    def test_standard_normal_passthrough(self, model, trained_setup):
+        # Each sample's generator supplies (start, goal) noise as one draw.
+        _, train, _ = trained_setup
+        code = _biased_codes(model, train[:3], [0.0, 0.0], [0.0, 0.0], seed=5)
+        for i in range(3):
+            draws = np.random.default_rng(5 + i).standard_normal((2, LATENT_DIM))
+            assert np.array_equal(code.eps[i], draws)
+            assert np.array_equal(code.z[i], draws)
 
-    def test_degenerate_sigma_collapses_to_mu(self):
+    def test_degenerate_sigma_collapses_to_mu(self, model, trained_setup):
         # At the clamp floor sigma = exp(-5); with zero noise z is exactly mu.
-        mu = np.array([0.7, -0.1])
-        assert np.array_equal(reparameterize(mu, np.full(2, -10.0), eps=np.zeros(2)).z, mu)
+        _, train, _ = trained_setup
+        code = _biased_codes(model, train[:2], [0.7, -0.1], [-100.0, -100.0], use_eps=False)
+        assert np.array_equal(code.logvar, np.full((2, 2, LATENT_DIM), -10.0))
+        assert np.array_equal(code.z, code.mu)
 
-    def test_identity_invariant_holds(self):
+    def test_identity_invariant_holds(self, model, trained_setup):
+        _, train, _ = trained_setup
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            mu, logvar = rng.normal(size=2), rng.normal(size=2)
-            code = reparameterize(mu, logvar, rng=rng)
-            assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
+        code = _biased_codes(model, train[:25], rng.normal(size=2), rng.normal(size=2))
+        assert code.z.shape == (25, 2, LATENT_DIM)
+        assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
 
-    def test_requires_noise_source(self):
-        with pytest.raises(ValueError):
-            reparameterize(np.zeros(2), np.zeros(2))
+    def test_requires_noise_source(self, trained_setup):
+        model, train, _ = trained_setup
+        with pytest.raises(ValueError, match="generators"):
+            model.encode_constraints_batch(train[:2], use_eps=True, rngs=[np.random.default_rng(0)])
 
 
 class TestDecode:
@@ -168,36 +185,33 @@ class TestEncodeConstraints:
 
     def test_no_eps_returns_mu_exactly(self, trained_setup):
         model, train, _ = trained_setup
-        [(code_s, code_g)] = model.encode_constraints_batch(
+        code = model.encode_constraints_batch(
             [train[0]], use_eps=False, rngs=[np.random.default_rng(0)]
         )
-        for code in (code_s, code_g):
-            assert np.array_equal(code.z, code.mu)
-            assert np.array_equal(code.eps, np.zeros(LATENT_DIM))
+        assert np.array_equal(code.z, code.mu)
+        assert np.array_equal(code.eps, np.zeros((1, 2, LATENT_DIM)))
 
     def test_same_seed_reproduces_codes(self, trained_setup):
         model, train, _ = trained_setup
-        [a] = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
-        [b] = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.z, cb.z) and np.array_equal(ca.eps, cb.eps)
+        a = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
+        b = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
+        assert np.array_equal(a.z, b.z) and np.array_equal(a.eps, b.eps)
 
     def test_reparameterization_identity_machine_precision(self, trained_setup):
         model, train, _ = trained_setup
         rngs = [np.random.default_rng(i) for i in range(20)]
-        for pair in model.encode_constraints_batch(train[:20], use_eps=True, rngs=rngs):
-            for code in pair:
-                assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
+        code = model.encode_constraints_batch(train[:20], use_eps=True, rngs=rngs)
+        assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
 
     def test_distinct_tasks_get_distinct_code_pairs(self, trained_setup):
         model, train, _ = trained_setup
         by_task: dict[int, tuple] = {}
         for sample in train:
             if sample.task not in by_task:
-                [(cs, cg)] = model.encode_constraints_batch(
+                code = model.encode_constraints_batch(
                     [sample], use_eps=False, rngs=[np.random.default_rng(0)]
                 )
-                by_task[sample.task] = np.concatenate([cs.z, cg.z])
+                by_task[sample.task] = code.z.ravel()
         tasks = sorted(by_task)
         for i in tasks:
             for j in tasks:
