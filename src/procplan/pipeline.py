@@ -69,6 +69,15 @@ def _corpus_config(config: RunConfig) -> CorpusConfig:
     )
 
 
+def _data_keys(config: RunConfig) -> dict[str, str]:
+    """The config keys that determine what ``generate_dataset`` writes."""
+    return {
+        key: value
+        for key, value in config.to_kv().items()
+        if key in ("seed", "horizon", "curation") or key.startswith("data.")
+    }
+
+
 def generate_dataset(config: RunConfig, workdir: str) -> dict:
     """Corpus, curation, split and normalization, persisted as manifests."""
     config.validate()
@@ -85,6 +94,7 @@ def generate_dataset(config: RunConfig, workdir: str) -> dict:
     write_manifest(workdir, "train", train, **meta_args)
     write_manifest(workdir, "test", test, **meta_args)
     info = {
+        "data": _data_keys(config),
         "fingerprint": config.fingerprint(),
         "videos": len(corpus.videos),
         "train_samples": len(train),
@@ -118,6 +128,18 @@ def _load_split(config: RunConfig, workdir: str, name: str) -> list[Sample]:
             raise PipelineError(
                 f"{name} manifest holds plans of {len(sample.actions)} actions, "
                 f"config horizon is {config.horizon}"
+            )
+    info_path = os.path.join(workdir, "dataset.json")
+    if not os.path.exists(info_path):
+        raise PrerequisiteError(f"dataset.json not found in {workdir!r}; run gen-data first")
+    with open(info_path, encoding="utf-8") as fh:
+        made_with = json.load(fh).get("data", {})
+    current = _data_keys(config)
+    for key in sorted(set(current) | set(made_with)):
+        if made_with.get(key) != current.get(key):
+            raise PipelineError(
+                f"{name} data was generated with {key} = {made_with.get(key)}, "
+                f"config {key} is {current.get(key)}"
             )
     return samples
 

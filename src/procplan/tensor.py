@@ -36,7 +36,7 @@ class GraphError(TensorError):
 
 
 def _check_finite(op: str, data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op}: produced non-finite values")
 
 
@@ -208,8 +208,13 @@ def _make(
                 if parent.requires_grad:
                     pg = fn(g)
                     if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
-                    parent.grad += pg
+                        # The first gradient becomes the parent's buffer.  A
+                        # grad fn may return ``g`` or a view of it (reshape,
+                        # concat, an unbroadcast no-op), so copy those: else a
+                        # later ``+=`` writes into another node's buffer.
+                        parent.grad = pg.copy() if np.may_share_memory(pg, g) else pg
+                    else:
+                        parent.grad += pg
 
         out._backward = _backward
     else:
@@ -309,7 +314,7 @@ def gelu(a: Tensor) -> Tensor:
     """Tanh-form GELU; the backward differentiates the same approximation."""
     a = _ensure_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * x ** 3)
+    inner = _GELU_C * (x + _GELU_K * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -441,52 +446,91 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Resolution-preserving 1-D convolution along the second-to-last axis.
 
-    ``x`` is [..., T, C_in], ``weight`` is [K, C_in, C_out] with odd K, and
-    the time axis is zero-padded so the output is [..., T, C_out].  Built
-    from pad/slice/matmul primitives, so the gradient comes for free.
+    ``x`` is [..., T, C_in], ``weight`` is [K, C_in, C_out] with odd K,
+    ``bias`` is an optional [C_out], and the time axis is zero-padded so the
+    output is [..., T, C_out].  The forward is one im2col gemm,
+    [rows*T, K*C_in] @ [K*C_in, C_out]; the backward is analytic.
     """
     x, weight = _ensure_tensor(x), _ensure_tensor(weight)
     if weight.ndim != 3:
         raise ShapeError(f"conv1d_same: weight must be [K, C_in, C_out], got {weight.shape}")
-    k, c_in, _ = weight.shape
+    k, c_in, c_out = weight.shape
     if k % 2 == 0:
         raise ShapeError(f"conv1d_same: kernel size must be odd, got {k}")
     if x.ndim < 2 or x.shape[-1] != c_in:
         raise ShapeError(
             f"conv1d_same: input {x.shape} does not match weight C_in={c_in}"
         )
+    parents = (x, weight)
+    if bias is not None:
+        bias = _ensure_tensor(bias)
+        if bias.shape != (c_out,):
+            raise ShapeError(f"conv1d_same: bias must be [{c_out}], got {bias.shape}")
+        parents += (bias,)
     half = k // 2
     t_len = x.shape[-2]
-    c_out = weight.shape[-1]
-    pad_shape = x.shape[:-2] + (half, c_in)
-    pad = Tensor(np.zeros(pad_shape))
-    padded = concat([pad, x, pad], axis=-2)
-    lead = x.shape[:-1]
-    rows = 1
-    for extent in lead:
-        rows *= extent
-    out: Tensor | None = None
+    seqs = x.data.reshape(-1, t_len, c_in)
+    rows = seqs.shape[0]
+    padded = np.zeros((rows, t_len + 2 * half, c_in))
+    padded[:, half:half + t_len] = seqs
+    # Row (r, t) of cols holds the K taps x[r, t - half .. t + half], zero
+    # off either end, in the tap-major order of the flattened weight.
+    cols = np.empty((rows, t_len, k, c_in))
     for tap in range(k):
-        window = getitem(padded, (..., slice(tap, tap + t_len), slice(None)))
-        # One flat gemm per tap instead of a gemm per leading index.
-        flat = matmul(reshape(window, (rows, c_in)), getitem(weight, tap))
-        term = reshape(flat, lead + (c_out,))
-        out = term if out is None else add(out, term)
+        cols[:, :, tap] = padded[:, tap:tap + t_len]
+    cols = cols.reshape(rows * t_len, k * c_in)
+    w_flat = weight.data.reshape(k * c_in, c_out)
+    flat = cols @ w_flat
     if bias is not None:
-        out = add(out, _ensure_tensor(bias))
-    return out
+        flat += bias.data
+    data = flat.reshape(x.shape[:-1] + (c_out,))
+
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        g_cols = (g.reshape(-1, c_out) @ w_flat.T).reshape(rows, t_len, k, c_in)
+        g_padded = np.zeros((rows, t_len + 2 * half, c_in))
+        for tap in range(k):
+            g_padded[:, tap:tap + t_len] += g_cols[:, :, tap]
+        return g_padded[:, half:half + t_len].reshape(x.shape)
+
+    def grad_weight(g: np.ndarray) -> np.ndarray:
+        return (cols.T @ g.reshape(-1, c_out)).reshape(weight.shape)
+
+    def grad_bias(g: np.ndarray) -> np.ndarray:
+        return _unbroadcast(g, (c_out,))
+
+    return _make("conv1d_same", data, parents, (grad_x, grad_weight, grad_bias)[:len(parents)])
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply a learned affine map."""
+    """Normalize over the last axis, then apply a learned affine map.
+
+    The forward does the arithmetic of the composed mean, centre, variance
+    and scale steps in the same order; the backward is analytic.
+    """
     x = _ensure_tensor(x)
     gain, bias = _ensure_tensor(gain), _ensure_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last dim of {x.shape}"
         )
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, _ensure_tensor(eps)), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    scale = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    # An overflowed variance would give inv = 0 and a finite output.
+    _check_finite("layer_norm", var)
+    inv = (var + eps) ** -0.5
+    x_hat = centered * inv
+    data = x_hat * gain.data + bias.data
+
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        g_hat = g * gain.data
+        return inv * (
+            g_hat
+            - g_hat.mean(axis=-1, keepdims=True)
+            - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
+        )
+
+    return _make(
+        "layer_norm", data, (x, gain, bias),
+        (grad_x, lambda g: _unbroadcast(g * x_hat, gain.shape), lambda g: _unbroadcast(g, bias.shape)),
+    )

@@ -189,6 +189,17 @@ class TestTrainedPipeline:
             evaluate(other, workdir)
 
     @pytest.mark.parametrize(
+        "key, value", [("curation", "kepp"), ("seed", "7"), ("data.noise_sd", "0.3")]
+    )
+    def test_data_key_mismatch_detected(self, trained_workdir, key, value):
+        """Data generated at seed 0 / pdpp / the tiny noise level must not
+        be evaluated, and reported, under another value of any data key."""
+        workdir, cfg, _ = trained_workdir
+        other = apply_overrides(cfg, {key: value})
+        with pytest.raises(PipelineError, match=re.escape(f"config {key} is {value}")):
+            evaluate(other, workdir)
+
+    @pytest.mark.parametrize(
         "key, change",
         [
             ("schedule.steps", "corrupt"),
@@ -215,7 +226,8 @@ class TestTrainedPipeline:
             overrides[key] = change
         clone = str(tmp_path / "clone")
         os.makedirs(clone)
-        for name in ("train.json", "train.f32", "test.json", "test.f32", "vae.ckpt", "classifier.ckpt"):
+        for name in ("train.json", "train.f32", "test.json", "test.f32", "dataset.json",
+                     "vae.ckpt", "classifier.ckpt"):
             with open(os.path.join(workdir, name), "rb") as src:
                 with open(os.path.join(clone, name), "wb") as dst:
                     dst.write(src.read())

@@ -208,3 +208,122 @@ class TestGradChecks:
         x = Tensor(np.array([-3.0, 0.0, 3.0]), requires_grad=True)
         T.sum(T.clip(x, -1.0, 1.0)).backward()
         assert x.grad.tolist() == [0.0, 1.0, 0.0]
+
+
+def _composed_conv1d_same(x, weight, bias):
+    """Reference: zero-pad, then one gemm per tap, built from primitives."""
+    k, c_in, c_out = weight.shape
+    half, t_len = k // 2, x.shape[-2]
+    pad = Tensor(np.zeros(x.shape[:-2] + (half, c_in)))
+    padded = T.concat([pad, x, pad], axis=-2)
+    out = bias
+    for tap in range(k):
+        window = T.getitem(padded, (..., slice(tap, tap + t_len), slice(None)))
+        out = T.add(T.matmul(window, T.getitem(weight, tap)), out)
+    return out
+
+
+def _composed_layer_norm(x, gain, bias, eps=1e-5):
+    """Reference: mean, centre, variance and scale as separate primitives."""
+    centered = x - T.mean(x, axis=-1, keepdims=True)
+    var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = T.power(T.add(var, Tensor(eps)), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gain), bias)
+
+
+class TestFusedOps:
+    """``conv1d_same`` and ``layer_norm`` are single ops with analytic
+    backwards; check them per input under a random upstream weighting."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv1d_same_batched_gradients(self, k):
+        rng = np.random.default_rng(11 + k)
+        x = rng.normal(size=(2, 6, 3))
+        w = rng.normal(size=(k, 3, 4))
+        b = rng.normal(size=(4,))
+        up = Tensor(rng.normal(size=(2, 6, 4)))
+
+        def loss(xt, wt, bt):
+            return T.sum(T.mul(T.conv1d_same(xt, wt, bt), up))
+
+        assert grad_check(lambda t: loss(t, Tensor(w), Tensor(b)), x) < 1e-6
+        assert grad_check(lambda t: loss(Tensor(x), t, Tensor(b)), w) < 1e-6
+        assert grad_check(lambda t: loss(Tensor(x), Tensor(w), t), b) < 1e-6
+
+    def test_layer_norm_gain_and_bias_gradients(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 5)) * 3.0 + 1.0
+        gain = rng.normal(size=(5,)) + 1.5
+        bias = rng.normal(size=(5,))
+        up = Tensor(rng.normal(size=(2, 3, 5)))
+
+        def loss(xt, gt, bt):
+            return T.sum(T.mul(T.layer_norm(xt, gt, bt), up))
+
+        assert grad_check(lambda t: loss(t, Tensor(gain), Tensor(bias)), x) < 1e-6
+        assert grad_check(lambda t: loss(Tensor(x), t, Tensor(bias)), gain) < 1e-6
+        assert grad_check(lambda t: loss(Tensor(x), Tensor(gain), t), bias) < 1e-6
+
+    @pytest.mark.parametrize(
+        "op, reference, shapes, exact",
+        [
+            (T.conv1d_same, _composed_conv1d_same, [(3, 5, 4), (3, 4, 6), (6,)], False),
+            (T.layer_norm, _composed_layer_norm, [(3, 5, 4), (4,), (4,)], True),
+        ],
+        ids=["conv1d_same", "layer_norm"],
+    )
+    def test_fused_op_matches_composed_reference(self, op, reference, shapes, exact):
+        rng = np.random.default_rng(13)
+        arrays = [rng.normal(size=s) + 0.5 for s in shapes]
+        up = rng.normal(size=op(*map(Tensor, arrays)).shape)
+        results = []
+        for fn in (op, reference):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*leaves)
+            T.sum(T.mul(out, Tensor(up))).backward()
+            results.append((out.data, [leaf.grad for leaf in leaves]))
+        (fused, fused_grads), (ref, ref_grads) = results
+        if exact:
+            assert np.array_equal(fused, ref)
+        else:
+            assert np.allclose(fused, ref, rtol=0.0, atol=1e-12)
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_conv1d_same_bias_shape_checked(self):
+        with pytest.raises(ShapeError):
+            T.conv1d_same(Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2, 2))), Tensor(np.ones(3)))
+
+
+GRAD_OWNERSHIP_CASES = {
+    "add_equal_shapes": lambda x, w: T.sum(T.add(x, w)),
+    "add_self": lambda x, w: T.sum(T.mul(T.add(x, x), w)),
+    "reshape_chain": lambda x, w: T.sum(
+        T.mul(
+            T.add(T.reshape(T.reshape(x, (6,)), (3, 2)), T.reshape(w, (3, 2))),
+            Tensor(np.arange(6.0).reshape(3, 2)),
+        )
+    ),
+    "concat_views": lambda x, w: T.sum(T.mul(T.concat([x, w], axis=0), T.concat([w, x], axis=0))),
+}
+
+
+class TestGradOwnership:
+    """The first gradient a parent receives becomes its buffer, so a grad fn
+    that returns the upstream buffer or a view of it must not leave two
+    leaves, or a leaf and the graph, sharing memory."""
+
+    @pytest.mark.parametrize("name", sorted(GRAD_OWNERSHIP_CASES))
+    def test_leaf_grads_owned_and_accumulate_exactly(self, name):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        loss = GRAD_OWNERSHIP_CASES[name](x, w)
+        loss.backward()
+        assert not np.shares_memory(x.grad, w.grad)
+        first = [x.grad.copy(), w.grad.copy()]
+        loss.backward()
+        assert np.array_equal(x.grad, 2.0 * first[0])
+        assert np.array_equal(w.grad, 2.0 * first[1])
+        assert grad_check(lambda t: GRAD_OWNERSHIP_CASES[name](t, Tensor(w.data)), x.data) < 1e-6
+        assert grad_check(lambda t: GRAD_OWNERSHIP_CASES[name](Tensor(x.data), t), w.data) < 1e-6
