@@ -13,6 +13,7 @@ path with zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,16 +27,32 @@ BASE_CHANNELS = 64
 BOTTLENECK_CHANNELS = 128
 FUSION_INPUT_DIM = 4 * LATENT_DIM
 KERNEL = 3
+# A forward that records no graph splits a batch of B items into
+# ceil(B * T / CHUNK_ROWS) chunks of whole items.  With desk-sized features
+# (D <= 2 * BOTTLENECK_CHANNELS) dec1 is the widest conv: it reads
+# 2 * BOTTLENECK_CHANNELS channels over KERNEL taps, so its im2col matrix at
+# 256 rows is 256 * 768 * 8 B = 1.5 MB, which fits one core's 2 MB L2; a
+# whole 729-row eval batch (243 plans x T=3) spills it at 4.5 MB.  Wider
+# features make enc1's im2col the widest (10-15 MB at 256 rows for the
+# D = 1,559-2,494 presets), which no chunk of this size keeps in L2.
+CHUNK_ROWS = 256
 
 
 def timestep_embedding(n: int, total_steps: int, dim: int = TIME_EMBED_DIM) -> np.ndarray:
     """Sinusoidal features of a diffusion step index, 1-based."""
     if not 1 <= n <= total_steps:
         raise ValueError(f"timestep_embedding: n={n} outside [1, {total_steps}]")
+    return _sinusoid(n, dim)
+
+
+@functools.lru_cache(maxsize=None)  # keys are bounded by step count x widths
+def _sinusoid(n: int, dim: int) -> np.ndarray:
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(1, half - 1))
     angles = n * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    emb = np.concatenate([np.sin(angles), np.cos(angles)])
+    emb.flags.writeable = False  # one shared array per key
+    return emb
 
 
 class ConditionedUNet:
@@ -114,16 +131,37 @@ class ConditionedUNet:
         if len(step_list) != x.shape[0]:
             raise ValueError(f"forward: {x.shape[0]} items but {len(step_list)} steps")
         emb = np.stack([timestep_embedding(int(n), self.time_steps) for n in step_list])
+        items, t_len = x.shape[0], x.shape[1]
+        if z_c.shape != (items, BOTTLENECK_CHANNELS):
+            raise ValueError(
+                f"forward: constraint batch must be {(items, BOTTLENECK_CHANNELS)}, got {z_c.shape}"
+            )
+        # Only a forward that records no graph (a frozen network on plain
+        # inputs, as in sampling) runs in chunks, of whole items with sizes
+        # differing by at most one item; training runs each batch whole.
+        chunks = 1
+        if self.params.frozen and not (x.requires_grad or z_c.requires_grad):
+            chunks = min(items, -(-items * t_len // CHUNK_ROWS))
+        if chunks <= 1:
+            out = self._forward_rows(x, emb, z_c)
+        else:
+            bounds = [items * i // chunks for i in range(chunks + 1)]
+            out = Tensor(np.concatenate([
+                self._forward_rows(
+                    Tensor(x.data[lo:hi]), emb[lo:hi], Tensor(z_c.data[lo:hi])
+                ).data
+                for lo, hi in zip(bounds, bounds[1:])
+            ]))
+        return out.reshape(*out.shape[1:]) if single else out
+
+    def _forward_rows(self, x: Tensor, emb: np.ndarray, z_c: Tensor) -> Tensor:
+        """The network body over one chunk of items."""
         t_h = gelu(matmul(Tensor(emb), self.time_w1) + self.time_b1)
         t_emb = matmul(t_h, self.time_w2) + self.time_b2
-        if z_c.ndim != 2 or z_c.shape != t_emb.shape:
-            raise ValueError(f"forward: constraint batch must be {t_emb.shape}, got {z_c.shape}")
-
         h1 = gelu(conv1d_same(x, self.enc1_w, self.enc1_b))
         h2 = gelu(conv1d_same(h1, self.enc2_w, self.enc2_b))
         cond = reshape(t_emb + z_c, (x.shape[0], 1, BOTTLENECK_CHANNELS))
         mid_in = layer_norm(h2 + cond, self.ln_gain, self.ln_bias)
         mid = gelu(conv1d_same(mid_in, self.mid_w, self.mid_b))
         d1 = gelu(conv1d_same(concat([mid, h2], axis=-1), self.dec1_w, self.dec1_b))
-        out = conv1d_same(concat([d1, h1], axis=-1), self.out_w, self.out_b)
-        return out.reshape(*out.shape[1:]) if single else out
+        return conv1d_same(concat([d1, h1], axis=-1), self.out_w, self.out_b)

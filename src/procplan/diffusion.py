@@ -220,6 +220,7 @@ def generate_plans(
         x[i, :, layout.action_cols] = rng.standard_normal((horizon, layout.num_actions))
     impose_conditions(x, task_arr, o_s, o_g, layout)
 
+    noise = np.empty_like(x)
     for n in range(schedule.n_steps, 0, -1):
         pred_x0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
         abar_n = schedule.alpha_bars[n]
@@ -230,8 +231,10 @@ def generate_plans(
         c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
         x = c0 * pred_x0 + c1 * x
         if n > 1:
-            noise = np.stack([rng.standard_normal(x.shape[1:]) for rng in rngs])
-            x += np.sqrt(beta) * noise
+            for i, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[i])
+            noise *= np.sqrt(beta)
+            x += noise
         impose_conditions(x, task_arr, o_s, o_g, layout)
 
     return x

@@ -144,7 +144,7 @@ class Tensor:
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return mul(self, _ensure_tensor(1.0 / other))
-        return mul(self, power(_ensure_tensor(other), -1.0))
+        return div(self, _ensure_tensor(other))
 
     def __pow__(self, exponent: float):
         return power(self, exponent)
@@ -254,6 +254,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def div(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _ensure_tensor(a), _ensure_tensor(b)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            data = a.data / b.data
+    except ValueError as exc:
+        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    return _make(
+        "div", data, (a, b),
+        (
+            lambda g: _unbroadcast(g / b.data, a.shape),
+            lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+        ),
+    )
+
+
 def power(a: Tensor, exponent: float) -> Tensor:
     a = _ensure_tensor(a)
     data = a.data ** exponent
@@ -311,17 +327,40 @@ _GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-form GELU; the backward differentiates the same approximation."""
+    """Tanh-form GELU; the backward differentiates the same approximation.
+
+    Both directions work in a few reused buffers, doing the arithmetic of
+    ``0.5 * x * (1 + tanh(C * (x + K * x**3)))`` in the same order (an
+    operand swap in ``*`` or ``+`` does not change a bit).  ``out=`` keeps
+    0-d inputs arrays where a bare ufunc would return a scalar.
+    """
     a = _ensure_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= _GELU_K
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = np.multiply(x, 0.5, out=np.empty_like(x))
+    data *= 1.0 + t
 
     def grad(g: np.ndarray) -> np.ndarray:
-        sech2 = 1.0 - t * t
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3K * x * x))
+        d_inner = np.multiply(x, 3.0 * _GELU_K, out=np.empty_like(x))
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        slope = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, slope, out=slope)
+        tail = np.multiply(x, 0.5, out=np.empty_like(x))
+        tail *= slope
+        tail *= d_inner
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        slope += tail
+        slope *= g
+        return slope
 
     return _make("gelu", data, (a,), (grad,))
 
@@ -471,13 +510,19 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     t_len = x.shape[-2]
     seqs = x.data.reshape(-1, t_len, c_in)
     rows = seqs.shape[0]
-    padded = np.zeros((rows, t_len + 2 * half, c_in))
-    padded[:, half:half + t_len] = seqs
     # Row (r, t) of cols holds the K taps x[r, t - half .. t + half], zero
-    # off either end, in the tap-major order of the flattened weight.
-    cols = np.empty((rows, t_len, k, c_in))
+    # off either end, in the tap-major order of the flattened weight.  Tap
+    # ``tap`` reads x[t + tap - half], in range for output times lo..hi-1.
+    spans = []
     for tap in range(k):
-        cols[:, :, tap] = padded[:, tap:tap + t_len]
+        shift = tap - half
+        lo = min(max(0, -shift), t_len)
+        spans.append((shift, lo, max(min(t_len, t_len - shift), lo)))
+    cols = np.empty((rows, t_len, k, c_in))
+    for tap, (shift, lo, hi) in enumerate(spans):
+        cols[:, :lo, tap] = 0.0
+        cols[:, lo:hi, tap] = seqs[:, lo + shift:hi + shift]
+        cols[:, hi:, tap] = 0.0
     cols = cols.reshape(rows * t_len, k * c_in)
     w_flat = weight.data.reshape(k * c_in, c_out)
     flat = cols @ w_flat
@@ -486,11 +531,13 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     data = flat.reshape(x.shape[:-1] + (c_out,))
 
     def grad_x(g: np.ndarray) -> np.ndarray:
+        # Overlap-add each tap's gradient onto the input times it read, in
+        # tap order, so every input time sums its taps from 0 up.
         g_cols = (g.reshape(-1, c_out) @ w_flat.T).reshape(rows, t_len, k, c_in)
-        g_padded = np.zeros((rows, t_len + 2 * half, c_in))
-        for tap in range(k):
-            g_padded[:, tap:tap + t_len] += g_cols[:, :, tap]
-        return g_padded[:, half:half + t_len].reshape(x.shape)
+        gx = np.zeros((rows, t_len, c_in))
+        for tap, (shift, lo, hi) in enumerate(spans):
+            gx[:, lo + shift:hi + shift] += g_cols[:, lo:hi, tap]
+        return gx.reshape(x.shape)
 
     def grad_weight(g: np.ndarray) -> np.ndarray:
         return (cols.T @ g.reshape(-1, c_out)).reshape(weight.shape)
@@ -514,13 +561,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last dim of {x.shape}"
         )
     scale = 1.0 / x.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu *= scale
+    # x_hat holds the centred input until it is scaled below; the squares'
+    # buffer is reused for the output.
+    x_hat = np.subtract(x.data, mu)
+    data = np.multiply(x_hat, x_hat)
+    var = data.sum(axis=-1, keepdims=True)
+    var *= scale
     # An overflowed variance would give inv = 0 and a finite output.
     _check_finite("layer_norm", var)
-    inv = (var + eps) ** -0.5
-    x_hat = centered * inv
-    data = x_hat * gain.data + bias.data
+    var += eps
+    inv = var ** -0.5
+    x_hat *= inv
+    np.multiply(x_hat, gain.data, out=data)
+    data += bias.data
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         g_hat = g * gain.data

@@ -1,10 +1,15 @@
 """Conditioned U-Net: timestep features, fusion order, additive injection."""
 
+import math
+
 import numpy as np
 import pytest
 
+from procplan import denoiser
+from procplan import tensor as T
 from procplan.denoiser import (
     BOTTLENECK_CHANNELS,
+    CHUNK_ROWS,
     FUSION_INPUT_DIM,
     ConditionedUNet,
     timestep_embedding,
@@ -51,6 +56,16 @@ class TestTimestepEmbedding:
 
     def test_dimension(self):
         assert timestep_embedding(3, TIME_STEPS).shape == (64,)
+
+    @pytest.mark.parametrize("n,dim", [(1, 64), (7, 64), (50, 64), (9, 10)])
+    def test_read_only_and_equal_to_uncached_formula(self, n, dim):
+        emb = timestep_embedding(n, TIME_STEPS, dim)
+        half = dim // 2
+        angles = n * np.exp(-math.log(10000.0) * np.arange(half) / max(1, half - 1))
+        assert emb.tobytes() == np.concatenate([np.sin(angles), np.cos(angles)]).tobytes()
+        assert not emb.flags.writeable
+        with pytest.raises(ValueError):
+            emb[0] = 1.0
 
 
 class TestFusion:
@@ -136,8 +151,6 @@ class TestForward:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
         z_c = _fuse(net, _code(rng))
-        from procplan import tensor as T
-
         net.params.zero_grads()
         T.sum(T.mul(net.forward(x, 3, z_c), x)).backward()
         assert net.fuse_w.grad is not None
@@ -151,6 +164,41 @@ class TestForward:
             net.forward(Tensor(rng.normal(size=(2, 4, FEATURE_DIM))), [1], net.zero_constraint(2))
         with pytest.raises(ValueError, match="constraint"):
             net.forward(Tensor(rng.normal(size=(4, FEATURE_DIM))), 1, net.zero_constraint(3))
+
+    def test_chunked_forward_matches_per_chunk_forwards(self, net):
+        # 101 items at T=3 are 303 rows: two chunks, of 50 and 51 items.
+        net.params.freeze()
+        rng = np.random.default_rng(10)
+        items = CHUNK_ROWS // 3 + 16
+        x = rng.normal(size=(items, 3, FEATURE_DIM))
+        steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
+        z_c = _fuse(net, _code(rng, batch=items)).data
+        whole = net.forward(Tensor(x), steps, Tensor(z_c)).data
+        cut = items // 2
+        parts = [
+            net.forward(Tensor(x[lo:hi]), steps[lo:hi], Tensor(z_c[lo:hi])).data
+            for lo, hi in ((0, cut), (cut, items))
+        ]
+        assert np.allclose(whole, np.concatenate(parts), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("frozen,x_grad,bodies", [
+        (False, False, 1), (True, True, 1), (True, False, 3),
+    ])
+    def test_only_graph_free_forwards_chunk(self, net, monkeypatch, frozen, x_grad, bodies):
+        # Chunks of 4 rows would split a 3-item, T=3 batch in three.
+        monkeypatch.setattr(denoiser, "CHUNK_ROWS", 4)
+        calls = []
+        body = ConditionedUNet._forward_rows
+        monkeypatch.setattr(
+            ConditionedUNet, "_forward_rows",
+            lambda self, *args: calls.append(1) or body(self, *args),
+        )
+        if frozen:
+            net.params.freeze()
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(3, 3, FEATURE_DIM)), requires_grad=x_grad)
+        out = net.forward(x, [1, 20, TIME_STEPS], net.zero_constraint(3))
+        assert len(calls) == bodies and out.shape == x.shape
 
     def test_checkpoint_prefix(self, net):
         assert all(name.startswith("denoiser.") for name in net.params.names())

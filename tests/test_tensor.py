@@ -35,6 +35,11 @@ class TestForwardValues:
         assert T.relu(x).data.tolist() == [0.0, 0.0, 3.0]
         g = T.gelu(x).data
         assert g[1] == 0.0 and g[2] > 2.9 and -0.1 < g[0] < 0.0
+        scalar = Tensor(3.0, requires_grad=True)
+        out = T.gelu(scalar)
+        assert out.shape == () and out.data == g[2]
+        out.backward()
+        assert scalar.grad.shape == () and 1.0 < scalar.grad < 1.1
 
     def test_concat_and_getitem_roundtrip(self):
         a = Tensor([[1.0, 2.0]])
@@ -200,6 +205,19 @@ class TestGradChecks:
         assert grad_check(lambda t: T.sum(T.sigmoid(t)), rng.normal(size=(4,))) < 1e-6
         assert grad_check(lambda t: T.sum(T.exp(t)), rng.normal(size=(4,))) < 1e-6
         assert grad_check(lambda t: T.sum(T.log(t)), point) < 1e-6
+
+    def test_div_gradients_with_broadcasting(self):
+        rng = np.random.default_rng(13)
+        num = rng.normal(size=(3, 4))
+        den = rng.uniform(0.5, 2.0, size=(4,)) * rng.choice([-1.0, 1.0], size=(4,))
+        weight = Tensor(rng.normal(size=(3, 4)))
+        assert grad_check(lambda t: T.sum(T.mul(t / Tensor(den), weight)), num) < 1e-6
+        assert grad_check(lambda t: T.sum(T.mul(Tensor(num) / t, weight)), den) < 1e-6
+        assert np.array_equal((Tensor(num) / Tensor(den)).data, num / den)
+
+    def test_div_by_zero_names_div(self):
+        with pytest.raises(NumericError, match="div"):
+            Tensor([1.0, 2.0]) / Tensor([1.0, 0.0])
 
     def test_clip_passes_gradient_inside_bounds(self):
         rng = np.random.default_rng(10)
