@@ -69,6 +69,15 @@ def _resolve_config(args: argparse.Namespace):
     return load_config(path=args.config, overrides=overrides, preset=args.preset)
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="procplan",
@@ -91,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate", help="run the constraint ablation suite")
     _add_config_options(p_ablate)
     p_ablate.add_argument(
-        "--seeds", default=None, help="comma-separated seeds (default: seed, seed+1, seed+2)"
+        "--seeds",
+        type=_seed_list,
+        default=None,
+        help="comma-separated seeds (default: seed, seed+1, seed+2)",
     )
 
     p_inspect = sub.add_parser("inspect-checkpoint", help="list checkpoint contents")
@@ -131,10 +143,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         return 0
     if args.command == "ablate":
-        seeds = None
-        if args.seeds:
-            seeds = [int(s) for s in args.seeds.split(",")]
-        table = ablation_suite(config, args.workdir, seeds=seeds)
+        table = ablation_suite(config, args.workdir, seeds=args.seeds)
         for variant, med in table["medians"].items():
             print(f"{variant}: median SR={med['sr']:.4f} mAcc={med['macc']:.4f} mSIoU={med['msiou']:.4f}")
         return 0

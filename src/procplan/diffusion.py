@@ -25,7 +25,7 @@ from .corpus import Sample
 from .denoiser import ConditionedUNet
 from .losses import mse
 from .tensor import Tensor, getitem
-from .vae import PhaseError, StateAutoencoder
+from .vae import StateAutoencoder, reparameterize
 
 
 class ScheduleError(ValueError):
@@ -107,8 +107,24 @@ def impose_conditions(
     x[:, -1, layout.obs_cols] = o_g
 
 
-def build_x0(samples: list[Sample], layout: BlockLayout) -> np.ndarray:
-    """Clean conditioned [B, T, D] states of a batch of samples."""
+@dataclass(frozen=True)
+class PlanBatch:
+    """Training plans as stacked arrays: task labels [B], action indices
+    [B, T] and start/goal observations [B, obs_dim]."""
+
+    tasks: np.ndarray
+    actions: np.ndarray
+    o_s: np.ndarray
+    o_g: np.ndarray
+
+    def take(self, idx: np.ndarray) -> PlanBatch:
+        return PlanBatch(self.tasks[idx], self.actions[idx], self.o_s[idx], self.o_g[idx])
+
+
+def stack_plans(samples: list[Sample], layout: BlockLayout) -> PlanBatch:
+    """Stack samples into a ``PlanBatch``, checking labels and horizons once."""
+    if not samples:
+        raise ValueError("stack_plans: no samples")
     tasks = np.array([s.task for s in samples])
     bad = tasks[(tasks < 0) | (tasks >= layout.num_tasks)]
     if bad.size:
@@ -117,22 +133,28 @@ def build_x0(samples: list[Sample], layout: BlockLayout) -> np.ndarray:
     if horizon < 2:
         raise ValueError(f"need at least 2 actions, got {horizon}")
     if any(len(s.actions) != horizon for s in samples):
-        raise ValueError("build_x0: mixed horizons in one batch")
+        raise ValueError("stack_plans: mixed horizons in one batch")
     actions = np.array([s.actions for s in samples])
     bad = actions[(actions < 0) | (actions >= layout.num_actions)]
     if bad.size:
         raise ValueError(f"action label {bad[0]} outside [0, {layout.num_actions})")
-    x = np.zeros((len(samples), horizon, layout.feature_dim))
-    items = np.arange(len(samples))[:, None]
-    x[items, np.arange(horizon), layout.action_cols.start + actions] = 1.0
     o_s = np.stack([s.o_s for s in samples])
     o_g = np.stack([s.o_g for s in samples])
-    impose_conditions(x, tasks, o_s, o_g, layout)
+    return PlanBatch(tasks=tasks, actions=actions, o_s=o_s, o_g=o_g)
+
+
+def build_x0(plans: PlanBatch, layout: BlockLayout) -> np.ndarray:
+    """Clean conditioned [B, T, D] states of a batch of plans."""
+    batch, horizon = plans.actions.shape
+    x = np.zeros((batch, horizon, layout.feature_dim))
+    items = np.arange(batch)[:, None]
+    x[items, np.arange(horizon), layout.action_cols.start + plans.actions] = 1.0
+    impose_conditions(x, plans.tasks, plans.o_s, plans.o_g, layout)
     return x
 
 
 def q_forward(
-    x0: np.ndarray, steps: list[int], schedule: NoiseSchedule, noise: np.ndarray
+    x0: np.ndarray, steps: np.ndarray | list[int], schedule: NoiseSchedule, noise: np.ndarray
 ) -> np.ndarray:
     """Closed-form noising of a clean [B, T, D] batch, item i to step ``steps[i]``."""
     steps = np.asarray(steps)
@@ -147,36 +169,37 @@ def decode_plans(x: np.ndarray, layout: BlockLayout) -> np.ndarray:
 
 
 def diffusion_loss(
-    samples: list[Sample],
+    plans: PlanBatch,
+    codes: tuple[np.ndarray, np.ndarray] | None,
     schedule: NoiseSchedule,
     denoiser: ConditionedUNet,
-    vae: StateAutoencoder,
     layout: BlockLayout,
     rng: np.random.Generator,
     use_eps: bool = True,
-    inject_constraints: bool = True,
 ) -> Tensor:
     """Training loss over a batch: predict x_0 from a uniformly noised x_n.
 
-    Ground-truth task labels condition x_0.  The squared error covers
-    only the action block; the condition blocks are clamped at inference.
+    Ground-truth task labels condition x_0.  ``codes`` holds the frozen
+    autoencoder's (mu, logvar) of each plan's (start, goal) states, each
+    [B, 2, LATENT_DIM]; ``None`` trains against the zero constraint.  The
+    generator gives each item its step and noise in turn, then the
+    constraint noise of the whole batch.  The squared error covers only the
+    action block; the condition blocks are clamped at inference.
     """
-    if not vae.frozen:
-        raise PhaseError("diffusion_loss: the autoencoder must be frozen first")
-    if not samples:
-        raise ValueError("diffusion_loss: empty batch")
-    x0 = build_x0(samples, layout)
-    steps: list[int] = []
+    x0 = build_x0(plans, layout)
+    batch = len(x0)
+    steps = np.empty(batch, dtype=np.int64)
     noise = np.empty_like(x0)
-    for i in range(len(samples)):
-        steps.append(int(rng.integers(1, schedule.n_steps + 1)))
-        noise[i] = rng.standard_normal(x0.shape[1:])
+    for i in range(batch):
+        steps[i] = rng.integers(1, schedule.n_steps + 1)
+        rng.standard_normal(out=noise[i])
     xn = q_forward(x0, steps, schedule, noise)
-    if inject_constraints:
-        code = vae.encode_constraints_batch(samples, use_eps=use_eps, rngs=[rng] * len(samples))
-        z_c = denoiser.fuse_batch(code.z, code.eps)
+    if codes is None:
+        z_c = denoiser.zero_constraint(batch)
     else:
-        z_c = denoiser.zero_constraint(len(samples))
+        mu, logvar = codes
+        eps = rng.standard_normal(mu.shape) if use_eps else np.zeros_like(mu)
+        z_c = denoiser.fuse_batch(reparameterize(mu, logvar, eps), eps)
     pred = denoiser.forward(Tensor(xn), steps, z_c)
     cols = (Ellipsis, layout.action_cols)
     return mse(getitem(pred, cols), getitem(Tensor(x0), cols))
@@ -196,8 +219,10 @@ def generate_plans(
     """Reverse-diffuse one plan per condition, batched over conditions.
 
     Returns the final [B, T, D] states.  Each item owns its seeded noise
-    stream, so results do not depend on how items are batched together;
-    the ground-truth actions on the incoming samples are never consulted.
+    stream, so every item draws the same noise however items are batched;
+    the encoder and network outputs agree across batchings only to
+    rounding, since BLAS may sum a row differently at another batch size.
+    The ground-truth actions on the incoming samples are never consulted.
     """
     if not conditions:
         raise ValueError("generate_plans: empty batch")

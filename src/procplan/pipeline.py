@@ -23,7 +23,14 @@ from .config import RunConfig, StageParams, apply_overrides
 from .corpus import CorpusConfig, Sample, generate_corpus
 from .curation import curate_corpus, normalize_splits, split
 from .denoiser import ConditionedUNet
-from .diffusion import BlockLayout, decode_plans, diffusion_loss, generate_plans, make_schedule
+from .diffusion import (
+    BlockLayout,
+    decode_plans,
+    diffusion_loss,
+    generate_plans,
+    make_schedule,
+    stack_plans,
+)
 from .manifest import read_manifest, write_manifest
 from .metrics import PlanPair, PlanReport, aligned_csv, apply_gt_boundary, score_pairs, write_report
 from .optim import adamw_step
@@ -232,19 +239,24 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
         noise_schedule = make_schedule(
             config.schedule.steps, config.schedule.beta_start, config.schedule.beta_end
         )
+        # The split and the frozen autoencoder's codes of it are constants
+        # of this stage: stack and encode them once, then gather per step.
+        plans = stack_plans(train_samples, layout)
+        codes = None
+        if config.flags.inject_constraints:
+            codes = vae.encode_constraints_batch(train_samples)
         size = len(train_samples)
         header = ["step", "lr", "loss"]
 
         def train_step(idx: np.ndarray, lr: float) -> list[float]:
             loss = diffusion_loss(
-                [train_samples[i] for i in idx],
+                plans.take(idx),
+                None if codes is None else (codes.mu[idx], codes.logvar[idx]),
                 noise_schedule,
                 model,
-                vae,
                 layout,
                 rng=rng,
                 use_eps=config.flags.use_eps,
-                inject_constraints=config.flags.inject_constraints,
             )
             model.params.zero_grads()
             loss.backward()

@@ -40,6 +40,11 @@ class LatentCode:
     eps: np.ndarray
 
 
+def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """z = mu + exp(logvar/2) * eps, elementwise."""
+    return mu + np.exp(0.5 * logvar) * eps
+
+
 def state_vectors(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
     """(start, goal) autoencoder inputs: observation then language."""
     return (
@@ -132,24 +137,28 @@ class StateAutoencoder:
     def encode_constraints_batch(
         self,
         samples: list[Sample],
-        use_eps: bool,
-        rngs: list[np.random.Generator],
+        use_eps: bool = False,
+        rngs: list[np.random.Generator] | None = None,
     ) -> LatentCode:
         """(start, goal) latent codes for many samples with one encoder pass.
 
-        Only valid once the model is frozen (phase two).  Each sample
-        draws its noise from its own generator, start then goal, so
-        results are independent of batching.  With ``use_eps=False`` the
-        noise is zero and no generator is drawn from, so z is exactly mu.
+        Only valid once the model is frozen (phase two).  With ``use_eps``
+        each sample draws its noise from its own generator in ``rngs``,
+        start then goal, so a sample's eps is the same however samples are
+        batched.  mu and logvar agree across batchings only to rounding:
+        BLAS may sum a row differently at another batch size.  Without
+        ``use_eps`` the noise is zero and no generator is drawn from, so z
+        is exactly mu.
         """
         if not self.frozen:
             raise PhaseError(
                 "encode_constraints_batch: autoencoder must be frozen before it can "
                 "serve as the constraint provider"
             )
-        if len(rngs) != len(samples):
+        if use_eps and len(rngs or ()) != len(samples):
             raise ValueError(
-                f"encode_constraints_batch: {len(samples)} samples but {len(rngs)} generators"
+                f"encode_constraints_batch: {len(samples)} samples but "
+                f"{len(rngs or ())} generators"
             )
         stacked = np.stack([vec for s in samples for vec in state_vectors(s)])
         mu_t, logvar_t = self.encode(stacked)
@@ -159,5 +168,4 @@ class StateAutoencoder:
             eps = np.stack([rng.standard_normal((2, LATENT_DIM)) for rng in rngs])
         else:
             eps = np.zeros_like(mu)
-        z = mu + np.exp(0.5 * logvar) * eps
-        return LatentCode(mu=mu, logvar=logvar, z=z, eps=eps)
+        return LatentCode(mu=mu, logvar=logvar, z=reparameterize(mu, logvar, eps), eps=eps)

@@ -19,7 +19,7 @@ from procplan.corpus import Sample
 from procplan.curation import window_bounds
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.denoiser import ConditionedUNet
-from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule
+from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule, stack_plans
 from procplan.gradcheck import grad_check, model_grad_check
 from procplan.losses import bce_with_logits, cross_entropy, gaussian_kl_to_std_normal, mse
 from procplan.manifest import read_manifest
@@ -157,9 +157,13 @@ class TestCriterion1GradientIntegrity:
             for _ in range(2)
         ]
 
+        plans = stack_plans(samples, layout)
+        code = frozen.encode_constraints_batch(samples)
+
         def diffusion_loss_fn():
             return diffusion_loss(
-                samples, schedule, denoiser, frozen, layout, rng=np.random.default_rng(5)
+                plans, (code.mu, code.logvar), schedule, denoiser, layout,
+                rng=np.random.default_rng(5),
             )
 
         worst = max(

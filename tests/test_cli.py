@@ -76,6 +76,14 @@ class TestAblate:
             assert variant in out
         assert (tmp_path / "ablation.csv").exists()
 
+    @pytest.mark.parametrize("seeds", ["1,a", "0,,2", "-"])
+    def test_malformed_seeds_are_usage_error(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--workdir", str(tmp_path), "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "ablation.json").exists()
+
 
 class TestInspectCheckpoint:
     def test_lists_names_and_shapes(self, tmp_path, capsys):

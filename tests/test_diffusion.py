@@ -14,9 +14,11 @@ from procplan.diffusion import (
     generate_plans,
     make_schedule,
     q_forward,
+    stack_plans,
 )
-from procplan.tensor import Tensor
-from procplan.vae import PhaseError, StateAutoencoder
+from procplan.losses import mse
+from procplan.tensor import Tensor, getitem
+from procplan.vae import StateAutoencoder
 
 LAYOUT = BlockLayout(num_tasks=3, num_actions=4, obs_dim=5)
 
@@ -30,6 +32,10 @@ def _sample(rng, actions=(1, 2, 3), task=0):
         n_es=rng.random(2),
         n_eg=rng.random(2),
     )
+
+
+def _x0(samples):
+    return build_x0(stack_plans(samples, LAYOUT), LAYOUT)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +92,7 @@ class TestSchedule:
 class TestForwardNoising:
     def test_zero_noise_scales_by_sqrt_alpha_bar(self):
         rng = np.random.default_rng(0)
-        x0 = build_x0([_sample(rng)], LAYOUT)
+        x0 = _x0([_sample(rng)])
         sched = make_schedule(10)
         for n in (1, 5, 10):
             xn = q_forward(x0, [n], sched, np.zeros_like(x0))
@@ -94,7 +100,7 @@ class TestForwardNoising:
 
     def test_tiny_beta_is_nearly_identity(self):
         rng = np.random.default_rng(1)
-        x0 = build_x0([_sample(rng)], LAYOUT)
+        x0 = _x0([_sample(rng)])
         sched = make_schedule(5, 1e-12, 1e-12)
         xn = q_forward(x0, [5], sched, np.zeros_like(x0))
         assert np.allclose(xn, x0, atol=1e-10)
@@ -110,7 +116,7 @@ class TestForwardNoising:
 
     def test_step_out_of_range(self):
         rng = np.random.default_rng(2)
-        x0 = build_x0([_sample(rng)], LAYOUT)
+        x0 = _x0([_sample(rng)])
         sched = make_schedule(10)
         with pytest.raises(ScheduleError):
             q_forward(x0, [0], sched, np.zeros_like(x0))
@@ -121,7 +127,7 @@ class TestForwardNoising:
         # Many copies of one clean state noised to one step: per entry, the
         # mean is sqrt(abar) x0 and the variance is 1 - abar.
         rng = np.random.default_rng(3)
-        x0 = np.repeat(build_x0([_sample(rng)], LAYOUT), 20000, axis=0)
+        x0 = np.repeat(_x0([_sample(rng)]), 20000, axis=0)
         sched = make_schedule(100)
         n = 40
         xn = q_forward(x0, [n] * len(x0), sched, rng.standard_normal(x0.shape))
@@ -131,7 +137,7 @@ class TestForwardNoising:
 
     def test_per_item_steps_match_scalar_closed_form(self):
         rng = np.random.default_rng(21)
-        x0 = build_x0([_sample(rng) for _ in range(3)], LAYOUT)
+        x0 = _x0([_sample(rng) for _ in range(3)])
         noise = rng.standard_normal(x0.shape)
         sched = make_schedule(10)
         batched = q_forward(x0, [2, 7, 10], sched, noise)
@@ -145,7 +151,7 @@ class TestBuildState:
     def test_middle_observation_rows_are_zero(self):
         rng = np.random.default_rng(4)
         sample = _sample(rng)
-        [state] = build_x0([sample], LAYOUT)
+        [state] = _x0([sample])
         assert np.array_equal(state[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
         assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s)
         assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g)
@@ -153,11 +159,11 @@ class TestBuildState:
     def test_action_argmax_round_trip(self):
         rng = np.random.default_rng(5)
         samples = [_sample(rng, actions=(3, 0, 2)), _sample(rng, actions=(1, 1, 0))]
-        assert decode_plans(build_x0(samples, LAYOUT), LAYOUT).tolist() == [[3, 0, 2], [1, 1, 0]]
+        assert decode_plans(_x0(samples), LAYOUT).tolist() == [[3, 0, 2], [1, 1, 0]]
 
     def test_task_rows_identical(self):
         rng = np.random.default_rng(6)
-        [state] = build_x0([_sample(rng, task=2)], LAYOUT)
+        [state] = _x0([_sample(rng, task=2)])
         task_block = state[:, LAYOUT.task_cols]
         assert np.array_equal(task_block, np.tile(task_block[0], (3, 1)))
         assert task_block[0].tolist() == [0.0, 0.0, 1.0]
@@ -165,9 +171,23 @@ class TestBuildState:
     def test_label_validation(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="task"):
-            build_x0([_sample(rng, task=5)], LAYOUT)
+            stack_plans([_sample(rng, task=5)], LAYOUT)
         with pytest.raises(ValueError, match="action"):
-            build_x0([_sample(rng, actions=(1, 9, 2))], LAYOUT)
+            stack_plans([_sample(rng, actions=(1, 9, 2))], LAYOUT)
+
+    def test_mixed_horizons_rejected(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="horizon"):
+            stack_plans([_sample(rng), _sample(rng, actions=(1, 2, 3, 0))], LAYOUT)
+
+    def test_take_gathers_rows_of_every_array(self):
+        rng = np.random.default_rng(23)
+        samples = [_sample(rng, actions=(a, 0, 1), task=a % 3) for a in range(4)]
+        idx = np.array([3, 0, 3])
+        assert np.array_equal(
+            build_x0(stack_plans(samples, LAYOUT).take(idx), LAYOUT),
+            _x0([samples[i] for i in idx]),
+        )
 
 
 class TestDecodePlan:
@@ -183,25 +203,22 @@ class TestDecodePlan:
 
 
 class TestDiffusionLoss:
-    def test_oracle_denoiser_reaches_zero(self, frozen_vae):
+    def test_oracle_denoiser_reaches_zero(self):
         rng = np.random.default_rng(9)
-        samples = [_sample(rng) for _ in range(4)]
-        x0s = build_x0(samples, LAYOUT)
-        oracle = _StubDenoiser(x0s)
+        plans = stack_plans([_sample(rng) for _ in range(4)], LAYOUT)
+        oracle = _StubDenoiser(build_x0(plans, LAYOUT))
         loss = diffusion_loss(
-            samples, make_schedule(10), oracle, frozen_vae, LAYOUT,
-            rng=np.random.default_rng(0), inject_constraints=False,
+            plans, None, make_schedule(10), oracle, LAYOUT, rng=np.random.default_rng(0)
         )
         assert loss.item() == 0.0
 
-    def test_zero_denoiser_hits_mean_squared_actions(self, frozen_vae):
+    def test_zero_denoiser_hits_mean_squared_actions(self):
         rng = np.random.default_rng(10)
-        samples = [_sample(rng) for _ in range(3)]
-        x0s = build_x0(samples, LAYOUT)
+        plans = stack_plans([_sample(rng) for _ in range(3)], LAYOUT)
+        x0s = build_x0(plans, LAYOUT)
         zero = _StubDenoiser(np.zeros_like(x0s))
         loss = diffusion_loss(
-            samples, make_schedule(10), zero, frozen_vae, LAYOUT,
-            rng=np.random.default_rng(0), inject_constraints=False,
+            plans, None, make_schedule(10), zero, LAYOUT, rng=np.random.default_rng(0)
         )
         expected = np.mean(x0s[:, :, LAYOUT.action_cols] ** 2)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
@@ -209,36 +226,69 @@ class TestDiffusionLoss:
     def test_finite_positive_at_init(self, frozen_vae):
         rng = np.random.default_rng(12)
         samples = [_sample(rng) for _ in range(4)]
+        code = frozen_vae.encode_constraints_batch(samples)
         net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=0)
         loss = diffusion_loss(
-            samples, make_schedule(10), net, frozen_vae, LAYOUT, rng=np.random.default_rng(0)
+            stack_plans(samples, LAYOUT), (code.mu, code.logvar), make_schedule(10), net,
+            LAYOUT, rng=np.random.default_rng(0),
         )
         assert np.isfinite(loss.item()) and loss.item() > 0.0
 
-    def test_unfrozen_vae_rejected(self):
-        rng = np.random.default_rng(13)
-        vae = StateAutoencoder(input_dim=LAYOUT.obs_dim + 2, seed=0)
-        with pytest.raises(PhaseError):
-            diffusion_loss(
-                [_sample(rng)], make_schedule(10), _StubDenoiser(np.zeros((1, 3, LAYOUT.feature_dim))),
-                vae, LAYOUT, rng=np.random.default_rng(0),
-            )
+    def test_one_step_draws_in_per_sample_order(self, frozen_vae):
+        """A training step draws its batch indices, then each item's step
+        and noise in turn, then each item's (start, goal) eps.  Built from
+        per-sample encodes and forwards in that order, a reference loss
+        matches and leaves the generator in the same state."""
+        rng = np.random.default_rng(22)
+        samples = [
+            _sample(rng, actions=rng.integers(0, 4, 3), task=int(rng.integers(0, 3)))
+            for _ in range(6)
+        ]
+        net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=4)
+        sched = make_schedule(10)
+        code = frozen_vae.encode_constraints_batch(samples)
 
-    def test_mixed_horizons_rejected(self, frozen_vae):
-        rng = np.random.default_rng(14)
-        samples = [_sample(rng), _sample(rng, actions=(1, 2, 3, 0))]
-        with pytest.raises(ValueError, match="horizon"):
-            diffusion_loss(
-                samples, make_schedule(10), _StubDenoiser(np.zeros((2, 3, LAYOUT.feature_dim))),
-                frozen_vae, LAYOUT, rng=np.random.default_rng(0),
-            )
+        ours = np.random.default_rng(7)
+        idx = ours.integers(0, len(samples), 4)
+        loss = diffusion_loss(
+            stack_plans(samples, LAYOUT).take(idx), (code.mu[idx], code.logvar[idx]),
+            sched, net, LAYOUT, rng=ours,
+        )
+
+        ref = np.random.default_rng(7)
+        drawn = []
+        for i in ref.integers(0, len(samples), 4):
+            x0 = _x0([samples[i]])
+            n = int(ref.integers(1, sched.n_steps + 1))
+            drawn.append((i, x0, n, q_forward(x0, [n], sched, ref.standard_normal(x0.shape))))
+        cols = (Ellipsis, LAYOUT.action_cols)
+        per_sample = []
+        for i, x0, n, xn in drawn:
+            one = frozen_vae.encode_constraints_batch([samples[i]], use_eps=True, rngs=[ref])
+            pred = net.forward(Tensor(xn), [n], net.fuse_batch(one.z, one.eps))
+            per_sample.append(mse(getitem(pred, cols), getitem(Tensor(x0), cols)).item())
+
+        assert abs(loss.item() - np.mean(per_sample)) <= 1e-12 * np.mean(per_sample)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_without_eps_draws_no_constraint_noise(self, frozen_vae):
+        rng = np.random.default_rng(24)
+        samples = [_sample(rng) for _ in range(3)]
+        code = frozen_vae.encode_constraints_batch(samples)
+        net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=4)
+        plans = stack_plans(samples, LAYOUT)
+        with_codes, without = np.random.default_rng(1), np.random.default_rng(1)
+        diffusion_loss(plans, (code.mu, code.logvar), make_schedule(10), net, LAYOUT,
+                       rng=with_codes, use_eps=False)
+        diffusion_loss(plans, None, make_schedule(10), net, LAYOUT, rng=without)
+        assert with_codes.bit_generator.state == without.bit_generator.state
 
 
 class TestSampling:
     def test_single_step_oracle_recovers_truth(self, frozen_vae):
         rng = np.random.default_rng(15)
         sample = _sample(rng, actions=(2, 1, 3), task=1)
-        oracle = _StubDenoiser(build_x0([sample], LAYOUT))
+        oracle = _StubDenoiser(_x0([sample]))
         plans = generate_plans(
             [sample], [1], make_schedule(1), oracle, frozen_vae, LAYOUT, seeds=[0],
             inject_constraints=False,

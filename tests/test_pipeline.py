@@ -9,6 +9,7 @@ import pytest
 
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.config import ConfigError, RunConfig, StageParams, apply_overrides, load_config
+from procplan import pipeline
 from procplan.pipeline import (
     STAGES,
     PipelineError,
@@ -20,6 +21,7 @@ from procplan.pipeline import (
     stage_seed,
     train_stage,
 )
+from procplan.vae import PhaseError, StateAutoencoder
 from tests.conftest import make_tiny_config
 
 
@@ -113,6 +115,41 @@ class TestStageOrdering:
     def test_unknown_stage_rejected(self, tmp_path, tiny_config):
         with pytest.raises(PipelineError, match="stage"):
             train_stage("warmup", tiny_config, str(tmp_path))
+
+    def test_diffusion_refuses_unfrozen_vae(self, tmp_path, tiny_config, monkeypatch):
+        workdir = str(tmp_path)
+        generate_dataset(tiny_config, workdir)
+        train_stage("vae", tiny_config, workdir)
+        load = pipeline.load_stage
+
+        def unfrozen(stage, *args, **kwargs):
+            model = load(stage, *args, **kwargs)
+            model.params.frozen = False
+            return model
+
+        monkeypatch.setattr(pipeline, "load_stage", unfrozen)
+        with pytest.raises(PhaseError):
+            train_stage("diffusion", tiny_config, workdir)
+        assert not os.path.exists(os.path.join(workdir, "diffusion.ckpt"))
+
+    def test_diffusion_encodes_the_frozen_vae_once(self, tmp_path, tiny_config, monkeypatch):
+        """The frozen autoencoder's codes are constants of the diffusion
+        stage: one encoder pass over the whole train split, not one per step."""
+        workdir = str(tmp_path)
+        generate_dataset(tiny_config, workdir)
+        train_stage("vae", tiny_config, workdir)
+        calls = []
+        encode = StateAutoencoder.encode_constraints_batch
+
+        def counted(self, samples, *args, **kwargs):
+            calls.append(len(samples))
+            return encode(self, samples, *args, **kwargs)
+
+        monkeypatch.setattr(StateAutoencoder, "encode_constraints_batch", counted)
+        summary = train_stage("diffusion", tiny_config, workdir)
+        assert summary["steps"] > 1
+        train_size = json.loads((tmp_path / "dataset.json").read_text())["train_samples"]
+        assert calls == [train_size]
 
 
 @pytest.fixture(scope="module")
@@ -237,18 +274,22 @@ class TestTrainedPipeline:
 
 
 class TestDeterminismEndToEnd:
+    ARTIFACTS = ("report.json",) + tuple(
+        f"{stage}{ext}" for stage in STAGES for ext in (".ckpt", "_loss.csv")
+    )
+
     def test_same_seed_reproduces_report_bytes(self, tmp_path):
         cfg = make_tiny_config()
         docs = []
-        for name in ("a", "b"):
-            workdir = str(tmp_path / name)
-            generate_dataset(cfg, workdir)
-            train_stage("vae", cfg, workdir)
-            train_stage("classifier", cfg, workdir)
-            train_stage("diffusion", cfg, workdir)
-            evaluate(cfg, workdir)
-            docs.append(open(os.path.join(workdir, "report.json"), "rb").read())
-        assert docs[0] == docs[1]
+        for run in ("a", "b"):
+            workdir = tmp_path / run
+            generate_dataset(cfg, str(workdir))
+            for stage in STAGES:
+                train_stage(stage, cfg, str(workdir))
+            evaluate(cfg, str(workdir))
+            docs.append({name: (workdir / name).read_bytes() for name in self.ARTIFACTS})
+        for name in self.ARTIFACTS:
+            assert docs[0][name] == docs[1][name], name
 
     def test_gen_data_byte_identical(self, tmp_path):
         cfg = make_tiny_config()

@@ -203,6 +203,23 @@ class TestEncodeConstraints:
         code = model.encode_constraints_batch(train[:20], use_eps=True, rngs=rngs)
         assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
 
+    def test_batching_moves_codes_only_by_rounding(self, trained_setup):
+        """Each sample's eps comes from its own generator, so it is the same
+        in any batching; mu and logvar may differ in the last bits, since
+        BLAS can sum a row differently at another batch size."""
+        model, train, _ = trained_setup
+
+        def codes(lo, hi):
+            rngs = [np.random.default_rng(i) for i in range(lo, hi)]
+            return model.encode_constraints_batch(train[lo:hi], True, rngs)
+
+        whole = codes(0, 64)
+        for lo, hi in ((0, 1), (1, 3), (3, 20), (20, 64)):
+            part = codes(lo, hi)
+            assert np.array_equal(part.eps, whole.eps[lo:hi])
+            np.testing.assert_allclose(part.mu, whole.mu[lo:hi], rtol=1e-12)
+            np.testing.assert_allclose(part.logvar, whole.logvar[lo:hi], rtol=1e-12)
+
     def test_distinct_tasks_get_distinct_code_pairs(self, trained_setup):
         model, train, _ = trained_setup
         by_task: dict[int, tuple] = {}
