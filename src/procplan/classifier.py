@@ -31,7 +31,7 @@ class TaskClassifier:
         self.b2 = self.params.add("classifier.b2", np.zeros(num_tasks))
 
     def logits(self, o_s: np.ndarray, o_g: np.ndarray) -> Tensor:
-        x = np.concatenate([np.atleast_2d(o_s), np.atleast_2d(o_g)], axis=1)
+        x = np.concatenate([o_s, o_g], axis=1)
         if x.shape[1] != 2 * self.obs_dim:
             raise ValueError(
                 f"logits: expected observation dim {self.obs_dim}, got inputs of total dim {x.shape[1]}"

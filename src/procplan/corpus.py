@@ -15,7 +15,7 @@ that guarantee and default to off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,16 +56,38 @@ class Video:
         return self.frames.shape[0]
 
 
-@dataclass
-class Sample:
-    """One curated training/eval example."""
+@dataclass(frozen=True)
+class Samples:
+    """Curated examples as row-aligned arrays: task labels [N], action
+    indices [N, T], start/goal observations [N, obs_dim] and start/goal
+    language vectors [N, text_dim]."""
 
-    task: int
-    actions: tuple[int, ...]
+    task: np.ndarray
+    actions: np.ndarray
     o_s: np.ndarray
     o_g: np.ndarray
     n_es: np.ndarray
     n_eg: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.task)
+
+    def take(self, idx) -> Samples:
+        """The rows ``idx`` selects, in its order (a slice gives views)."""
+        return Samples(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    @staticmethod
+    def concat(parts: list[Samples]) -> Samples:
+        return Samples(
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Samples))
+        )
+
+    def states(self) -> np.ndarray:
+        """[N, 2, obs_dim + text_dim] autoencoder inputs, start then goal,
+        each its observation then its language vector."""
+        start = np.concatenate([self.o_s, self.n_es], axis=1)
+        goal = np.concatenate([self.o_g, self.n_eg], axis=1)
+        return np.stack([start, goal], axis=1)
 
 
 @dataclass(frozen=True)

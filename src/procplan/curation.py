@@ -14,11 +14,11 @@ sample, and frames land at one feature per second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Sample, Video
+from .corpus import Corpus, Samples, Video
 
 
 class CurationError(Exception):
@@ -76,7 +76,7 @@ def curate_windows(
     return observations[0], observations[1]
 
 
-def slide_horizon(corpus: Corpus, video: Video, horizon: int, mode: str) -> list[Sample]:
+def slide_horizon(corpus: Corpus, video: Video, horizon: int, mode: str) -> Samples:
     """One sample per contiguous action window of the given horizon.
 
     Videos shorter than the horizon yield no samples.  Language vectors
@@ -84,42 +84,37 @@ def slide_horizon(corpus: Corpus, video: Video, horizon: int, mode: str) -> list
     """
     if horizon < 2:
         raise CurationError(f"horizon must be >= 2, got {horizon}")
-    samples: list[Sample] = []
-    for i in range(len(video.steps) - horizon + 1):
-        last = i + horizon - 1
-        o_s, o_g = curate_windows(video, i, last, mode)
-        actions = tuple(step.action for step in video.steps[i : last + 1])
-        samples.append(
-            Sample(
-                task=video.task,
-                actions=actions,
-                o_s=o_s,
-                o_g=o_g,
-                n_es=corpus.language_embeddings[actions[0]].copy(),
-                n_eg=corpus.language_embeddings[actions[-1]].copy(),
-            )
-        )
-    return samples
+    n = max(0, len(video.steps) - horizon + 1)
+    labels = [step.action for step in video.steps]
+    actions = np.array([labels[i : i + horizon] for i in range(n)], dtype=np.int64)
+    actions = actions.reshape(n, horizon)
+    o_s = np.empty((n, video.frames.shape[1]))
+    o_g = np.empty_like(o_s)
+    for i in range(n):
+        o_s[i], o_g[i] = curate_windows(video, i, i + horizon - 1, mode)
+    return Samples(
+        task=np.full(n, video.task, dtype=np.int64),
+        actions=actions,
+        o_s=o_s,
+        o_g=o_g,
+        n_es=corpus.language_embeddings[actions[:, 0]],
+        n_eg=corpus.language_embeddings[actions[:, -1]],
+    )
 
 
-def curate_corpus(corpus: Corpus, horizon: int, mode: str) -> list[Sample]:
-    samples: list[Sample] = []
-    for video in corpus.videos:
-        samples.extend(slide_horizon(corpus, video, horizon, mode))
-    return samples
+def curate_corpus(corpus: Corpus, horizon: int, mode: str) -> Samples:
+    return Samples.concat([slide_horizon(corpus, video, horizon, mode) for video in corpus.videos])
 
 
-def split(samples: list[Sample], ratio: float = 0.7, seed: int = 0) -> tuple[list[Sample], list[Sample]]:
-    """Seeded shuffle into disjoint, exhaustive train/test lists."""
-    if not samples:
-        raise CurationError("cannot split an empty sample list")
+def split(samples: Samples, ratio: float = 0.7, seed: int = 0) -> tuple[Samples, Samples]:
+    """Seeded shuffle into disjoint, exhaustive train/test row sets."""
+    if not len(samples):
+        raise CurationError("cannot split an empty sample set")
     if not 0.0 < ratio < 1.0:
         raise CurationError(f"split ratio must lie in (0, 1), got {ratio}")
     order = np.random.default_rng(seed).permutation(len(samples))
     n_train = int(round(len(samples) * ratio))
-    train = [samples[i] for i in order[:n_train]]
-    test = [samples[i] for i in order[n_train:]]
-    return train, test
+    return samples.take(order[:n_train]), samples.take(order[n_train:])
 
 
 @dataclass
@@ -137,11 +132,11 @@ class MinMaxNormalizer:
     text_hi: np.ndarray
 
     @classmethod
-    def fit(cls, samples: list[Sample]) -> "MinMaxNormalizer":
-        if not samples:
+    def fit(cls, samples: Samples) -> "MinMaxNormalizer":
+        if not len(samples):
             raise CurationError("cannot fit a normalizer on no samples")
-        obs = np.concatenate([[s.o_s, s.o_g] for s in samples])
-        text = np.concatenate([[s.n_es, s.n_eg] for s in samples])
+        obs = np.concatenate([samples.o_s, samples.o_g])
+        text = np.concatenate([samples.n_es, samples.n_eg])
         return cls(
             obs_lo=obs.min(axis=0),
             obs_hi=obs.max(axis=0),
@@ -158,22 +153,16 @@ class MinMaxNormalizer:
         out[np.broadcast_to(flat, out.shape)] = 0.5
         return np.clip(out, 0.0, 1.0)
 
-    def apply(self, sample: Sample) -> Sample:
-        return Sample(
-            task=sample.task,
-            actions=sample.actions,
-            o_s=self._scale(sample.o_s, self.obs_lo, self.obs_hi),
-            o_g=self._scale(sample.o_g, self.obs_lo, self.obs_hi),
-            n_es=self._scale(sample.n_es, self.text_lo, self.text_hi),
-            n_eg=self._scale(sample.n_eg, self.text_lo, self.text_hi),
+    def apply(self, samples: Samples) -> Samples:
+        return replace(
+            samples,
+            o_s=self._scale(samples.o_s, self.obs_lo, self.obs_hi),
+            o_g=self._scale(samples.o_g, self.obs_lo, self.obs_hi),
+            n_es=self._scale(samples.n_es, self.text_lo, self.text_hi),
+            n_eg=self._scale(samples.n_eg, self.text_lo, self.text_hi),
         )
 
-    def apply_all(self, samples: list[Sample]) -> list[Sample]:
-        return [self.apply(s) for s in samples]
 
-
-def normalize_splits(
-    train: list[Sample], test: list[Sample]
-) -> tuple[list[Sample], list[Sample], MinMaxNormalizer]:
+def normalize_splits(train: Samples, test: Samples) -> tuple[Samples, Samples, MinMaxNormalizer]:
     norm = MinMaxNormalizer.fit(train)
-    return norm.apply_all(train), norm.apply_all(test), norm
+    return norm.apply(train), norm.apply(test), norm

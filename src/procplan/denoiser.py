@@ -56,8 +56,8 @@ def _sinusoid(n: int, dim: int) -> np.ndarray:
 
 
 class ConditionedUNet:
-    """Denoiser mapping a noised [T, D] state (plus step and constraint) to
-    a prediction of the clean state."""
+    """Denoiser mapping a batch of noised [T, D] states (plus steps and
+    constraints) to predictions of the clean states."""
 
     def __init__(self, feature_dim: int, time_steps: int, seed: int = 0):
         self.feature_dim = feature_dim
@@ -114,20 +114,16 @@ class ConditionedUNet:
     # -- forward ---------------------------------------------------------------
 
     def forward(self, x: Tensor, steps, z_c: Tensor) -> Tensor:
-        """Predict the clean state from a noised [B, T, D] (or [T, D]) batch.
+        """Predict the clean state from a noised [B, T, D] batch.
 
         ``steps`` is one 1-based diffusion step per batch item; ``z_c`` is
         the [B, C] constraint batch (use ``zero_constraint`` to disable).
         """
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        single = x.ndim == 2
-        if single:
-            x = x.reshape(1, *x.shape)
         if x.ndim != 3 or x.shape[-1] != self.feature_dim:
             raise ValueError(
                 f"forward: expected [B, T, {self.feature_dim}], got {x.shape}"
             )
-        step_list = [steps] if isinstance(steps, (int, np.integer)) else list(steps)
+        step_list = list(steps)
         if len(step_list) != x.shape[0]:
             raise ValueError(f"forward: {x.shape[0]} items but {len(step_list)} steps")
         emb = np.stack([timestep_embedding(int(n), self.time_steps) for n in step_list])
@@ -152,7 +148,7 @@ class ConditionedUNet:
                 ).data
                 for lo, hi in zip(bounds, bounds[1:])
             ]))
-        return out.reshape(*out.shape[1:]) if single else out
+        return out
 
     def _forward_rows(self, x: Tensor, emb: np.ndarray, z_c: Tensor) -> Tensor:
         """The network body over one chunk of items."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sample
+from .corpus import Samples
 from .denoiser import ConditionedUNet
 from .losses import mse
 from .tensor import Tensor, getitem
@@ -107,49 +107,13 @@ def impose_conditions(
     x[:, -1, layout.obs_cols] = o_g
 
 
-@dataclass(frozen=True)
-class PlanBatch:
-    """Training plans as stacked arrays: task labels [B], action indices
-    [B, T] and start/goal observations [B, obs_dim]."""
-
-    tasks: np.ndarray
-    actions: np.ndarray
-    o_s: np.ndarray
-    o_g: np.ndarray
-
-    def take(self, idx: np.ndarray) -> PlanBatch:
-        return PlanBatch(self.tasks[idx], self.actions[idx], self.o_s[idx], self.o_g[idx])
-
-
-def stack_plans(samples: list[Sample], layout: BlockLayout) -> PlanBatch:
-    """Stack samples into a ``PlanBatch``, checking labels and horizons once."""
-    if not samples:
-        raise ValueError("stack_plans: no samples")
-    tasks = np.array([s.task for s in samples])
-    bad = tasks[(tasks < 0) | (tasks >= layout.num_tasks)]
-    if bad.size:
-        raise ValueError(f"task label {bad[0]} outside [0, {layout.num_tasks})")
-    horizon = len(samples[0].actions)
-    if horizon < 2:
-        raise ValueError(f"need at least 2 actions, got {horizon}")
-    if any(len(s.actions) != horizon for s in samples):
-        raise ValueError("stack_plans: mixed horizons in one batch")
-    actions = np.array([s.actions for s in samples])
-    bad = actions[(actions < 0) | (actions >= layout.num_actions)]
-    if bad.size:
-        raise ValueError(f"action label {bad[0]} outside [0, {layout.num_actions})")
-    o_s = np.stack([s.o_s for s in samples])
-    o_g = np.stack([s.o_g for s in samples])
-    return PlanBatch(tasks=tasks, actions=actions, o_s=o_s, o_g=o_g)
-
-
-def build_x0(plans: PlanBatch, layout: BlockLayout) -> np.ndarray:
+def build_x0(plans: Samples, layout: BlockLayout) -> np.ndarray:
     """Clean conditioned [B, T, D] states of a batch of plans."""
     batch, horizon = plans.actions.shape
     x = np.zeros((batch, horizon, layout.feature_dim))
     items = np.arange(batch)[:, None]
     x[items, np.arange(horizon), layout.action_cols.start + plans.actions] = 1.0
-    impose_conditions(x, plans.tasks, plans.o_s, plans.o_g, layout)
+    impose_conditions(x, plans.task, plans.o_s, plans.o_g, layout)
     return x
 
 
@@ -169,7 +133,7 @@ def decode_plans(x: np.ndarray, layout: BlockLayout) -> np.ndarray:
 
 
 def diffusion_loss(
-    plans: PlanBatch,
+    plans: Samples,
     codes: tuple[np.ndarray, np.ndarray] | None,
     schedule: NoiseSchedule,
     denoiser: ConditionedUNet,
@@ -206,8 +170,8 @@ def diffusion_loss(
 
 
 def generate_plans(
-    conditions: list[Sample],
-    task_labels: list[int],
+    conditions: Samples,
+    task_labels: np.ndarray,
     schedule: NoiseSchedule,
     denoiser: ConditionedUNet,
     vae: StateAutoencoder,
@@ -216,20 +180,22 @@ def generate_plans(
     use_eps: bool = True,
     inject_constraints: bool = True,
 ) -> np.ndarray:
-    """Reverse-diffuse one plan per condition, batched over conditions.
+    """Reverse-diffuse one plan per row of ``conditions``, all rows at once.
 
-    Returns the final [B, T, D] states.  Each item owns its seeded noise
-    stream, so every item draws the same noise however items are batched;
+    Row i is conditioned on ``task_labels[i]`` and its o_s/o_g, and its
+    ``states()`` feed the constraint encoder.  Of ``conditions.actions``
+    only the width, the horizon, is read: ground-truth actions are never
+    consulted.  Returns the final [B, T, D] states.  Each row owns its seeded noise
+    stream, so every row draws the same noise however rows are batched;
     the encoder and network outputs agree across batchings only to
     rounding, since BLAS may sum a row differently at another batch size.
-    The ground-truth actions on the incoming samples are never consulted.
     """
-    if not conditions:
+    batch, horizon = conditions.actions.shape
+    if not batch:
         raise ValueError("generate_plans: empty batch")
-    batch = len(conditions)
-    if len(task_labels) != batch or len(seeds) != batch:
+    task_labels = np.asarray(task_labels)
+    if task_labels.shape != (batch,) or len(seeds) != batch:
         raise ValueError("generate_plans: conditions, labels and seeds must align")
-    horizon = len(conditions[0].actions)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if inject_constraints:
         code = vae.encode_constraints_batch(conditions, use_eps=use_eps, rngs=rngs)
@@ -237,13 +203,10 @@ def generate_plans(
     else:
         z_c = denoiser.zero_constraint(batch)
 
-    task_arr = np.asarray(task_labels)
-    o_s = np.stack([c.o_s for c in conditions])
-    o_g = np.stack([c.o_g for c in conditions])
     x = np.zeros((batch, horizon, layout.feature_dim))
     for i, rng in enumerate(rngs):
         x[i, :, layout.action_cols] = rng.standard_normal((horizon, layout.num_actions))
-    impose_conditions(x, task_arr, o_s, o_g, layout)
+    impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
 
     noise = np.empty_like(x)
     for n in range(schedule.n_steps, 0, -1):
@@ -260,6 +223,6 @@ def generate_plans(
                 rng.standard_normal(out=noise[i])
             noise *= np.sqrt(beta)
             x += noise
-        impose_conditions(x, task_arr, o_s, o_g, layout)
+        impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
 
     return x

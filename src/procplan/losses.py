@@ -60,10 +60,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Softmax cross-entropy against integer labels, averaged over rows."""
     logits = _ensure_tensor(logits)
     x = logits.data
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2:
-        raise ShapeError(f"cross_entropy: logits must be 1-D or 2-D, got {logits.shape}")
+        raise ShapeError(f"cross_entropy: logits must be [N, C], got {logits.shape}")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, c = x.shape
     if y.shape[0] != n:
@@ -78,8 +76,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         soft = np.exp(shifted)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(n), y] -= 1.0
-        full = g * soft / n
-        return full.reshape(logits.shape)
+        return g * soft / n
 
     return _make("cross_entropy", data, (logits,), (grad,))
 
@@ -95,7 +92,4 @@ def gaussian_kl_to_std_normal(mu: Tensor, logvar: Tensor) -> Tensor:
     if mu.shape != logvar.shape:
         raise ShapeError(f"gaussian_kl: shapes differ, {mu.shape} vs {logvar.shape}")
     per_dim = 0.5 * (mul(mu, mu) + exp(logvar) - 1.0 - logvar)
-    if mu.ndim <= 1:
-        return tsum(per_dim)
-    per_row = tsum(per_dim, axis=-1)
-    return mean(per_row)
+    return mean(tsum(per_dim, axis=-1))

@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .corpus import Sample
+from .corpus import Samples
 
 
 class ManifestError(Exception):
@@ -39,33 +39,23 @@ def _record_floats(obs_dim: int, text_dim: int) -> int:
 def write_manifest(
     directory: str,
     name: str,
-    samples: list[Sample],
+    samples: Samples,
     obs_dim: int,
     text_dim: int,
     num_tasks: int,
     num_actions: int,
 ) -> str:
     """Write ``<name>.json`` and ``<name>.f32``; returns the manifest path."""
+    record = _record_floats(obs_dim, text_dim)
+    blob = np.concatenate([samples.o_s, samples.o_g, samples.n_es, samples.n_eg], axis=1)
+    if blob.shape[1] != record:
+        raise ManifestError(f"samples hold {blob.shape[1]} feature floats each, expected {record}")
     os.makedirs(directory, exist_ok=True)
     feature_file = f"{name}.f32"
-    record = _record_floats(obs_dim, text_dim)
-    blob = np.empty(record * len(samples), dtype="<f4")
-    entries = []
-    for i, s in enumerate(samples):
-        vec = np.concatenate([s.o_s, s.o_g, s.n_es, s.n_eg])
-        if vec.shape[0] != record:
-            raise ManifestError(
-                f"sample {i} has {vec.shape[0]} feature floats, expected {record}"
-            )
-        blob[i * record : (i + 1) * record] = vec.astype("<f4")
-        entries.append(
-            {
-                "task": int(s.task),
-                "actions": [int(a) for a in s.actions],
-                "feature_file": feature_file,
-                "offset": i * record,
-            }
-        )
+    entries = [
+        {"task": task, "actions": actions, "feature_file": feature_file, "offset": i * record}
+        for i, (task, actions) in enumerate(zip(samples.task.tolist(), samples.actions.tolist()))
+    ]
     manifest = {
         "obs_dim": obs_dim,
         "text_dim": text_dim,
@@ -73,7 +63,7 @@ def write_manifest(
         "num_actions": num_actions,
         "samples": entries,
     }
-    _atomic_write(os.path.join(directory, feature_file), blob.tobytes())
+    _atomic_write(os.path.join(directory, feature_file), blob.astype("<f4").tobytes())
     manifest_path = os.path.join(directory, f"{name}.json")
     _atomic_write(
         manifest_path,
@@ -82,8 +72,13 @@ def write_manifest(
     return manifest_path
 
 
-def read_manifest(manifest_path: str) -> tuple[list[Sample], dict]:
-    """Load samples; returns (samples, meta) with dims and label counts."""
+def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
+    """Load samples; returns (samples, meta) with dims and label counts.
+
+    Every sample must hold as many actions as the first, and its task and
+    action labels must lie below the manifest's ``num_tasks`` and
+    ``num_actions``.
+    """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -109,15 +104,33 @@ def read_manifest(manifest_path: str) -> tuple[list[Sample], dict]:
     record = _record_floats(obs_dim, text_dim)
     base = os.path.dirname(os.path.abspath(manifest_path))
     blobs: dict[str, np.ndarray] = {}
-    samples: list[Sample] = []
+    tasks: list[int] = []
+    actions: list[list[int]] = []
+    features = np.empty((len(entries), record))
     for i, entry in enumerate(entries):
         try:
             task = int(entry["task"])
-            actions = tuple(int(a) for a in entry["actions"])
+            plan = [int(a) for a in entry["actions"]]
             feature_file = entry["feature_file"]
             offset = int(entry["offset"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{manifest_path}: sample {i} is malformed ({exc})") from exc
+        if not 0 <= task < meta["num_tasks"]:
+            raise ManifestError(
+                f"{manifest_path}: sample {i} has task {task}, "
+                f"outside [0, {meta['num_tasks']})"
+            )
+        bad = [a for a in plan if not 0 <= a < meta["num_actions"]]
+        if bad:
+            raise ManifestError(
+                f"{manifest_path}: sample {i} has action {bad[0]}, "
+                f"outside [0, {meta['num_actions']})"
+            )
+        if actions and len(plan) != len(actions[0]):
+            raise ManifestError(
+                f"{manifest_path}: sample {i} has {len(plan)} actions, "
+                f"sample 0 has {len(actions[0])}; a manifest holds one horizon"
+            )
         if feature_file not in blobs:
             feature_path = os.path.join(base, feature_file)
             try:
@@ -130,15 +143,13 @@ def read_manifest(manifest_path: str) -> tuple[list[Sample], dict]:
                 f"{feature_file}: sample {i} needs floats [{offset}, {offset + record}) "
                 f"but the file holds {blob.shape[0]}"
             )
-        vec = blob[offset : offset + record].astype(np.float64)
-        o_s = vec[:obs_dim]
-        o_g = vec[obs_dim : 2 * obs_dim]
-        n_es = vec[2 * obs_dim : 2 * obs_dim + text_dim]
-        n_eg = vec[2 * obs_dim + text_dim :]
-        samples.append(
-            Sample(task=task, actions=actions, o_s=o_s, o_g=o_g, n_es=n_es, n_eg=n_eg)
-        )
-    return samples, meta
+        tasks.append(task)
+        actions.append(plan)
+        features[i] = blob[offset : offset + record]
+    o_s, o_g, n_es, n_eg = np.split(features, np.cumsum([obs_dim, obs_dim, text_dim]), axis=1)
+    horizon = len(actions[0]) if actions else 0
+    plans = np.array(actions, dtype=np.int64).reshape(len(entries), horizon)
+    return Samples(np.array(tasks, dtype=np.int64), plans, o_s, o_g, n_es, n_eg), meta
 
 
 def _atomic_write(path: str, payload: bytes) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .classifier import TaskClassifier
 from .config import RunConfig, StageParams, apply_overrides
-from .corpus import CorpusConfig, Sample, generate_corpus
+from .corpus import CorpusConfig, Samples, generate_corpus
 from .curation import curate_corpus, normalize_splits, split
 from .denoiser import ConditionedUNet
 from .diffusion import (
@@ -29,13 +29,12 @@ from .diffusion import (
     diffusion_loss,
     generate_plans,
     make_schedule,
-    stack_plans,
 )
 from .manifest import read_manifest, write_manifest
 from .metrics import PlanPair, PlanReport, aligned_csv, apply_gt_boundary, score_pairs, write_report
 from .optim import adamw_step
 from .tensor import NumericError
-from .vae import StateAutoencoder, state_vectors
+from .vae import StateAutoencoder
 
 
 class PrerequisiteError(Exception):
@@ -113,7 +112,7 @@ def generate_dataset(config: RunConfig, workdir: str) -> dict:
     return info
 
 
-def _load_split(config: RunConfig, workdir: str, name: str) -> list[Sample]:
+def _load_split(config: RunConfig, workdir: str, name: str) -> Samples:
     path = os.path.join(workdir, f"{name}.json")
     if not os.path.exists(path):
         raise PrerequisiteError(
@@ -130,12 +129,12 @@ def _load_split(config: RunConfig, workdir: str, name: str) -> list[Sample]:
         raise PipelineError(
             f"{name} manifest metadata {meta} does not match config {expected}"
         )
-    for sample in samples:
-        if len(sample.actions) != config.horizon:
-            raise PipelineError(
-                f"{name} manifest holds plans of {len(sample.actions)} actions, "
-                f"config horizon is {config.horizon}"
-            )
+    horizon = samples.actions.shape[1]
+    if samples and horizon != config.horizon:
+        raise PipelineError(
+            f"{name} manifest holds plans of {horizon} actions, "
+            f"config horizon is {config.horizon}"
+        )
     info_path = os.path.join(workdir, "dataset.json")
     if not os.path.exists(info_path):
         raise PrerequisiteError(f"dataset.json not found in {workdir!r}; run gen-data first")
@@ -199,7 +198,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     """
     config.validate()
     model, meta = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
-    train_samples = _load_split(config, workdir, "train")
+    train = _load_split(config, workdir, "train")
     params: StageParams = getattr(config, stage)
     rng = np.random.default_rng(stage_seed(config.seed, f"train.{stage}"))
     total_steps = params.epochs * params.steps_per_epoch
@@ -208,7 +207,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     # Each stage supplies its data size, loss-curve header and a step
     # closure that takes (batch indices, lr) and returns the loss columns.
     if stage == "vae":
-        states = np.stack([vec for s in train_samples for vec in state_vectors(s)])
+        states = train.states().reshape(2 * len(train), model.input_dim)
         size = len(states)
         header = ["step", "lr", "loss", "recon_bce", "kl"]
 
@@ -219,18 +218,12 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
             return [recon + kl, recon, kl]
 
     elif stage == "classifier":
-        o_s = np.stack([s.o_s for s in train_samples])
-        o_g = np.stack([s.o_g for s in train_samples])
-        labels = np.array([s.task for s in train_samples])
-        size = len(labels)
+        size = len(train)
         header = ["step", "lr", "loss"]
 
         def train_step(idx: np.ndarray, lr: float) -> list[float]:
-            return [
-                model.train_step(
-                    o_s[idx], o_g[idx], labels[idx], lr=lr, weight_decay=params.weight_decay
-                )
-            ]
+            o_s, o_g, task = train.o_s[idx], train.o_g[idx], train.task[idx]
+            return [model.train_step(o_s, o_g, task, lr=lr, weight_decay=params.weight_decay)]
 
     else:
         vae = load_stage("vae", config, workdir)
@@ -239,18 +232,17 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
         noise_schedule = make_schedule(
             config.schedule.steps, config.schedule.beta_start, config.schedule.beta_end
         )
-        # The split and the frozen autoencoder's codes of it are constants
-        # of this stage: stack and encode them once, then gather per step.
-        plans = stack_plans(train_samples, layout)
+        # The frozen autoencoder's codes of the split are constants of this
+        # stage: encode them once, then gather per step.
         codes = None
         if config.flags.inject_constraints:
-            codes = vae.encode_constraints_batch(train_samples)
-        size = len(train_samples)
+            codes = vae.encode_constraints_batch(train)
+        size = len(train)
         header = ["step", "lr", "loss"]
 
         def train_step(idx: np.ndarray, lr: float) -> list[float]:
             loss = diffusion_loss(
-                plans.take(idx),
+                train.take(idx),
                 None if codes is None else (codes.mu[idx], codes.logvar[idx]),
                 noise_schedule,
                 model,
@@ -324,14 +316,10 @@ def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> St
     return model
 
 
-def classifier_accuracy(model: TaskClassifier, samples: list[Sample]) -> float:
+def classifier_accuracy(model: TaskClassifier, samples: Samples) -> float:
     if not samples:
         raise PipelineError("no samples to score")
-    o_s = np.stack([s.o_s for s in samples])
-    o_g = np.stack([s.o_g for s in samples])
-    predicted = model.predict_batch(o_s, o_g)
-    truth = np.array([s.task for s in samples])
-    return float((predicted == truth).mean())
+    return float((model.predict_batch(samples.o_s, samples.o_g) == samples.task).mean())
 
 
 def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = "report") -> PlanReport:
@@ -343,8 +331,8 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
     the scores (asserted here on every run).
     """
     config.validate()
-    test_samples = _load_split(config, workdir, "test")
-    if not test_samples:
+    test = _load_split(config, workdir, "test")
+    if not test:
         raise PipelineError("test split is empty")
     vae = load_stage("vae", config, workdir)
     clf = load_stage("classifier", config, workdir)
@@ -354,13 +342,10 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
         config.schedule.steps, config.schedule.beta_start, config.schedule.beta_end
     )
 
-    o_s = np.stack([s.o_s for s in test_samples])
-    o_g = np.stack([s.o_g for s in test_samples])
-    predicted_tasks = [int(t) for t in clf.predict_batch(o_s, o_g)]
-    seeds = [stage_seed(config.seed, "eval", i) for i in range(len(test_samples))]
+    seeds = [stage_seed(config.seed, "eval", i) for i in range(len(test))]
     plans = generate_plans(
-        test_samples,
-        predicted_tasks,
+        test,
+        clf.predict_batch(test.o_s, test.o_g),
         noise_schedule,
         den,
         vae,
@@ -370,8 +355,8 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
         inject_constraints=config.flags.inject_constraints,
     )
     pairs = [
-        PlanPair(predicted=tuple(plan), truth=sample.actions)
-        for plan, sample in zip(decode_plans(plans, layout).tolist(), test_samples)
+        PlanPair(predicted=tuple(plan), truth=tuple(truth))
+        for plan, truth in zip(decode_plans(plans, layout).tolist(), test.actions.tolist())
     ]
     raw = score_pairs(pairs)
     if config.flags.gt_boundary_eval:

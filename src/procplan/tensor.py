@@ -141,13 +141,8 @@ class Tensor:
     def __rsub__(self, other):
         return add(_ensure_tensor(other), -self)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, _ensure_tensor(1.0 / other))
-        return div(self, _ensure_tensor(other))
-
-    def __pow__(self, exponent: float):
-        return power(self, exponent)
+    def __truediv__(self, other: float):
+        return mul(self, _ensure_tensor(1.0 / other))
 
     def __matmul__(self, other):
         return matmul(self, _ensure_tensor(other))
@@ -254,22 +249,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            data = a.data / b.data
-    except ValueError as exc:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    return _make(
-        "div", data, (a, b),
-        (
-            lambda g: _unbroadcast(g / b.data, a.shape),
-            lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def power(a: Tensor, exponent: float) -> Tensor:
     a = _ensure_tensor(a)
     data = a.data ** exponent
@@ -293,18 +272,6 @@ def log(a: Tensor) -> Tensor:
         data = np.log(a.data)
     _check_finite("log", data)
     return _make("log", data, (a,), (lambda g: g / a.data,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
-    data = np.tanh(a.data)
-    return _make("tanh", data, (a,), (lambda g: g * (1.0 - data * data),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
-    data = _sigmoid_array(a.data)
-    return _make("sigmoid", data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sample
+from .corpus import Samples
 from .losses import bce_with_logits, gaussian_kl_to_std_normal
 from .optim import ParamStore, adamw_step
-from .tensor import Tensor, clip, exp, matmul, mul, relu, sigmoid
+from .tensor import Tensor, clip, exp, matmul, mul, relu
 
 LATENT_DIM = 2
 HIDDEN_DIM = 512
@@ -43,14 +43,6 @@ class LatentCode:
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """z = mu + exp(logvar/2) * eps, elementwise."""
     return mu + np.exp(0.5 * logvar) * eps
-
-
-def state_vectors(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """(start, goal) autoencoder inputs: observation then language."""
-    return (
-        np.concatenate([sample.o_s, sample.n_es]),
-        np.concatenate([sample.o_g, sample.n_eg]),
-    )
 
 
 class StateAutoencoder:
@@ -83,31 +75,19 @@ class StateAutoencoder:
     def freeze(self) -> None:
         self.params.freeze()
 
-    @staticmethod
-    def _lift(x) -> Tensor:
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        return t.reshape(1, t.shape[0]) if t.ndim == 1 else t
-
     def encode(self, x) -> tuple[Tensor, Tensor]:
         """(mu, logvar) for a [B, d] batch; logvar clamped for stability."""
-        x = self._lift(x)
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(
-                f"encode: expected input dim {self.input_dim}, got {x.shape[-1]}"
-            )
+        if x.ndim != 2 or x.shape[-1] != self.input_dim:
+            raise ValueError(f"encode: expected [B, input dim {self.input_dim}], got {x.shape}")
         h = relu(matmul(x, self.enc_w1) + self.enc_b1)
         mu = matmul(h, self.enc_w_mu) + self.enc_b_mu
         logvar = clip(matmul(h, self.enc_w_lv) + self.enc_b_lv, -LOGVAR_CLAMP, LOGVAR_CLAMP)
         return mu, logvar
 
     def decode_logits(self, z) -> Tensor:
-        z = self._lift(z)
+        """Reconstruction logits of a [B, LATENT_DIM] batch of codes."""
         h = relu(matmul(z, self.dec_w1) + self.dec_b1)
         return matmul(h, self.dec_w2) + self.dec_b2
-
-    def decode(self, z) -> Tensor:
-        """Sigmoid-bounded reconstruction in (0, 1)."""
-        return sigmoid(self.decode_logits(z))
 
     def train_step(
         self,
@@ -136,19 +116,19 @@ class StateAutoencoder:
 
     def encode_constraints_batch(
         self,
-        samples: list[Sample],
+        samples: Samples,
         use_eps: bool = False,
         rngs: list[np.random.Generator] | None = None,
     ) -> LatentCode:
-        """(start, goal) latent codes for many samples with one encoder pass.
+        """(start, goal) latent codes of every sample's ``states()``, with one
+        encoder pass.
 
         Only valid once the model is frozen (phase two).  With ``use_eps``
-        each sample draws its noise from its own generator in ``rngs``,
-        start then goal, so a sample's eps is the same however samples are
-        batched.  mu and logvar agree across batchings only to rounding:
-        BLAS may sum a row differently at another batch size.  Without
-        ``use_eps`` the noise is zero and no generator is drawn from, so z
-        is exactly mu.
+        row i draws its noise from ``rngs[i]``, start then goal, so a
+        sample's eps is the same however samples are batched.  mu and
+        logvar agree across batchings only to rounding: BLAS may sum a row
+        differently at another batch size.  Without ``use_eps`` the noise is
+        zero and no generator is drawn from, so z is exactly mu.
         """
         if not self.frozen:
             raise PhaseError(
@@ -160,12 +140,13 @@ class StateAutoencoder:
                 f"encode_constraints_batch: {len(samples)} samples but "
                 f"{len(rngs or ())} generators"
             )
-        stacked = np.stack([vec for s in samples for vec in state_vectors(s)])
-        mu_t, logvar_t = self.encode(stacked)
+        mu_t, logvar_t = self.encode(samples.states().reshape(2 * len(samples), self.input_dim))
         mu = mu_t.data.reshape(len(samples), 2, LATENT_DIM)
         logvar = logvar_t.data.reshape(len(samples), 2, LATENT_DIM)
         if use_eps:
-            eps = np.stack([rng.standard_normal((2, LATENT_DIM)) for rng in rngs])
+            eps = np.empty_like(mu)
+            for i, rng in enumerate(rngs):
+                rng.standard_normal(out=eps[i])
         else:
             eps = np.zeros_like(mu)
         return LatentCode(mu=mu, logvar=logvar, z=reparameterize(mu, logvar, eps), eps=eps)

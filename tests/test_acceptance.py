@@ -15,11 +15,11 @@ import pytest
 
 from procplan import tensor as T
 from procplan.config import RunConfig, apply_overrides
-from procplan.corpus import Sample
+from procplan.corpus import Samples
 from procplan.curation import window_bounds
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.denoiser import ConditionedUNet
-from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule, stack_plans
+from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule
 from procplan.gradcheck import grad_check, model_grad_check
 from procplan.losses import bce_with_logits, cross_entropy, gaussian_kl_to_std_normal, mse
 from procplan.manifest import read_manifest
@@ -33,7 +33,7 @@ from procplan.pipeline import (
     train_stage,
 )
 from procplan.tensor import Tensor
-from procplan.vae import StateAutoencoder, state_vectors
+from procplan.vae import StateAutoencoder
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -145,20 +145,15 @@ class TestCriterion1GradientIntegrity:
         frozen.freeze()
         denoiser = ConditionedUNet(layout.feature_dim, time_steps=10, seed=3)
         schedule = make_schedule(10)
-        samples = [
-            Sample(
-                task=int(rng.integers(0, 3)),
-                actions=tuple(int(a) for a in rng.integers(0, 12, size=3)),
-                o_s=rng.random(5),
-                o_g=rng.random(5),
-                n_es=rng.random(3),
-                n_eg=rng.random(3),
-            )
+        # Two plans, drawn field by field per plan: task, actions, o_s, o_g,
+        # n_es, n_eg.
+        rows = [
+            (rng.integers(0, 3), rng.integers(0, 12, size=3), rng.random(5), rng.random(5),
+             rng.random(3), rng.random(3))
             for _ in range(2)
         ]
-
-        plans = stack_plans(samples, layout)
-        code = frozen.encode_constraints_batch(samples)
+        plans = Samples(*(np.array(column) for column in zip(*rows)))
+        code = frozen.encode_constraints_batch(plans)
 
         def diffusion_loss_fn():
             return diffusion_loss(
@@ -243,9 +238,9 @@ class TestCriterion4EndToEndPlanning:
         random_pairs = [
             PlanPair(
                 predicted=tuple(int(a) for a in rng.integers(0, config.data.num_actions, size=3)),
-                truth=s.actions,
+                truth=tuple(truth),
             )
-            for s in test_samples
+            for truth in test_samples.actions.tolist()
         ]
         random_sr = success_rate(random_pairs)
         expected_random = (1.0 / config.data.num_actions) ** config.horizon
@@ -291,11 +286,12 @@ class TestCriterion6EpsilonAblation:
         vae.freeze()
         samples, _ = read_manifest(os.path.join(seed_dir, "test.json"))
         exact = True
-        for i, sample in enumerate(samples[:25]):
+        for i in range(25):
+            sample = samples.take([i])
             rng = np.random.default_rng(i)
-            on = vae.encode_constraints_batch([sample], use_eps=True, rngs=[rng])
+            on = vae.encode_constraints_batch(sample, use_eps=True, rngs=[rng])
             off = vae.encode_constraints_batch(
-                [sample], use_eps=False, rngs=[np.random.default_rng(i)]
+                sample, use_eps=False, rngs=[np.random.default_rng(i)]
             )
             # Clamping sigma to zero in the eps-bearing encoding must
             # reproduce the no-eps path down to the bit: mu + 0 * eps.

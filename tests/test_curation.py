@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from procplan.corpus import CorpusConfig, Sample, Step, Video, generate_corpus, render_frames
+from procplan.corpus import CorpusConfig, Samples, Step, Video, generate_corpus, render_frames
 from procplan.curation import (
     CurationError,
     MinMaxNormalizer,
@@ -108,20 +108,20 @@ class TestSlideHorizon:
         video = Video(
             task=0, steps=steps, frames=render_frames(steps, emb, 14, 0.0, np.random.default_rng(0))
         )
-        assert slide_horizon(corpus, video, 3, "pdpp") == []
+        assert len(slide_horizon(corpus, video, 3, "pdpp")) == 0
 
     def test_sample_k_covers_steps_k_through_k_plus_t(self, corpus):
         video = corpus.videos[0]
         actions = [s.action for s in video.steps]
         samples = slide_horizon(corpus, video, 3, "pdpp")
-        for k, sample in enumerate(samples):
-            assert sample.actions == tuple(actions[k : k + 3])
+        assert samples.actions.tolist() == [actions[k : k + 3] for k in range(len(actions) - 2)]
+        assert np.array_equal(samples.task, np.full(len(samples), video.task))
 
     def test_language_rows_match_first_and_last_action(self, corpus):
         video = corpus.videos[0]
-        for sample in slide_horizon(corpus, video, 4, "kepp"):
-            assert np.array_equal(sample.n_es, corpus.language_embeddings[sample.actions[0]])
-            assert np.array_equal(sample.n_eg, corpus.language_embeddings[sample.actions[-1]])
+        samples = slide_horizon(corpus, video, 4, "kepp")
+        assert np.array_equal(samples.n_es, corpus.language_embeddings[samples.actions[:, 0]])
+        assert np.array_equal(samples.n_eg, corpus.language_embeddings[samples.actions[:, -1]])
 
     def test_total_count_formula(self, corpus):
         horizon = 4
@@ -135,17 +135,19 @@ class TestSlideHorizon:
 
 def _dummy_samples(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        Sample(
-            task=int(rng.integers(0, 3)),
-            actions=tuple(int(a) for a in rng.integers(0, 5, size=3)),
-            o_s=rng.normal(size=4),
-            o_g=rng.normal(size=4),
-            n_es=rng.normal(size=2),
-            n_eg=rng.normal(size=2),
-        )
-        for _ in range(n)
-    ]
+    return Samples(
+        task=rng.integers(0, 3, size=n),
+        actions=rng.integers(0, 5, size=(n, 3)),
+        o_s=rng.normal(size=(n, 4)),
+        o_g=rng.normal(size=(n, 4)),
+        n_es=rng.normal(size=(n, 2)),
+        n_eg=rng.normal(size=(n, 2)),
+    )
+
+
+def _row_ids(samples):
+    """Each row's first observation value, unique in the dummy samples."""
+    return samples.o_s[:, 0].tolist()
 
 
 class TestSplit:
@@ -157,16 +159,20 @@ class TestSplit:
         samples = _dummy_samples(50)
         a = split(samples, 0.7, seed=3)
         b = split(samples, 0.7, seed=3)
-        assert [id(s) for s in a[0]] == [id(s) for s in b[0]]
+        assert _row_ids(a[0]) == _row_ids(b[0])
 
     def test_union_preserves_input(self):
         samples = _dummy_samples(31)
         train, test = split(samples, 0.7, seed=1)
-        assert sorted(id(s) for s in train + test) == sorted(id(s) for s in samples)
+        assert sorted(_row_ids(train) + _row_ids(test)) == sorted(_row_ids(samples))
+        for part in (train, test):
+            rows = [_row_ids(samples).index(r) for r in _row_ids(part)]
+            for field in ("task", "actions", "o_s", "o_g", "n_es", "n_eg"):
+                assert np.array_equal(getattr(part, field), getattr(samples, field)[rows])
 
     def test_bad_inputs(self):
         with pytest.raises(CurationError):
-            split([], 0.7)
+            split(_dummy_samples(0), 0.7)
         with pytest.raises(CurationError):
             split(_dummy_samples(5), 1.0)
 
@@ -175,30 +181,28 @@ class TestNormalization:
     def test_outputs_in_unit_interval(self):
         train, test = split(_dummy_samples(40), 0.7, seed=0)
         train_n, test_n, _ = normalize_splits(train, test)
-        for s in train_n + test_n:
-            for vec in (s.o_s, s.o_g, s.n_es, s.n_eg):
+        for part in (train_n, test_n):
+            for vec in (part.o_s, part.o_g, part.n_es, part.n_eg):
                 assert vec.min() >= 0.0 and vec.max() <= 1.0
 
     def test_train_extremes_map_to_bounds(self):
         train = _dummy_samples(40)
         norm = MinMaxNormalizer.fit(train)
-        scaled = norm.apply_all(train)
-        obs = np.concatenate([[s.o_s, s.o_g] for s in scaled])
+        scaled = norm.apply(train)
+        obs = np.concatenate([scaled.o_s, scaled.o_g])
         assert np.allclose(obs.min(axis=0), 0.0)
         assert np.allclose(obs.max(axis=0), 1.0)
 
     def test_test_split_is_clipped(self):
         train = _dummy_samples(10, seed=1)
         out_of_range = _dummy_samples(10, seed=2)
-        for s in out_of_range:
-            s.o_s[:] = 100.0
+        out_of_range.o_s[:] = 100.0
         norm = MinMaxNormalizer.fit(train)
-        assert norm.apply(out_of_range[0]).o_s.max() == 1.0
+        assert norm.apply(out_of_range).o_s.max() == 1.0
 
     def test_constant_dimension_maps_to_half(self):
         train = _dummy_samples(10, seed=3)
-        for s in train:
-            s.o_s[1] = 7.0
-            s.o_g[1] = 7.0
+        train.o_s[:, 1] = 7.0
+        train.o_g[:, 1] = 7.0
         norm = MinMaxNormalizer.fit(train)
-        assert norm.apply(train[0]).o_g[1] == 0.5
+        assert np.all(norm.apply(train).o_g[:, 1] == 0.5)

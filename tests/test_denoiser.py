@@ -14,7 +14,7 @@ from procplan.denoiser import (
     ConditionedUNet,
     timestep_embedding,
 )
-from procplan.corpus import Sample
+from procplan.corpus import Samples
 from procplan.tensor import Tensor
 from procplan.vae import LatentCode, StateAutoencoder
 
@@ -90,11 +90,12 @@ class TestFusion:
         vae = StateAutoencoder(input_dim=6, seed=1)
         vae.freeze()
         rng = np.random.default_rng(1)
-        sample = Sample(
-            task=0, actions=(0, 1, 2), o_s=rng.random(3), o_g=rng.random(3),
-            n_es=rng.random(3), n_eg=rng.random(3),
+        sample = Samples(
+            task=np.zeros(1, dtype=np.int64), actions=np.array([[0, 1, 2]]),
+            o_s=rng.random((1, 3)), o_g=rng.random((1, 3)),
+            n_es=rng.random((1, 3)), n_eg=rng.random((1, 3)),
         )
-        code = vae.encode_constraints_batch([sample], use_eps=False, rngs=[rng])
+        code = vae.encode_constraints_batch(sample, use_eps=False, rngs=[rng])
         a = _fuse(net, code).data
         b = net.fuse_batch(code.mu, np.zeros((1, 2, 2))).data
         assert np.array_equal(a, b)
@@ -116,9 +117,9 @@ class TestForward:
     def test_shape_preserved_for_all_horizons(self, net):
         rng = np.random.default_rng(3)
         for horizon in (3, 4, 5, 6):
-            x = Tensor(rng.normal(size=(horizon, FEATURE_DIM)))
-            out = net.forward(x, 5, net.zero_constraint(1))
-            assert out.shape == (horizon, FEATURE_DIM)
+            x = Tensor(rng.normal(size=(1, horizon, FEATURE_DIM)))
+            out = net.forward(x, [5], net.zero_constraint(1))
+            assert out.shape == (1, horizon, FEATURE_DIM)
 
     def test_batched_shape(self, net):
         rng = np.random.default_rng(4)
@@ -128,42 +129,46 @@ class TestForward:
 
     def test_zero_constraint_matches_explicit_zeros(self, net):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
-        a = net.forward(x, 2, net.zero_constraint(1)).data
-        b = net.forward(x, 2, Tensor(np.zeros((1, BOTTLENECK_CHANNELS)))).data
+        x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
+        a = net.forward(x, [2], net.zero_constraint(1)).data
+        b = net.forward(x, [2], Tensor(np.zeros((1, BOTTLENECK_CHANNELS)))).data
         assert np.array_equal(a, b)
 
     def test_constraint_changes_output(self, net):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
-        with_c = net.forward(x, 2, _fuse(net, _code(rng))).data
-        without = net.forward(x, 2, net.zero_constraint(1)).data
+        x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
+        with_c = net.forward(x, [2], _fuse(net, _code(rng))).data
+        without = net.forward(x, [2], net.zero_constraint(1)).data
         assert not np.array_equal(with_c, without)
 
     def test_timestep_changes_output(self, net):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
-        a = net.forward(x, 1, net.zero_constraint(1)).data
-        b = net.forward(x, TIME_STEPS, net.zero_constraint(1)).data
+        x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
+        a = net.forward(x, [1], net.zero_constraint(1)).data
+        b = net.forward(x, [TIME_STEPS], net.zero_constraint(1)).data
         assert not np.array_equal(a, b)
 
     def test_gradient_reaches_fusion_weights(self, net):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(4, FEATURE_DIM)))
+        x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
         z_c = _fuse(net, _code(rng))
         net.params.zero_grads()
-        T.sum(T.mul(net.forward(x, 3, z_c), x)).backward()
+        T.sum(T.mul(net.forward(x, [3], z_c), x)).backward()
         assert net.fuse_w.grad is not None
         assert np.abs(net.fuse_w.grad).max() > 0.0
 
     def test_shape_validation(self, net):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
-            net.forward(Tensor(rng.normal(size=(4, FEATURE_DIM + 1))), 1, net.zero_constraint(1))
+            net.forward(
+                Tensor(rng.normal(size=(1, 4, FEATURE_DIM + 1))), [1], net.zero_constraint(1)
+            )
         with pytest.raises(ValueError, match="steps"):
             net.forward(Tensor(rng.normal(size=(2, 4, FEATURE_DIM))), [1], net.zero_constraint(2))
+        with pytest.raises(ValueError, match=r"\[B, T"):
+            net.forward(Tensor(rng.normal(size=(4, FEATURE_DIM))), [1], net.zero_constraint(1))
         with pytest.raises(ValueError, match="constraint"):
-            net.forward(Tensor(rng.normal(size=(4, FEATURE_DIM))), 1, net.zero_constraint(3))
+            net.forward(Tensor(rng.normal(size=(1, 4, FEATURE_DIM))), [1], net.zero_constraint(3))
 
     def test_chunked_forward_matches_per_chunk_forwards(self, net):
         # 101 items at T=3 are 303 rows: two chunks, of 50 and 51 items.

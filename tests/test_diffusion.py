@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from procplan.corpus import Sample
+from procplan.corpus import Samples
 from procplan.denoiser import BOTTLENECK_CHANNELS, ConditionedUNet
 from procplan.diffusion import (
     BlockLayout,
@@ -14,7 +14,6 @@ from procplan.diffusion import (
     generate_plans,
     make_schedule,
     q_forward,
-    stack_plans,
 )
 from procplan.losses import mse
 from procplan.tensor import Tensor, getitem
@@ -24,18 +23,23 @@ LAYOUT = BlockLayout(num_tasks=3, num_actions=4, obs_dim=5)
 
 
 def _sample(rng, actions=(1, 2, 3), task=0):
-    return Sample(
-        task=task,
-        actions=tuple(actions),
-        o_s=rng.random(LAYOUT.obs_dim),
-        o_g=rng.random(LAYOUT.obs_dim),
-        n_es=rng.random(2),
-        n_eg=rng.random(2),
+    """One plan as a one-row ``Samples``."""
+    return Samples(
+        task=np.array([task]),
+        actions=np.array([actions]),
+        o_s=rng.random((1, LAYOUT.obs_dim)),
+        o_g=rng.random((1, LAYOUT.obs_dim)),
+        n_es=rng.random((1, 2)),
+        n_eg=rng.random((1, 2)),
     )
 
 
+def _batch(rng, n):
+    return Samples.concat([_sample(rng) for _ in range(n)])
+
+
 def _x0(samples):
-    return build_x0(stack_plans(samples, LAYOUT), LAYOUT)
+    return build_x0(samples, LAYOUT)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +96,7 @@ class TestSchedule:
 class TestForwardNoising:
     def test_zero_noise_scales_by_sqrt_alpha_bar(self):
         rng = np.random.default_rng(0)
-        x0 = _x0([_sample(rng)])
+        x0 = _x0(_sample(rng))
         sched = make_schedule(10)
         for n in (1, 5, 10):
             xn = q_forward(x0, [n], sched, np.zeros_like(x0))
@@ -100,7 +104,7 @@ class TestForwardNoising:
 
     def test_tiny_beta_is_nearly_identity(self):
         rng = np.random.default_rng(1)
-        x0 = _x0([_sample(rng)])
+        x0 = _x0(_sample(rng))
         sched = make_schedule(5, 1e-12, 1e-12)
         xn = q_forward(x0, [5], sched, np.zeros_like(x0))
         assert np.allclose(xn, x0, atol=1e-10)
@@ -116,7 +120,7 @@ class TestForwardNoising:
 
     def test_step_out_of_range(self):
         rng = np.random.default_rng(2)
-        x0 = _x0([_sample(rng)])
+        x0 = _x0(_sample(rng))
         sched = make_schedule(10)
         with pytest.raises(ScheduleError):
             q_forward(x0, [0], sched, np.zeros_like(x0))
@@ -127,7 +131,7 @@ class TestForwardNoising:
         # Many copies of one clean state noised to one step: per entry, the
         # mean is sqrt(abar) x0 and the variance is 1 - abar.
         rng = np.random.default_rng(3)
-        x0 = np.repeat(_x0([_sample(rng)]), 20000, axis=0)
+        x0 = np.repeat(_x0(_sample(rng)), 20000, axis=0)
         sched = make_schedule(100)
         n = 40
         xn = q_forward(x0, [n] * len(x0), sched, rng.standard_normal(x0.shape))
@@ -137,7 +141,7 @@ class TestForwardNoising:
 
     def test_per_item_steps_match_scalar_closed_form(self):
         rng = np.random.default_rng(21)
-        x0 = _x0([_sample(rng) for _ in range(3)])
+        x0 = _x0(_batch(rng, 3))
         noise = rng.standard_normal(x0.shape)
         sched = make_schedule(10)
         batched = q_forward(x0, [2, 7, 10], sched, noise)
@@ -151,43 +155,32 @@ class TestBuildState:
     def test_middle_observation_rows_are_zero(self):
         rng = np.random.default_rng(4)
         sample = _sample(rng)
-        [state] = _x0([sample])
+        [state] = _x0(sample)
         assert np.array_equal(state[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
-        assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s)
-        assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g)
+        assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s[0])
+        assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g[0])
 
     def test_action_argmax_round_trip(self):
         rng = np.random.default_rng(5)
-        samples = [_sample(rng, actions=(3, 0, 2)), _sample(rng, actions=(1, 1, 0))]
+        samples = Samples.concat([_sample(rng, actions=(3, 0, 2)), _sample(rng, actions=(1, 1, 0))])
         assert decode_plans(_x0(samples), LAYOUT).tolist() == [[3, 0, 2], [1, 1, 0]]
 
     def test_task_rows_identical(self):
         rng = np.random.default_rng(6)
-        [state] = _x0([_sample(rng, task=2)])
+        [state] = _x0(_sample(rng, task=2))
         task_block = state[:, LAYOUT.task_cols]
         assert np.array_equal(task_block, np.tile(task_block[0], (3, 1)))
         assert task_block[0].tolist() == [0.0, 0.0, 1.0]
 
-    def test_label_validation(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError, match="task"):
-            stack_plans([_sample(rng, task=5)], LAYOUT)
-        with pytest.raises(ValueError, match="action"):
-            stack_plans([_sample(rng, actions=(1, 9, 2))], LAYOUT)
-
-    def test_mixed_horizons_rejected(self):
-        rng = np.random.default_rng(14)
-        with pytest.raises(ValueError, match="horizon"):
-            stack_plans([_sample(rng), _sample(rng, actions=(1, 2, 3, 0))], LAYOUT)
-
     def test_take_gathers_rows_of_every_array(self):
         rng = np.random.default_rng(23)
-        samples = [_sample(rng, actions=(a, 0, 1), task=a % 3) for a in range(4)]
+        rows = [_sample(rng, actions=(a, 0, 1), task=a % 3) for a in range(4)]
         idx = np.array([3, 0, 3])
-        assert np.array_equal(
-            build_x0(stack_plans(samples, LAYOUT).take(idx), LAYOUT),
-            _x0([samples[i] for i in idx]),
-        )
+        taken = Samples.concat(rows).take(idx)
+        picked = Samples.concat([rows[i] for i in idx])
+        assert np.array_equal(_x0(taken), _x0(picked))
+        for field in ("task", "actions", "o_s", "o_g", "n_es", "n_eg"):
+            assert np.array_equal(getattr(taken, field), getattr(picked, field))
 
 
 class TestDecodePlan:
@@ -205,7 +198,7 @@ class TestDecodePlan:
 class TestDiffusionLoss:
     def test_oracle_denoiser_reaches_zero(self):
         rng = np.random.default_rng(9)
-        plans = stack_plans([_sample(rng) for _ in range(4)], LAYOUT)
+        plans = _batch(rng, 4)
         oracle = _StubDenoiser(build_x0(plans, LAYOUT))
         loss = diffusion_loss(
             plans, None, make_schedule(10), oracle, LAYOUT, rng=np.random.default_rng(0)
@@ -214,7 +207,7 @@ class TestDiffusionLoss:
 
     def test_zero_denoiser_hits_mean_squared_actions(self):
         rng = np.random.default_rng(10)
-        plans = stack_plans([_sample(rng) for _ in range(3)], LAYOUT)
+        plans = _batch(rng, 3)
         x0s = build_x0(plans, LAYOUT)
         zero = _StubDenoiser(np.zeros_like(x0s))
         loss = diffusion_loss(
@@ -225,11 +218,11 @@ class TestDiffusionLoss:
 
     def test_finite_positive_at_init(self, frozen_vae):
         rng = np.random.default_rng(12)
-        samples = [_sample(rng) for _ in range(4)]
+        samples = _batch(rng, 4)
         code = frozen_vae.encode_constraints_batch(samples)
         net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=0)
         loss = diffusion_loss(
-            stack_plans(samples, LAYOUT), (code.mu, code.logvar), make_schedule(10), net,
+            samples, (code.mu, code.logvar), make_schedule(10), net,
             LAYOUT, rng=np.random.default_rng(0),
         )
         assert np.isfinite(loss.item()) and loss.item() > 0.0
@@ -240,10 +233,10 @@ class TestDiffusionLoss:
         per-sample encodes and forwards in that order, a reference loss
         matches and leaves the generator in the same state."""
         rng = np.random.default_rng(22)
-        samples = [
+        samples = Samples.concat([
             _sample(rng, actions=rng.integers(0, 4, 3), task=int(rng.integers(0, 3)))
             for _ in range(6)
-        ]
+        ])
         net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=4)
         sched = make_schedule(10)
         code = frozen_vae.encode_constraints_batch(samples)
@@ -251,20 +244,20 @@ class TestDiffusionLoss:
         ours = np.random.default_rng(7)
         idx = ours.integers(0, len(samples), 4)
         loss = diffusion_loss(
-            stack_plans(samples, LAYOUT).take(idx), (code.mu[idx], code.logvar[idx]),
+            samples.take(idx), (code.mu[idx], code.logvar[idx]),
             sched, net, LAYOUT, rng=ours,
         )
 
         ref = np.random.default_rng(7)
         drawn = []
         for i in ref.integers(0, len(samples), 4):
-            x0 = _x0([samples[i]])
+            x0 = _x0(samples.take([i]))
             n = int(ref.integers(1, sched.n_steps + 1))
             drawn.append((i, x0, n, q_forward(x0, [n], sched, ref.standard_normal(x0.shape))))
         cols = (Ellipsis, LAYOUT.action_cols)
         per_sample = []
         for i, x0, n, xn in drawn:
-            one = frozen_vae.encode_constraints_batch([samples[i]], use_eps=True, rngs=[ref])
+            one = frozen_vae.encode_constraints_batch(samples.take([i]), use_eps=True, rngs=[ref])
             pred = net.forward(Tensor(xn), [n], net.fuse_batch(one.z, one.eps))
             per_sample.append(mse(getitem(pred, cols), getitem(Tensor(x0), cols)).item())
 
@@ -273,10 +266,9 @@ class TestDiffusionLoss:
 
     def test_without_eps_draws_no_constraint_noise(self, frozen_vae):
         rng = np.random.default_rng(24)
-        samples = [_sample(rng) for _ in range(3)]
-        code = frozen_vae.encode_constraints_batch(samples)
+        plans = _batch(rng, 3)
+        code = frozen_vae.encode_constraints_batch(plans)
         net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=4)
-        plans = stack_plans(samples, LAYOUT)
         with_codes, without = np.random.default_rng(1), np.random.default_rng(1)
         diffusion_loss(plans, (code.mu, code.logvar), make_schedule(10), net, LAYOUT,
                        rng=with_codes, use_eps=False)
@@ -288,9 +280,9 @@ class TestSampling:
     def test_single_step_oracle_recovers_truth(self, frozen_vae):
         rng = np.random.default_rng(15)
         sample = _sample(rng, actions=(2, 1, 3), task=1)
-        oracle = _StubDenoiser(_x0([sample]))
+        oracle = _StubDenoiser(_x0(sample))
         plans = generate_plans(
-            [sample], [1], make_schedule(1), oracle, frozen_vae, LAYOUT, seeds=[0],
+            sample, [1], make_schedule(1), oracle, frozen_vae, LAYOUT, seeds=[0],
             inject_constraints=False,
         )
         assert decode_plans(plans, LAYOUT).tolist() == [[2, 1, 3]]
@@ -299,8 +291,8 @@ class TestSampling:
         rng = np.random.default_rng(16)
         sample = _sample(rng)
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
-        a = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
-        b = generate_plans([sample], [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
+        a = generate_plans(sample, [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
+        b = generate_plans(sample, [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, frozen_vae):
@@ -308,7 +300,8 @@ class TestSampling:
         sample = _sample(rng)
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
         a, b = generate_plans(
-            [sample, sample], [0, 0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[1, 2]
+            Samples.concat([sample, sample]), [0, 0], make_schedule(8), net, frozen_vae, LAYOUT,
+            seeds=[1, 2],
         )
         assert not np.array_equal(a, b)
 
@@ -318,18 +311,18 @@ class TestSampling:
         net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
         predicted_task = 2  # deliberately different from the sample's label
         [state] = generate_plans(
-            [sample], [predicted_task], make_schedule(8), net, frozen_vae, LAYOUT,
+            sample, [predicted_task], make_schedule(8), net, frozen_vae, LAYOUT,
             seeds=[3],
         )
         task_block = state[:, LAYOUT.task_cols]
         assert np.array_equal(task_block, np.tile([0.0, 0.0, 1.0], (3, 1)))
-        assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s)
-        assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g)
+        assert np.array_equal(state[0, LAYOUT.obs_cols], sample.o_s[0])
+        assert np.array_equal(state[-1, LAYOUT.obs_cols], sample.o_g[0])
         assert np.array_equal(state[1, LAYOUT.obs_cols], np.zeros(LAYOUT.obs_dim))
 
     def test_batched_results_are_per_item_seeded(self, frozen_vae):
         rng = np.random.default_rng(19)
-        samples = [_sample(rng) for _ in range(3)]
+        samples = _batch(rng, 3)
         net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=2)
         batch = generate_plans(
             samples, [0, 1, 2], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[5, 6, 7]
@@ -343,4 +336,6 @@ class TestSampling:
         rng = np.random.default_rng(20)
         net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=2)
         with pytest.raises(ValueError, match="align"):
-            generate_plans([_sample(rng)], [0, 1], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[1])
+            generate_plans(
+                _sample(rng), [0, 1], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[1]
+            )

@@ -5,15 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from procplan.corpus import CorpusConfig, generate_corpus
+from procplan.cli import EXIT_FORMAT, main
+from procplan.corpus import CorpusConfig, Samples, generate_corpus
 from procplan.curation import curate_corpus
 from procplan.manifest import ManifestError, read_manifest, write_manifest
+from tests.test_cli import TINY_ARGS
 
 
 @pytest.fixture(scope="module")
 def samples():
     corpus = generate_corpus(CorpusConfig(seed=1))
-    return curate_corpus(corpus, 3, "pdpp")[:10]
+    return curate_corpus(corpus, 3, "pdpp").take(slice(0, 10))
 
 
 def test_round_trip_within_f32_precision(tmp_path, samples):
@@ -21,10 +23,10 @@ def test_round_trip_within_f32_precision(tmp_path, samples):
     loaded, meta = read_manifest(path)
     assert meta == {"obs_dim": 16, "text_dim": 8, "num_tasks": 5, "num_actions": 12}
     assert len(loaded) == len(samples)
-    for a, b in zip(samples, loaded):
-        assert a.task == b.task and a.actions == b.actions
-        for field in ("o_s", "o_g", "n_es", "n_eg"):
-            assert np.allclose(getattr(a, field), getattr(b, field), atol=1e-6)
+    assert np.array_equal(loaded.task, samples.task)
+    assert np.array_equal(loaded.actions, samples.actions)
+    for field in ("o_s", "o_g", "n_es", "n_eg"):
+        assert np.allclose(getattr(loaded, field), getattr(samples, field), atol=1e-6)
 
 
 def test_write_is_deterministic(tmp_path, samples):
@@ -35,9 +37,17 @@ def test_write_is_deterministic(tmp_path, samples):
 
 
 def test_empty_manifest_gives_empty_list(tmp_path):
-    path = write_manifest(str(tmp_path), "empty", [], 4, 2, 3, 6)
+    empty = Samples(
+        task=np.zeros(0, dtype=np.int64),
+        actions=np.zeros((0, 3), dtype=np.int64),
+        o_s=np.zeros((0, 4)),
+        o_g=np.zeros((0, 4)),
+        n_es=np.zeros((0, 2)),
+        n_eg=np.zeros((0, 2)),
+    )
+    path = write_manifest(str(tmp_path), "empty", empty, 4, 2, 3, 6)
     loaded, _ = read_manifest(path)
-    assert loaded == []
+    assert len(loaded) == 0 and loaded.o_s.shape == (0, 4) and loaded.n_eg.shape == (0, 2)
 
 
 def test_truncated_feature_file(tmp_path, samples):
@@ -104,6 +114,70 @@ def test_external_blob_ingestion(tmp_path):
     manifest = tmp_path / "real.json"
     manifest.write_text(json.dumps(doc))
     loaded, _ = read_manifest(str(manifest))
-    assert loaded[0].task == 1
-    assert np.allclose(loaded[0].o_s, record[:6])
-    assert np.allclose(loaded[0].n_eg, record[-3:])
+    assert loaded.task.tolist() == [1] and loaded.actions.tolist() == [[0, 2, 3]]
+    assert np.allclose(loaded.o_s[0], record[:6])
+    assert np.allclose(loaded.n_eg[0], record[-3:])
+
+
+def test_feature_widths_checked_on_write(tmp_path, samples):
+    with pytest.raises(ManifestError, match="48 feature floats each, expected 46"):
+        write_manifest(str(tmp_path), "train", samples, 15, 8, 5, 12)
+
+
+def _edit_samples(path, edit):
+    """Rewrite a manifest after ``edit`` changes its sample entries in place."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc["samples"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+class TestLabelChecks:
+    """``read_manifest`` refuses labels its own ``num_tasks``/``num_actions``
+    cannot hold and manifests that mix horizons, naming the sample."""
+
+    def test_task_label_out_of_range(self, tmp_path, samples):
+        path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+        _edit_samples(path, lambda entries: entries[3].update(task=5))
+        with pytest.raises(ManifestError, match=r"sample 3 has task 5, outside \[0, 5\)"):
+            read_manifest(path)
+
+    def test_action_label_out_of_range(self, tmp_path, samples):
+        path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+        _edit_samples(path, lambda entries: entries[1]["actions"].__setitem__(1, 40))
+        with pytest.raises(ManifestError, match=r"sample 1 has action 40, outside \[0, 12\)"):
+            read_manifest(path)
+
+    def test_negative_labels_rejected(self, tmp_path, samples):
+        path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+        _edit_samples(path, lambda entries: entries[0]["actions"].__setitem__(0, -1))
+        with pytest.raises(ManifestError, match="sample 0 has action -1"):
+            read_manifest(path)
+        _edit_samples(path, lambda entries: entries[0].update(task=-1))
+        with pytest.raises(ManifestError, match="sample 0 has task -1"):
+            read_manifest(path)
+
+    def test_mixed_horizons_rejected(self, tmp_path, samples):
+        path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+        _edit_samples(path, lambda entries: entries[4]["actions"].append(0))
+        with pytest.raises(ManifestError, match="sample 4 has 4 actions, sample 0 has 3"):
+            read_manifest(path)
+
+
+def test_eval_refuses_out_of_range_labels(tmp_path, capsys):
+    """A test split whose labels the trained models cannot represent is a
+    format error at load time, not a report."""
+    workdir = str(tmp_path)
+    assert main(["gen-data", "--workdir", workdir, *TINY_ARGS]) == 0
+    assert main(["train", "--stage", "all", "--workdir", workdir, *TINY_ARGS]) == 0
+
+    def corrupt(entries):
+        entries[0]["task"] = 9
+        entries[1]["actions"][1] = 40
+
+    _edit_samples(str(tmp_path / "test.json"), corrupt)
+    capsys.readouterr()
+    assert main(["eval", "--workdir", workdir, *TINY_ARGS]) == EXIT_FORMAT
+    assert "sample 0 has task 9" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

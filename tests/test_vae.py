@@ -5,11 +5,11 @@ import pytest
 
 from procplan.corpus import CorpusConfig, generate_corpus
 from procplan.curation import curate_corpus, normalize_splits, split
+from procplan.tensor import _sigmoid_array
 from procplan.vae import (
     LATENT_DIM,
     PhaseError,
     StateAutoencoder,
-    state_vectors,
 )
 
 INPUT_DIM = 24
@@ -35,7 +35,7 @@ def trained_setup():
     train, test, _ = normalize_splits(train, test)
     model = StateAutoencoder(input_dim=INPUT_DIM, seed=3)
     rng = np.random.default_rng(0)
-    states = np.stack([vec for s in train for vec in state_vectors(s)])
+    states = train.states().reshape(-1, INPUT_DIM)
     for _ in range(150):
         idx = rng.integers(0, len(states), 64)
         model.train_step(states[idx], lr=1e-3, rng=rng)
@@ -45,19 +45,19 @@ def trained_setup():
 
 class TestEncode:
     def test_output_dims_are_latent(self, model):
-        mu, logvar = model.encode(np.zeros(INPUT_DIM))
+        mu, logvar = model.encode(np.zeros((1, INPUT_DIM)))
         assert mu.shape == (1, LATENT_DIM) and logvar.shape == (1, LATENT_DIM)
 
     def test_zero_weights_give_bias(self, model):
         _zeroed(model)
         model.params["vae.enc.b_mu"].data[:] = [0.25, -0.5]
         model.params["vae.enc.b_logvar"].data[:] = [0.125, 0.75]
-        mu, logvar = model.encode(np.ones(INPUT_DIM))
+        mu, logvar = model.encode(np.ones((1, INPUT_DIM)))
         assert mu.data[0].tolist() == [0.25, -0.5]
         assert logvar.data[0].tolist() == [0.125, 0.75]
 
     def test_deterministic(self, model):
-        x = np.random.default_rng(0).random(INPUT_DIM)
+        x = np.random.default_rng(0).random((1, INPUT_DIM))
         a = model.encode(x)
         b = model.encode(x)
         assert np.array_equal(a[0].data, b[0].data)
@@ -65,11 +65,13 @@ class TestEncode:
 
     def test_wrong_input_dim(self, model):
         with pytest.raises(ValueError, match="input dim"):
-            model.encode(np.zeros(INPUT_DIM + 1))
+            model.encode(np.zeros((1, INPUT_DIM + 1)))
+        with pytest.raises(ValueError, match="input dim"):
+            model.encode(np.zeros(INPUT_DIM))
 
     def test_logvar_clamped(self, model):
         model.params["vae.enc.b_logvar"].data[:] = 100.0
-        _, logvar = model.encode(np.zeros(INPUT_DIM))
+        _, logvar = model.encode(np.zeros((1, INPUT_DIM)))
         assert logvar.data.max() <= 10.0
 
 
@@ -87,14 +89,14 @@ def _biased_codes(model, samples, mu, logvar, use_eps=True, seed=0):
 class TestReparameterize:
     def test_elementwise_formula(self, model, trained_setup):
         _, train, _ = trained_setup
-        code = _biased_codes(model, train[:1], [1.0, 2.0], [0.0, 0.0])
+        code = _biased_codes(model, train.take(slice(0, 1)), [1.0, 2.0], [0.0, 0.0])
         eps = np.random.default_rng(0).standard_normal((2, LATENT_DIM))
         assert np.array_equal(code.z[0], np.array([1.0, 2.0]) + eps)
 
     def test_standard_normal_passthrough(self, model, trained_setup):
         # Each sample's generator supplies (start, goal) noise as one draw.
         _, train, _ = trained_setup
-        code = _biased_codes(model, train[:3], [0.0, 0.0], [0.0, 0.0], seed=5)
+        code = _biased_codes(model, train.take(slice(0, 3)), [0.0, 0.0], [0.0, 0.0], seed=5)
         for i in range(3):
             draws = np.random.default_rng(5 + i).standard_normal((2, LATENT_DIM))
             assert np.array_equal(code.eps[i], draws)
@@ -103,33 +105,41 @@ class TestReparameterize:
     def test_degenerate_sigma_collapses_to_mu(self, model, trained_setup):
         # At the clamp floor sigma = exp(-5); with zero noise z is exactly mu.
         _, train, _ = trained_setup
-        code = _biased_codes(model, train[:2], [0.7, -0.1], [-100.0, -100.0], use_eps=False)
+        code = _biased_codes(
+            model, train.take(slice(0, 2)), [0.7, -0.1], [-100.0, -100.0], use_eps=False
+        )
         assert np.array_equal(code.logvar, np.full((2, 2, LATENT_DIM), -10.0))
         assert np.array_equal(code.z, code.mu)
 
     def test_identity_invariant_holds(self, model, trained_setup):
         _, train, _ = trained_setup
         rng = np.random.default_rng(4)
-        code = _biased_codes(model, train[:25], rng.normal(size=2), rng.normal(size=2))
+        first = train.take(slice(0, 25))
+        code = _biased_codes(model, first, rng.normal(size=2), rng.normal(size=2))
         assert code.z.shape == (25, 2, LATENT_DIM)
         assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
 
     def test_requires_noise_source(self, trained_setup):
         model, train, _ = trained_setup
         with pytest.raises(ValueError, match="generators"):
-            model.encode_constraints_batch(train[:2], use_eps=True, rngs=[np.random.default_rng(0)])
+            model.encode_constraints_batch(
+                train.take(slice(0, 2)), use_eps=True, rngs=[np.random.default_rng(0)]
+            )
 
 
 class TestDecode:
+    """The reconstruction is the sigmoid of ``decode_logits``, as
+    ``bce_with_logits`` applies it."""
+
     def test_output_dim_and_range(self, model):
-        out = model.decode(np.zeros(LATENT_DIM))
+        out = _sigmoid_array(model.decode_logits(np.zeros((1, LATENT_DIM))).data)
         assert out.shape == (1, INPUT_DIM)
-        assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+        assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_zero_weights_give_half(self, model):
         _zeroed(model)
-        out = model.decode(np.zeros(LATENT_DIM))
-        assert np.allclose(out.data, 0.5)
+        out = _sigmoid_array(model.decode_logits(np.zeros((1, LATENT_DIM))).data)
+        assert np.allclose(out, 0.5)
 
 
 class TestTrainStep:
@@ -156,7 +166,7 @@ class TestTrainStep:
         samples = curate_corpus(corpus, 3, "pdpp")
         train, test = split(samples, 0.7, seed=0)
         train, _, _ = normalize_splits(train, test)
-        states = np.stack([vec for s in train for vec in state_vectors(s)])
+        states = train.states().reshape(-1, INPUT_DIM)
         model = StateAutoencoder(input_dim=INPUT_DIM, seed=0)
         rng = np.random.default_rng(0)
         steps_per_epoch = 10
@@ -180,27 +190,27 @@ class TestEncodeConstraints:
         _, train, _ = trained_setup
         with pytest.raises(PhaseError):
             model.encode_constraints_batch(
-                [train[0]], use_eps=True, rngs=[np.random.default_rng(0)]
+                train.take([0]), use_eps=True, rngs=[np.random.default_rng(0)]
             )
 
     def test_no_eps_returns_mu_exactly(self, trained_setup):
         model, train, _ = trained_setup
         code = model.encode_constraints_batch(
-            [train[0]], use_eps=False, rngs=[np.random.default_rng(0)]
+            train.take([0]), use_eps=False, rngs=[np.random.default_rng(0)]
         )
         assert np.array_equal(code.z, code.mu)
         assert np.array_equal(code.eps, np.zeros((1, 2, LATENT_DIM)))
 
     def test_same_seed_reproduces_codes(self, trained_setup):
         model, train, _ = trained_setup
-        a = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
-        b = model.encode_constraints_batch([train[1]], True, [np.random.default_rng(9)])
+        a = model.encode_constraints_batch(train.take([1]), True, [np.random.default_rng(9)])
+        b = model.encode_constraints_batch(train.take([1]), True, [np.random.default_rng(9)])
         assert np.array_equal(a.z, b.z) and np.array_equal(a.eps, b.eps)
 
     def test_reparameterization_identity_machine_precision(self, trained_setup):
         model, train, _ = trained_setup
         rngs = [np.random.default_rng(i) for i in range(20)]
-        code = model.encode_constraints_batch(train[:20], use_eps=True, rngs=rngs)
+        code = model.encode_constraints_batch(train.take(slice(0, 20)), use_eps=True, rngs=rngs)
         assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
 
     def test_batching_moves_codes_only_by_rounding(self, trained_setup):
@@ -211,7 +221,7 @@ class TestEncodeConstraints:
 
         def codes(lo, hi):
             rngs = [np.random.default_rng(i) for i in range(lo, hi)]
-            return model.encode_constraints_batch(train[lo:hi], True, rngs)
+            return model.encode_constraints_batch(train.take(slice(lo, hi)), True, rngs)
 
         whole = codes(0, 64)
         for lo, hi in ((0, 1), (1, 3), (3, 20), (20, 64)):
@@ -223,12 +233,12 @@ class TestEncodeConstraints:
     def test_distinct_tasks_get_distinct_code_pairs(self, trained_setup):
         model, train, _ = trained_setup
         by_task: dict[int, tuple] = {}
-        for sample in train:
-            if sample.task not in by_task:
+        for i, task in enumerate(train.task.tolist()):
+            if task not in by_task:
                 code = model.encode_constraints_batch(
-                    [sample], use_eps=False, rngs=[np.random.default_rng(0)]
+                    train.take([i]), use_eps=False, rngs=[np.random.default_rng(0)]
                 )
-                by_task[sample.task] = code.z.ravel()
+                by_task[task] = code.z.ravel()
         tasks = sorted(by_task)
         for i in tasks:
             for j in tasks:
@@ -237,11 +247,13 @@ class TestEncodeConstraints:
 
     def test_state_vectors_order_observation_then_language(self, trained_setup):
         _, train, _ = trained_setup
-        s = train[0]
-        x_s, x_g = state_vectors(s)
-        assert np.array_equal(x_s[: len(s.o_s)], s.o_s)
-        assert np.array_equal(x_s[len(s.o_s) :], s.n_es)
-        assert np.array_equal(x_g[len(s.o_g) :], s.n_eg)
+        states = train.states()
+        obs_dim = train.o_s.shape[1]
+        assert states.shape == (len(train), 2, INPUT_DIM)
+        assert np.array_equal(states[:, 0, :obs_dim], train.o_s)
+        assert np.array_equal(states[:, 0, obs_dim:], train.n_es)
+        assert np.array_equal(states[:, 1, :obs_dim], train.o_g)
+        assert np.array_equal(states[:, 1, obs_dim:], train.n_eg)
 
 
 class TestFreezing:
