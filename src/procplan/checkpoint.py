@@ -93,7 +93,13 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u32()
-        name = r.take(name_len).decode("utf-8")
+        raw = r.take(name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter name {raw!r} is not UTF-8 ({exc})") from exc
+        if name in arrays:
+            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
         rank = r.u32()
         if rank > 32:
             raise CheckpointError(f"{path}: implausible rank {rank} for {name!r}")

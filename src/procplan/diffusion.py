@@ -189,6 +189,11 @@ def generate_plans(
     stream, so every row draws the same noise however rows are batched;
     the encoder and network outputs agree across batchings only to
     rounding, since BLAS may sum a row differently at another batch size.
+
+    The reverse loop runs inside ``denoiser.item_workers``: with BLAS pinned
+    to one thread on a multi-core Linux machine, forked workers compute
+    some of each step's item chunks, with the same bytes as this process
+    would; they are reaped when the loop returns or raises.
     """
     batch, horizon = conditions.actions.shape
     if not batch:
@@ -209,20 +214,21 @@ def generate_plans(
     impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
 
     noise = np.empty_like(x)
-    for n in range(schedule.n_steps, 0, -1):
-        pred_x0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
-        abar_n = schedule.alpha_bars[n]
-        abar_prev = schedule.alpha_bars[n - 1]
-        beta = schedule.betas[n - 1]
-        alpha = schedule.alphas[n - 1]
-        c0 = np.sqrt(abar_prev) * beta / (1.0 - abar_n)
-        c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
-        x = c0 * pred_x0 + c1 * x
-        if n > 1:
-            for i, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[i])
-            noise *= np.sqrt(beta)
-            x += noise
-        impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
+    with denoiser.item_workers(batch, horizon):
+        for n in range(schedule.n_steps, 0, -1):
+            pred_x0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
+            abar_n = schedule.alpha_bars[n]
+            abar_prev = schedule.alpha_bars[n - 1]
+            beta = schedule.betas[n - 1]
+            alpha = schedule.alphas[n - 1]
+            c0 = np.sqrt(abar_prev) * beta / (1.0 - abar_n)
+            c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
+            x = c0 * pred_x0 + c1 * x
+            if n > 1:
+                for i, rng in enumerate(rngs):
+                    rng.standard_normal(out=noise[i])
+                noise *= np.sqrt(beta)
+                x += noise
+            impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
 
     return x

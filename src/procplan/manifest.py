@@ -75,9 +75,10 @@ def write_manifest(
 def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
     """Load samples; returns (samples, meta) with dims and label counts.
 
-    Every sample must hold as many actions as the first, and its task and
-    action labels must lie below the manifest's ``num_tasks`` and
-    ``num_actions``.
+    ``samples`` must be a list.  Every sample's task, action labels and
+    offset must be JSON integers and its feature file a string; it must
+    hold as many actions as the first sample, and its task and action
+    labels must lie below the manifest's ``num_tasks`` and ``num_actions``.
     """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -100,6 +101,8 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
         raise ManifestError(f"{manifest_path}: missing or invalid field ({exc})") from exc
     if obs_dim < 1 or text_dim < 1:
         raise ManifestError(f"{manifest_path}: dims must be positive")
+    if not isinstance(entries, list):
+        raise ManifestError(f"{manifest_path}: samples must be a list, got {entries!r}")
 
     record = _record_floats(obs_dim, text_dim)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -109,12 +112,22 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
     features = np.empty((len(entries), record))
     for i, entry in enumerate(entries):
         try:
-            task = int(entry["task"])
-            plan = [int(a) for a in entry["actions"]]
-            feature_file = entry["feature_file"]
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
+            task, plan = entry["task"], entry["actions"]
+            feature_file, offset = entry["feature_file"], entry["offset"]
+        except (KeyError, TypeError) as exc:
             raise ManifestError(f"{manifest_path}: sample {i} is malformed ({exc})") from exc
+        if not isinstance(plan, list):
+            raise ManifestError(f"{manifest_path}: sample {i} has actions {plan!r}, not a list")
+        if not isinstance(feature_file, str):
+            raise ManifestError(
+                f"{manifest_path}: sample {i} has feature_file {feature_file!r}, not a string"
+            )
+        for field, value in (("task", task), ("offset", offset), *(("action", a) for a in plan)):
+            # JSON integers only: int() would read 1.9 and true as 1.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ManifestError(
+                    f"{manifest_path}: sample {i} has {field} {value!r}, not an integer"
+                )
         if not 0 <= task < meta["num_tasks"]:
             raise ManifestError(
                 f"{manifest_path}: sample {i} has task {task}, "

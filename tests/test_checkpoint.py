@@ -111,3 +111,28 @@ def test_meta_entries_round_trip(tmp_path):
     params, meta = split_meta(load_checkpoint(path))
     assert list(params) == ["w"]
     assert meta == {"schedule.steps": 200.0, "beta_start": 1e-4}
+
+
+def _renamed(tmp_path, names: dict[bytes, bytes]):
+    """A two-parameter checkpoint with its stored names rewritten in place."""
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(str(good), {"wa": np.ones(2), "wb": np.ones(3)})
+    blob = good.read_bytes()
+    for old, new in names.items():
+        assert blob.count(old) == 1 and len(new) == len(old)
+        blob = blob.replace(old, new)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    return str(bad)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = _renamed(tmp_path, {b"wb": b"\xff\xfe"})
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
+def test_duplicate_name_rejected(tmp_path):
+    path = _renamed(tmp_path, {b"wb": b"wa"})
+    with pytest.raises(CheckpointError, match="'wa' appears twice"):
+        load_checkpoint(path)

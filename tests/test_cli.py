@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, diagnostics."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import procplan
+from procplan import BLAS_THREAD_VARS
 from procplan.checkpoint import save_checkpoint
 from procplan.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_PREREQ, main
 
@@ -22,6 +27,30 @@ TINY_ARGS = [
 
 def _gen(workdir):
     return main(["gen-data", "--workdir", str(workdir), *TINY_ARGS])
+
+
+class TestBlasPinning:
+    """The CLI pins BLAS to one thread before numpy loads, unless the
+    caller chose a thread count."""
+
+    PROBE = (
+        "import os, procplan.cli; from procplan import BLAS_THREAD_VARS, denoiser; "
+        "print([os.environ.get(v) for v in BLAS_THREAD_VARS], denoiser.BLAS_PINNED)"
+    )
+
+    def _probe(self, **blas):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(procplan.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.PROBE], env={**env, **blas},
+                              capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    def test_unset_variables_are_pinned(self):
+        assert self._probe() == "['1', '1', '1'] True"
+
+    def test_caller_thread_count_is_kept(self):
+        assert self._probe(OMP_NUM_THREADS="2") == "[None, '2', None] False"
 
 
 class TestGenData:
@@ -98,6 +127,16 @@ class TestInspectCheckpoint:
         path.write_bytes(b"garbage")
         assert main(["inspect-checkpoint", str(path)]) == EXIT_FORMAT
         assert "format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,message", [
+        (b"\xff\xfe", "not UTF-8"), (b"wa", "'wa' appears twice"),
+    ], ids=["non-utf8", "duplicate"])
+    def test_bad_parameter_name_exits_format(self, tmp_path, capsys, name, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), {"wa": np.zeros(2), "wb": np.zeros(3)})
+        path.write_bytes(path.read_bytes().replace(b"wb", name))
+        assert main(["inspect-checkpoint", str(path)]) == EXIT_FORMAT
+        assert message in capsys.readouterr().err
 
 
 class TestErrorPaths:

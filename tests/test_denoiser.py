@@ -205,5 +205,87 @@ class TestForward:
         out = net.forward(x, [1, 20, TIME_STEPS], net.zero_constraint(3))
         assert len(calls) == bodies and out.shape == x.shape
 
+    @pytest.mark.parametrize("items,t_len,chunks", [
+        (243, 3, 4), (108, 6, 4), (170, 3, 2), (171, 3, 4), (3, 3, 2), (1, 6, 1), (700, 3, 10),
+    ])
+    def test_chunk_layout_is_even_and_whole_items(self, items, t_len, chunks):
+        bounds = denoiser.chunk_bounds(items, t_len)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == items and len(sizes) == chunks
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+
     def test_checkpoint_prefix(self, net):
         assert all(name.startswith("denoiser.") for name in net.params.names())
+
+
+class TestSamplingProcesses:
+    """Sampling forks only where BLAS was pinned to one thread at import."""
+
+    @pytest.mark.parametrize("env,pinned", [
+        ({}, False),
+        ({"MKL_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, False),
+        ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ])
+    def test_blas_pinning(self, env, pinned):
+        assert denoiser.blas_pinned(env) is pinned
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_pinning_gates_forking(self, monkeypatch, pinned):
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", pinned)
+        monkeypatch.setattr(denoiser.sys, "platform", "linux")
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 3)
+        assert denoiser.sampling_processes() == (3 if pinned else 1)
+
+    def test_variables_set_after_import_change_nothing(self, monkeypatch):
+        # BLAS read its thread count when numpy loaded; setting the
+        # variables later must not make this process fork over it.
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", False)
+        for var in denoiser.BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 2)
+        assert denoiser.sampling_processes() == 1
+
+    def test_not_linux_stays_in_process(self, monkeypatch):
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
+        monkeypatch.setattr(denoiser.sys, "platform", "darwin")
+        assert denoiser.sampling_processes() == 1
+
+    def test_other_threads_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
+        monkeypatch.setattr(denoiser.sys, "platform", "linux")
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 2)
+        assert denoiser.sampling_processes() == 2
+        monkeypatch.setattr(denoiser.threading, "active_count", lambda: 2)
+        assert denoiser.sampling_processes() == 1
+
+    @pytest.mark.parametrize("files,cores", [
+        ({}, 3),
+        ({"cpu.max": "max 100000\n"}, 3),
+        ({"cpu.max": "100000 100000\n"}, 1),
+        ({"cpu.max": "250000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"quota": "-1\n", "period": "100000\n"}, 3),
+        ({"quota": "200000\n", "period": "100000\n"}, 2),
+        ({"cpu.max": "garbled\n", "quota": "100000\n", "period": "100000\n"}, 1),
+        ({"cpu.max": "lots 100000\n", "quota": "-1\n", "period": "100000\n"}, 3),
+    ])
+    def test_cpu_quota_caps_usable_cores(self, monkeypatch, tmp_path, files, cores):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(denoiser, "_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period")),
+        ))
+        monkeypatch.setattr(denoiser.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert denoiser.usable_cores() == cores
+
+    def test_unpinned_sampling_forks_nothing(self, net, monkeypatch):
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", False)
+        monkeypatch.setattr(denoiser.os, "fork", lambda: pytest.fail("forked"))
+        net.params.freeze()
+        with net.item_workers(8, 3):
+            assert net._workers is None

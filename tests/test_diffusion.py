@@ -1,8 +1,14 @@
 """Diffusion machinery: schedule, noising, state layout, loss, sampling."""
 
+import contextlib
+import os
+import signal
+import sys
+
 import numpy as np
 import pytest
 
+from procplan import denoiser, diffusion
 from procplan.corpus import Samples
 from procplan.denoiser import BOTTLENECK_CHANNELS, ConditionedUNet
 from procplan.diffusion import (
@@ -16,7 +22,7 @@ from procplan.diffusion import (
     q_forward,
 )
 from procplan.losses import mse
-from procplan.tensor import Tensor, getitem
+from procplan.tensor import NumericError, Tensor, getitem
 from procplan.vae import StateAutoencoder
 
 LAYOUT = BlockLayout(num_tasks=3, num_actions=4, obs_dim=5)
@@ -60,6 +66,9 @@ class _StubDenoiser:
 
     def zero_constraint(self, batch):
         return Tensor(np.zeros((batch, BOTTLENECK_CHANNELS)))
+
+    def item_workers(self, items, t_len):
+        return contextlib.nullcontext()
 
 
 class TestSchedule:
@@ -339,3 +348,150 @@ class TestSampling:
             generate_plans(
                 _sample(rng), [0, 1], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[1]
             )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Treat BLAS as pinned to one thread, so sampling forks a worker, and
+    record the worker pids."""
+    monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _one_core(monkeypatch):
+    monkeypatch.setattr(denoiser, "usable_cores", lambda: 1)
+
+
+@pytest.fixture()
+def parent_chunks(monkeypatch):
+    """The item ranges whose chunks this process computes."""
+    ranges, chunk = [], ConditionedUNet._chunk
+
+    def recording_chunk(self, x, emb, z_c, lo, hi):
+        ranges.append((lo, hi))
+        return chunk(self, x, emb, z_c, lo, hi)
+
+    monkeypatch.setattr(ConditionedUNet, "_chunk", recording_chunk)
+    return ranges
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or denoiser.usable_cores() < 2,
+    reason="the worker path needs Linux and two usable cores",
+)
+class TestWorkerSampling:
+    """With BLAS pinned, a forked worker computes the second half of each
+    sampler forward's item chunks; the in-process path is forced by
+    reporting one usable core."""
+
+    ITEMS = 12  # 36 rows at T=3: two chunks, one per process
+
+    def _plan(self, frozen_vae, net=None, samples=None, items=ITEMS):
+        if samples is None:
+            samples = _batch(np.random.default_rng(21), items)
+        if net is None:
+            net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
+            net.params.freeze()
+        labels = np.arange(items) % LAYOUT.num_tasks
+        return generate_plans(
+            samples, labels, make_schedule(6), net, frozen_vae, LAYOUT,
+            seeds=list(range(100, 100 + items)),
+        )
+
+    def test_plans_identical_across_paths(self, frozen_vae, forks, parent_chunks, monkeypatch):
+        forked = self._plan(frozen_vae)
+        assert len(forks) == 1
+        assert set(parent_chunks) == {(0, self.ITEMS // 2)}  # the worker did the rest
+        _no_child_left()
+        _one_core(monkeypatch)
+        in_process = self._plan(frozen_vae)
+        assert len(forks) == 1
+        assert np.array_equal(forked, in_process)
+
+    def _numeric_message(self, frozen_vae, net=None, samples=None):
+        with pytest.raises(NumericError) as exc:
+            self._plan(frozen_vae, net, samples)
+        return str(exc.value)
+
+    def test_non_finite_weight_same_error(self, frozen_vae, forks, monkeypatch):
+        net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
+        net.params["denoiser.enc2.w"].data[0, 0, 0] = np.nan
+        net.params.freeze()
+        forked = self._numeric_message(frozen_vae, net)
+        assert len(forks) == 1
+        _no_child_left()
+        _one_core(monkeypatch)
+        assert self._numeric_message(frozen_vae, net) == forked
+        assert forked == "conv1d_same: produced non-finite values"
+
+    def test_more_workers_than_cores(self, frozen_vae, forks, monkeypatch):
+        # 200 items at T=3 are four chunks, one per process on however many
+        # cores there are.
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 4)
+        forked = self._plan(frozen_vae, items=200)
+        assert len(forks) == 3
+        _no_child_left()
+        _one_core(monkeypatch)
+        assert np.array_equal(forked, self._plan(frozen_vae, items=200))
+
+    def test_error_in_worker_chunk_recomputed_in_parent(
+        self, frozen_vae, forks, parent_chunks, monkeypatch
+    ):
+        # Only the last item overflows; the worker reports its share failed
+        # and the parent recomputes it, raising the in-process error.
+        samples = _batch(np.random.default_rng(21), self.ITEMS)
+        samples.o_s[-1] = 1e300
+        with np.errstate(over="ignore"):  # the worker inherits it at fork
+            forked = self._numeric_message(frozen_vae, samples=samples)
+            assert len(forks) == 1
+            assert (self.ITEMS // 2, self.ITEMS) in parent_chunks
+            _no_child_left()
+            _one_core(monkeypatch)
+            assert self._numeric_message(frozen_vae, samples=samples) == forked
+
+    def test_parent_exception_mid_loop_reaps_worker(self, frozen_vae, forks, monkeypatch):
+        calls = []
+        impose = diffusion.impose_conditions
+
+        def failing_impose(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise RuntimeError("interrupted")
+            impose(*args)
+
+        monkeypatch.setattr(diffusion, "impose_conditions", failing_impose)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self._plan(frozen_vae)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_dead_worker_rows_computed_in_parent(self, frozen_vae, forks, monkeypatch):
+        expected = self._plan(frozen_vae)
+        calls = []
+        impose = diffusion.impose_conditions
+
+        def killing_impose(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                os.kill(forks[-1], signal.SIGKILL)
+            impose(*args)
+
+        monkeypatch.setattr(diffusion, "impose_conditions", killing_impose)
+        assert np.array_equal(self._plan(frozen_vae), expected)
+        assert len(forks) == 2
+        _no_child_left()

@@ -1,6 +1,7 @@
 """Manifest and raw-feature blob round trips and failure modes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ def test_missing_fields(tmp_path):
         read_manifest(str(bad))
 
 
+def test_samples_not_a_list(tmp_path, samples):
+    path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+    doc = json.loads((tmp_path / "train.json").read_text())
+    doc["samples"] = 5
+    (tmp_path / "train.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="samples must be a list"):
+        read_manifest(path)
+
+
 def test_negative_offset_rejected(tmp_path, samples):
     path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
     doc = json.loads((tmp_path / "train.json").read_text())
@@ -156,6 +166,21 @@ class TestLabelChecks:
             read_manifest(path)
         _edit_samples(path, lambda entries: entries[0].update(task=-1))
         with pytest.raises(ManifestError, match="sample 0 has task -1"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("task", 1.9, "task 1.9"),
+        ("task", True, "task True"),
+        ("task", "1", "task '1'"),
+        ("actions", "358", "actions '358', not a list"),
+        ("actions", [3, 5.0, 8], "action 5.0"),
+        ("offset", 96.5, "offset 96.5"),
+        ("feature_file", 5, "feature_file 5, not a string"),
+    ])
+    def test_non_integer_fields_rejected(self, tmp_path, samples, field, value, shown):
+        path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+        _edit_samples(path, lambda entries: entries[2].update({field: value}))
+        with pytest.raises(ManifestError, match=f"sample 2 has {re.escape(shown)}"):
             read_manifest(path)
 
     def test_mixed_horizons_rejected(self, tmp_path, samples):

@@ -3,13 +3,14 @@
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.config import ConfigError, RunConfig, StageParams, apply_overrides, load_config
-from procplan import pipeline
+from procplan import denoiser, pipeline
 from procplan.pipeline import (
     STAGES,
     PipelineError,
@@ -190,6 +191,28 @@ class TestTrainedPipeline:
         workdir, cfg, report = trained_workdir
         again = evaluate(cfg, workdir)
         assert again == report
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or denoiser.usable_cores() < 2,
+        reason="the worker path needs Linux and two usable cores",
+    )
+    def test_forked_sampling_gives_the_same_plans(self, trained_workdir, monkeypatch):
+        workdir, cfg, _ = trained_workdir
+        plans, forks = [], []
+        sample, fork = pipeline.generate_plans, os.fork
+        monkeypatch.setattr(
+            pipeline, "generate_plans", lambda *a, **k: plans.append(sample(*a, **k)) or plans[-1]
+        )
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
+        forked = evaluate(cfg, workdir, report_name="report_forked")
+        assert forks
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 1)
+        in_process = evaluate(cfg, workdir, report_name="report_in_process")
+        assert len(forks) == 1 and np.array_equal(plans[0], plans[1])
+        assert forked == in_process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_gt_boundary_eval_never_lowers_sr(self, trained_workdir):
         workdir, cfg, report = trained_workdir
