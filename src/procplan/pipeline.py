@@ -450,12 +450,3 @@ def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = No
     with open(os.path.join(workdir, "ablation.csv"), "w", encoding="utf-8") as fh:
         fh.write(aligned_csv(lines))
     return table
-
-
-def run_full_pipeline(config: RunConfig, workdir: str) -> PlanReport:
-    """gen-data, three training stages in order, then evaluation."""
-    generate_dataset(config, workdir)
-    train_stage("vae", config, workdir)
-    train_stage("classifier", config, workdir)
-    train_stage("diffusion", config, workdir)
-    return evaluate(config, workdir)

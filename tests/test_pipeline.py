@@ -1,16 +1,22 @@
 """Learning-rate schedule, stage ordering, determinism, reports."""
 
+import gc
 import json
 import os
 import re
+import resource
 import sys
 
 import numpy as np
 import pytest
 
 from procplan.checkpoint import load_checkpoint, save_checkpoint
+from procplan.classifier import TaskClassifier
 from procplan.config import ConfigError, RunConfig, StageParams, apply_overrides, load_config
 from procplan import denoiser, pipeline
+from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule
+from procplan.manifest import read_manifest
+from procplan.optim import adamw_step
 from procplan.pipeline import (
     STAGES,
     PipelineError,
@@ -320,6 +326,90 @@ class TestDeterminismEndToEnd:
         generate_dataset(cfg, str(tmp_path / "b"))
         for name in ("train.json", "train.f32", "test.json", "test.f32"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_train(tmp_path_factory):
+    workdir = str(tmp_path_factory.mktemp("data"))
+    cfg = make_tiny_config()
+    generate_dataset(cfg, workdir)
+    return cfg, read_manifest(os.path.join(workdir, "train.json"))[0]
+
+
+def _cyclic_garbage_after(steps) -> int:
+    """Run ``steps`` with the cyclic GC off; count what only it could free."""
+    gc.collect()
+    gc.disable()
+    try:
+        steps()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestTrainingStepMemory:
+    """Each training step's graph is freed by reference count when it ends."""
+
+    def test_vae_steps_leave_no_cyclic_garbage(self, tiny_train):
+        cfg, train = tiny_train
+        model = StateAutoencoder(input_dim=cfg.data.obs_dim + cfg.data.text_dim, seed=0)
+        states = train.states().reshape(2 * len(train), model.input_dim)
+        rng = np.random.default_rng(0)
+
+        def steps():
+            for i in range(3):
+                model.train_step(states[8 * i:8 * i + 8], lr=1e-3, rng=rng)
+
+        assert _cyclic_garbage_after(steps) == 0
+
+    def test_classifier_steps_leave_no_cyclic_garbage(self, tiny_train):
+        cfg, train = tiny_train
+        model = TaskClassifier(obs_dim=cfg.data.obs_dim, num_tasks=cfg.data.num_tasks, seed=0)
+
+        def steps():
+            for i in range(3):
+                idx = np.arange(4 * i, 4 * i + 4)
+                model.train_step(train.o_s[idx], train.o_g[idx], train.task[idx], lr=1e-3)
+
+        assert _cyclic_garbage_after(steps) == 0
+
+    def test_diffusion_steps_leave_no_cyclic_garbage(self, tiny_train):
+        cfg, train = tiny_train
+        vae = StateAutoencoder(input_dim=cfg.data.obs_dim + cfg.data.text_dim, seed=0)
+        vae.freeze()
+        codes = vae.encode_constraints_batch(train)
+        layout = BlockLayout(cfg.data.num_tasks, cfg.data.num_actions, cfg.data.obs_dim)
+        model = denoiser.ConditionedUNet(layout.feature_dim, cfg.schedule.steps, seed=0)
+        schedule = make_schedule(cfg.schedule.steps)
+        rng = np.random.default_rng(0)
+
+        def steps():
+            for i in range(3):
+                idx = np.arange(4 * i, 4 * i + 4)
+                code = (codes.mu[idx], codes.logvar[idx])
+                loss = diffusion_loss(train.take(idx), code, schedule, model, layout, rng=rng)
+                model.params.zero_grads()
+                loss.backward()
+                adamw_step(model.params, lr=1e-3)
+
+        assert _cyclic_garbage_after(steps) == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap padding")
+    def test_vae_steps_do_not_refault_the_heap(self):
+        # Without the heap-top pad set when procplan.tensor is imported,
+        # glibc returns each freed graph to the OS and the next step faults
+        # it back in: hundreds of minor faults a step instead of none.
+        cfg = RunConfig()
+        model = StateAutoencoder(input_dim=cfg.data.obs_dim + cfg.data.text_dim, seed=0)
+        rng = np.random.default_rng(0)
+        batch = rng.random((cfg.vae.batch_size, model.input_dim))
+        for _ in range(10):
+            model.train_step(batch, lr=1e-3, rng=rng)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            model.train_step(batch, lr=1e-3, rng=rng)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100 * 50, faults / 50
 
 
 class TestAblationSuite:

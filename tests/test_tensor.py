@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, analytic gradients, error contracts."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,24 @@ class TestBackward:
         t = Tensor(src)
         src[0] = 99.0
         assert t.data[0] == 0.0
+
+    def test_dropped_graph_leaves_no_cyclic_garbage(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+        gain, bias = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))
+        gc.collect()
+        gc.disable()
+        try:
+            h = T.gelu(T.layer_norm(T.conv1d_same(x, w), gain, bias))
+            loss = T.mean(T.concat([h, h[:, :2] * 2.0], axis=1).reshape(-1))
+            loss.backward()
+            del h, loss
+            # Every op output is freed by reference count, not by the GC.
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert x.grad.shape == x.shape and gain.grad.shape == gain.shape
 
 
 def _random_case(rng, shape):
