@@ -26,7 +26,9 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS
 from .optim import ParamStore
-from .tensor import Tensor, concat, conv1d_same, gelu, layer_norm, matmul, reshape
+from .tensor import (
+    Tensor, concat, conv1d_same, float32_tensor, gelu, layer_norm, matmul, reshape,
+)
 from .vae import LATENT_DIM
 
 TIME_EMBED_DIM = 64
@@ -41,10 +43,11 @@ KERNEL = 3
 # Chunks are the unit of parallel work, and their size also suits the cache:
 # with desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1 is the widest
 # conv, reading 2 * BOTTLENECK_CHANNELS channels over KERNEL taps, so its
-# im2col matrix at 256 rows is 256 * 768 * 8 B = 1.5 MB, which fits one
-# core's 2 MB L2; a whole 729-row eval batch (243 plans x T=3) spills it at
-# 4.5 MB.  Wider features make enc1's im2col the widest (10-15 MB at 256
-# rows for the D = 1,559-2,494 presets), which no chunk this size keeps in L2.
+# float32 im2col matrix at 256 rows is 256 * 768 * 4 B = 0.75 MB, well
+# inside one core's 2 MB L2 (twice that in float64); a whole
+# 729-row eval batch (243 plans x T=3) would take 2.2 MB.  Wider features
+# make enc1's im2col the widest (4.8-7.7 MB at 256 rows in float32 for the
+# D = 1,559-2,494 presets), which no chunk this size keeps in L2.
 CHUNK_ROWS = 256
 
 
@@ -153,16 +156,18 @@ class ConditionedUNet:
             b = self.params.add(name + ".b", np.zeros(d_out))
             return w, b
 
+        # The body reads its weights by name (``_forward_rows``); the
+        # registration order is the checkpoint order.
         d, c1, c2 = feature_dim, BASE_CHANNELS, BOTTLENECK_CHANNELS
-        self.enc1_w, self.enc1_b = conv("denoiser.enc1", d, c1)
-        self.enc2_w, self.enc2_b = conv("denoiser.enc2", c1, c2)
-        self.ln_gain = self.params.add("denoiser.bottleneck.ln_gain", np.ones(c2))
-        self.ln_bias = self.params.add("denoiser.bottleneck.ln_bias", np.zeros(c2))
-        self.mid_w, self.mid_b = conv("denoiser.bottleneck", c2, c2)
-        self.dec1_w, self.dec1_b = conv("denoiser.dec1", c2 + c2, c1)
-        self.out_w, self.out_b = conv("denoiser.out", c1 + c1, d)
-        self.time_w1, self.time_b1 = linear("denoiser.time1", TIME_EMBED_DIM, c2)
-        self.time_w2, self.time_b2 = linear("denoiser.time2", c2, c2, gain=1.0)
+        conv("denoiser.enc1", d, c1)
+        conv("denoiser.enc2", c1, c2)
+        self.params.add("denoiser.bottleneck.ln_gain", np.ones(c2))
+        self.params.add("denoiser.bottleneck.ln_bias", np.zeros(c2))
+        conv("denoiser.bottleneck", c2, c2)
+        conv("denoiser.dec1", c2 + c2, c1)
+        conv("denoiser.out", c1 + c1, d)
+        linear("denoiser.time1", TIME_EMBED_DIM, c2)
+        linear("denoiser.time2", c2, c2, gain=1.0)
         self.fuse_w, self.fuse_b = linear("denoiser.fuse", FUSION_INPUT_DIM, c2, gain=1.0)
 
     # -- constraint fusion ---------------------------------------------------
@@ -193,10 +198,11 @@ class ConditionedUNet:
         the [B, C] constraint batch (use ``zero_constraint`` to disable).
         Only a forward that records no graph (a frozen network on plain
         inputs, as in sampling) runs in chunks of whole items
-        (``chunk_bounds``); training runs each batch whole.  Inside
-        ``item_workers`` forked processes run some of the chunks.  Each
-        chunk runs the same code on the same bytes wherever it runs, so the
-        output does not depend on how many processes share the batch.
+        (``chunk_bounds``), each in float32 (``_chunks``); training runs
+        each batch whole, in float64.  Inside ``item_workers`` forked
+        processes run some of the chunks.  Each chunk runs the same code on
+        the same bytes wherever it runs, so the output does not depend on
+        how many processes share the batch.
         """
         if x.ndim != 3 or x.shape[-1] != self.feature_dim:
             raise ValueError(
@@ -212,13 +218,13 @@ class ConditionedUNet:
                 f"forward: constraint batch must be {(items, BOTTLENECK_CHANNELS)}, got {z_c.shape}"
             )
         if not self.params.frozen or x.requires_grad or z_c.requires_grad:
-            return self._forward_rows(x, emb, z_c)
+            return self._forward_rows(x, Tensor(emb), z_c, self.params)
         if self._workers is not None and self._workers.shape == x.shape:
             return Tensor(self._workers.forward(x.data, emb, z_c.data))
         bounds = chunk_bounds(items, t_len)
-        return Tensor(np.concatenate([
-            self._chunk(x.data, emb, z_c.data, lo, hi) for lo, hi in zip(bounds, bounds[1:])
-        ]))
+        return Tensor(np.concatenate(
+            self._chunks(x.data, emb, z_c.data, list(zip(bounds, bounds[1:])))
+        ))
 
     @contextlib.contextmanager
     def item_workers(self, items: int, t_len: int):
@@ -247,21 +253,41 @@ class ConditionedUNet:
             self._workers = None
             pool.close()
 
-    def _chunk(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The network body over items [lo, hi) of a graph-free batch."""
-        return self._forward_rows(Tensor(x[lo:hi]), emb[lo:hi], Tensor(z_c[lo:hi])).data
+    def _chunks(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
+                spans: list[tuple[int, int]]) -> list[np.ndarray]:
+        """The network body over items [lo, hi) of a graph-free batch, for
+        each (lo, hi) in ``spans``, as float64 arrays.
 
-    def _forward_rows(self, x: Tensor, emb: np.ndarray, z_c: Tensor) -> Tensor:
-        """The network body over one chunk of items."""
-        t_h = gelu(matmul(Tensor(emb), self.time_w1) + self.time_b1)
-        t_emb = matmul(t_h, self.time_w2) + self.time_b2
-        h1 = gelu(conv1d_same(x, self.enc1_w, self.enc1_b))
-        h2 = gelu(conv1d_same(h1, self.enc2_w, self.enc2_b))
+        The body runs in float32 on float32 copies of the inputs and the
+        weights (``float32_tensor``); an input beyond float32's range
+        raises ``NumericError``.  The weights are cast once per call and
+        never kept, since a parameter's array may be written in place.
+        """
+        weights = {name: float32_tensor(t.data, checked=False) for name, t in self.params.items()}
+        return [
+            self._forward_rows(
+                float32_tensor(x[lo:hi]), float32_tensor(emb[lo:hi]),
+                float32_tensor(z_c[lo:hi]), weights,
+            ).data.astype(np.float64)
+            for lo, hi in spans
+        ]
+
+    def _forward_rows(self, x: Tensor, emb: Tensor, z_c: Tensor, weights) -> Tensor:
+        """The network body over one chunk of items, with ``weights``
+        mapping each parameter name to its tensor: the parameters, or the
+        float32 copies ``_chunks`` makes."""
+        def w(name: str) -> Tensor:
+            return weights["denoiser." + name]
+
+        t_h = gelu(matmul(emb, w("time1.w")) + w("time1.b"))
+        t_emb = matmul(t_h, w("time2.w")) + w("time2.b")
+        h1 = gelu(conv1d_same(x, w("enc1.w"), w("enc1.b")))
+        h2 = gelu(conv1d_same(h1, w("enc2.w"), w("enc2.b")))
         cond = reshape(t_emb + z_c, (x.shape[0], 1, BOTTLENECK_CHANNELS))
-        mid_in = layer_norm(h2 + cond, self.ln_gain, self.ln_bias)
-        mid = gelu(conv1d_same(mid_in, self.mid_w, self.mid_b))
-        d1 = gelu(conv1d_same(concat([mid, h2], axis=-1), self.dec1_w, self.dec1_b))
-        return conv1d_same(concat([d1, h1], axis=-1), self.out_w, self.out_b)
+        mid_in = layer_norm(h2 + cond, w("bottleneck.ln_gain"), w("bottleneck.ln_bias"))
+        mid = gelu(conv1d_same(mid_in, w("bottleneck.w"), w("bottleneck.b")))
+        d1 = gelu(conv1d_same(concat([mid, h2], axis=-1), w("dec1.w"), w("dec1.b")))
+        return conv1d_same(concat([d1, h1], axis=-1), w("out.w"), w("out.b"))
 
 
 class _Worker:
@@ -343,8 +369,9 @@ class _ItemWorkers:
         """The worker's loop: one request byte per forward, until EOF."""
         while os.read(request, 1):
             try:
-                for lo, hi in share:
-                    self.out[lo:hi] = self.net._chunk(self.x, self.emb, self.z_c, lo, hi)
+                parts = self.net._chunks(self.x, self.emb, self.z_c, share)
+                for (lo, hi), part in zip(share, parts):
+                    self.out[lo:hi] = part
             except Exception:  # left for the parent to recompute
                 os.write(reply, b"0")
                 continue
@@ -363,7 +390,7 @@ class _ItemWorkers:
                     worker.alive = False
         done = set()
         try:
-            parts = [self.net._chunk(x, emb, z_c, lo, hi) for lo, hi in self.own]
+            parts = self.net._chunks(x, emb, z_c, self.own)
         finally:
             for worker in posted:
                 try:
@@ -374,8 +401,8 @@ class _ItemWorkers:
                 if reply == b"1":
                     done.add(worker)
         for worker in self.workers:
-            parts += [self.out[lo:hi] if worker in done else self.net._chunk(x, emb, z_c, lo, hi)
-                      for lo, hi in worker.share]
+            parts += ([self.out[lo:hi] for lo, hi in worker.share] if worker in done
+                      else self.net._chunks(x, emb, z_c, worker.share))
         return np.concatenate(parts)
 
     def close(self) -> None:

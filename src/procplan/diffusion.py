@@ -28,6 +28,21 @@ from .tensor import Tensor, getitem
 from .vae import StateAutoencoder, reparameterize
 
 
+# The sampler draws each item's noise for up to NOISE_BLOCK_STEPS reverse
+# steps in one call (``noise_block_steps``), into a block of at most
+# NOISE_BLOCK_BYTES unless one step is larger: a 16-step block of a large
+# batch with D ~ 2,000 features would otherwise take hundreds of MB.
+NOISE_BLOCK_STEPS = 16
+NOISE_BLOCK_BYTES = 16 << 20
+
+
+def noise_block_steps(state_bytes: int) -> int:
+    """Reverse steps of noise each item draws per call, for a batch state
+    of ``state_bytes``: ``NOISE_BLOCK_STEPS``, fewer when the block would
+    pass ``NOISE_BLOCK_BYTES``, and at least one."""
+    return max(1, min(NOISE_BLOCK_STEPS, NOISE_BLOCK_BYTES // state_bytes))
+
+
 class ScheduleError(ValueError):
     """Noise schedule parameters are out of bounds."""
 
@@ -193,7 +208,10 @@ def generate_plans(
     The reverse loop runs inside ``denoiser.item_workers``: with BLAS pinned
     to one thread on a multi-core Linux machine, forked workers compute
     some of each step's item chunks, with the same bytes as this process
-    would; they are reaped when the loop returns or raises.
+    would; they are reaped when the loop returns or raises.  Each item's
+    stream gives its noise for a block of steps at a time
+    (``NOISE_BLOCK_STEPS``), the same numbers in the same order as one
+    draw per step.
     """
     batch, horizon = conditions.actions.shape
     if not batch:
@@ -213,7 +231,8 @@ def generate_plans(
         x[i, :, layout.action_cols] = rng.standard_normal((horizon, layout.num_actions))
     impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
 
-    noise = np.empty_like(x)
+    block = noise_block_steps(x.nbytes)
+    noise = np.empty((batch, block) + x.shape[1:])
     with denoiser.item_workers(batch, horizon):
         for n in range(schedule.n_steps, 0, -1):
             pred_x0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
@@ -223,12 +242,20 @@ def generate_plans(
             alpha = schedule.alphas[n - 1]
             c0 = np.sqrt(abar_prev) * beta / (1.0 - abar_n)
             c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
-            x = c0 * pred_x0 + c1 * x
+            # x = c0 * pred_x0 + c1 * x, in place.
+            pred_x0 *= c0
+            x *= c1
+            x += pred_x0
             if n > 1:
-                for i, rng in enumerate(rngs):
-                    rng.standard_normal(out=noise[i])
-                noise *= np.sqrt(beta)
-                x += noise
+                # Steps n = N..2 draw noise; the draw for step n is number
+                # N - n of each item's stream after its initial state.
+                slot = (schedule.n_steps - n) % block
+                if slot == 0:
+                    for i, rng in enumerate(rngs):
+                        rng.standard_normal(out=noise[i, :min(block, n - 1)])
+                step_noise = noise[:, slot]
+                step_noise *= np.sqrt(beta)
+                x += step_noise
             impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
 
     return x

@@ -1,7 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Everything is 64-bit and CPU-only: the models here are desk-scale and the
+Training is 64-bit and CPU-only: the models here are desk-scale and the
 finite-difference checks in :mod:`procplan.gradcheck` need the precision.
+``Tensor(...)`` always casts to float64.  The one float32 path is
+``float32_tensor``, which the frozen denoiser's graph-free sampling
+forward uses for its inputs and weight copies.  The ops that network body
+uses (matmul, add, conv1d_same, gelu, layer_norm, concat, reshape) keep
+their operands' dtype, so that forward runs in float32 end to end; it
+records no graph.
+
 A ``Tensor`` wraps a numpy array; operations record a graph whenever any
 input has ``requires_grad`` set, and ``Tensor.backward`` accumulates
 gradients into the leaves.  Gradients accumulate across repeated backward
@@ -57,7 +64,8 @@ def _check_finite(op: str, data: np.ndarray) -> None:
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient buffer.
+    """Dense float64 array with an optional gradient buffer (float32 only
+    from ``float32_tensor`` and the ops applied to its output).
 
     Tensors are value-semantic: the constructor copies its input, and a
     tensor with no graph attached is safe to share between threads.
@@ -174,6 +182,26 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
+
+
+def float32_tensor(data: np.ndarray, checked: bool = True) -> Tensor:
+    """A float32 copy of ``data`` as a tensor that records no graph.
+
+    The only way to make a float32 tensor: ``Tensor()`` casts to float64,
+    so float32 manifest blobs never quietly turn training into float32.
+    A finite value beyond float32's range becomes infinite without a
+    RuntimeWarning; ``checked`` raises ``NumericError`` for it, and an
+    unchecked copy (a weight) leaves it to the first op that reads it, as
+    for a float64 parameter written in place.
+    """
+    with np.errstate(over="ignore"):
+        arr = data.astype(np.float32)
+    if checked:
+        _check_finite("float32", arr)
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad = arr, False, None
+    out._parents, out._backward = (), None
+    return out
 
 
 def _ensure_tensor(value) -> Tensor:
@@ -467,7 +495,8 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     ``x`` is [..., T, C_in], ``weight`` is [K, C_in, C_out] with odd K,
     ``bias`` is an optional [C_out], and the time axis is zero-padded so the
     output is [..., T, C_out].  The forward is one im2col gemm,
-    [rows*T, K*C_in] @ [K*C_in, C_out]; the backward is analytic.
+    [rows*T, K*C_in] @ [K*C_in, C_out], in the operands' dtype; the
+    backward is analytic.
     """
     x, weight = _ensure_tensor(x), _ensure_tensor(weight)
     if weight.ndim != 3:
@@ -497,7 +526,7 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
         shift = tap - half
         lo = min(max(0, -shift), t_len)
         spans.append((shift, lo, max(min(t_len, t_len - shift), lo)))
-    cols = np.empty((rows, t_len, k, c_in))
+    cols = np.empty((rows, t_len, k, c_in), dtype=np.result_type(seqs, weight.data))
     for tap, (shift, lo, hi) in enumerate(spans):
         cols[:, :lo, tap] = 0.0
         cols[:, lo:hi, tap] = seqs[:, lo + shift:hi + shift]

@@ -184,7 +184,38 @@ class TestForward:
             net.forward(Tensor(x[lo:hi]), steps[lo:hi], Tensor(z_c[lo:hi])).data
             for lo, hi in ((0, cut), (cut, items))
         ]
-        assert np.allclose(whole, np.concatenate(parts), rtol=1e-12, atol=0.0)
+        # Chunks run in float32, where a row's sums depend on the batching
+        # to about 3e-7 relative.
+        assert np.allclose(whole, np.concatenate(parts), rtol=0.0, atol=1e-5 * np.abs(whole).max())
+
+    def test_graph_free_forward_is_float32_close_to_graph_forward(self, net, monkeypatch):
+        # One frozen network and one batch: with ``x`` requiring grad the
+        # forward records a graph in float64; on plain inputs it runs its
+        # chunks in float32 and returns float64.
+        dtypes = []
+        conv = T.conv1d_same
+
+        def spy(x, weight, bias=None):
+            dtypes.append({x.data.dtype, weight.data.dtype, bias.data.dtype})
+            return conv(x, weight, bias)
+
+        monkeypatch.setattr(denoiser, "conv1d_same", spy)
+        net.params.freeze()
+        rng = np.random.default_rng(12)
+        items = 9
+        x = rng.normal(size=(items, 4, FEATURE_DIM))
+        steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
+        z_c = _fuse(net, _code(rng, batch=items))
+        graph = net.forward(Tensor(x, requires_grad=True), steps, z_c)
+        assert graph.requires_grad and dtypes == [{np.dtype(np.float64)}] * 5
+        dtypes.clear()
+        free = net.forward(Tensor(x), steps, z_c)
+        chunks = len(denoiser.chunk_bounds(items, 4)) - 1
+        assert not free.requires_grad and free.data.dtype == np.float64
+        assert dtypes == [{np.dtype(np.float32)}] * (5 * chunks)
+        scale = np.abs(graph.data).max()
+        assert np.allclose(free.data, graph.data, rtol=0.0, atol=1e-5 * scale)
+        assert not np.array_equal(free.data, graph.data)
 
     @pytest.mark.parametrize("frozen,x_grad,bodies", [
         (False, False, 1), (True, True, 1), (True, False, 3),

@@ -4,6 +4,7 @@ import contextlib
 import os
 import signal
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from procplan.diffusion import (
     decode_plans,
     diffusion_loss,
     generate_plans,
+    impose_conditions,
     make_schedule,
     q_forward,
 )
@@ -350,6 +352,66 @@ class TestSampling:
             )
 
 
+def _per_step_reference(samples, labels, schedule, net, vae, seeds):
+    """``generate_plans`` as one noise draw and one posterior expression
+    per reverse step."""
+    batch, horizon = samples.actions.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    code = vae.encode_constraints_batch(samples, use_eps=True, rngs=rngs)
+    z_c = net.fuse_batch(code.z, code.eps)
+    x = np.zeros((batch, horizon, LAYOUT.feature_dim))
+    for i, rng in enumerate(rngs):
+        x[i, :, LAYOUT.action_cols] = rng.standard_normal((horizon, LAYOUT.num_actions))
+    impose_conditions(x, labels, samples.o_s, samples.o_g, LAYOUT)
+    for n in range(schedule.n_steps, 0, -1):
+        pred_x0 = net.forward(Tensor(x), [n] * batch, z_c).data
+        abar_n, abar_prev = schedule.alpha_bars[n], schedule.alpha_bars[n - 1]
+        beta, alpha = schedule.betas[n - 1], schedule.alphas[n - 1]
+        c0 = np.sqrt(abar_prev) * beta / (1.0 - abar_n)
+        c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
+        x = c0 * pred_x0 + c1 * x
+        if n > 1:
+            noise = np.stack([rng.standard_normal(x.shape[1:]) for rng in rngs])
+            x = x + np.sqrt(beta) * noise
+        impose_conditions(x, labels, samples.o_s, samples.o_g, LAYOUT)
+    return x
+
+
+class TestNoiseBlocks:
+    """The sampler draws each item's noise for several steps at once and
+    updates the state in place, with the bytes of one draw per step."""
+
+    K = diffusion.NOISE_BLOCK_STEPS
+
+    @pytest.mark.parametrize("n_steps", [1, 2, K, K + 1, 2 * K + 1])
+    @pytest.mark.parametrize("block_steps", [None, 1, 3])
+    def test_states_equal_per_step_reference(self, frozen_vae, monkeypatch, n_steps, block_steps):
+        items = 4
+        samples = _batch(np.random.default_rng(23), items)
+        if block_steps is not None:  # a byte budget that holds this many steps
+            state_bytes = items * 3 * LAYOUT.feature_dim * 8
+            monkeypatch.setattr(diffusion, "NOISE_BLOCK_BYTES", block_steps * state_bytes + 7)
+        net = ConditionedUNet(LAYOUT.feature_dim, n_steps, seed=4)
+        net.params.freeze()
+        labels = np.arange(items) % LAYOUT.num_tasks
+        seeds = list(range(40, 40 + items))
+        schedule = make_schedule(n_steps)
+        got = generate_plans(samples, labels, schedule, net, frozen_vae, LAYOUT, seeds=seeds)
+        want = _per_step_reference(samples, labels, schedule, net, frozen_vae, seeds)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("items,horizon,dim,steps", [
+        (243, 3, 33, K),  # desk
+        (108, 6, 33, K),  # plan-h6
+        (500, 4, 2494, 1),  # a wide preset: one step is 40 MB
+        (64, 4, 1559, 5),
+    ])
+    def test_block_steps_within_byte_budget(self, items, horizon, dim, steps):
+        state_bytes = items * horizon * dim * 8
+        assert diffusion.noise_block_steps(state_bytes) == steps
+        assert steps == 1 or steps * state_bytes <= diffusion.NOISE_BLOCK_BYTES
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -380,13 +442,13 @@ def _one_core(monkeypatch):
 @pytest.fixture()
 def parent_chunks(monkeypatch):
     """The item ranges whose chunks this process computes."""
-    ranges, chunk = [], ConditionedUNet._chunk
+    ranges, chunks = [], ConditionedUNet._chunks
 
-    def recording_chunk(self, x, emb, z_c, lo, hi):
-        ranges.append((lo, hi))
-        return chunk(self, x, emb, z_c, lo, hi)
+    def recording_chunks(self, x, emb, z_c, spans):
+        ranges.extend(spans)
+        return chunks(self, x, emb, z_c, spans)
 
-    monkeypatch.setattr(ConditionedUNet, "_chunk", recording_chunk)
+    monkeypatch.setattr(ConditionedUNet, "_chunks", recording_chunks)
     return ranges
 
 
@@ -463,6 +525,29 @@ class TestWorkerSampling:
             _no_child_left()
             _one_core(monkeypatch)
             assert self._numeric_message(frozen_vae, samples=samples) == forked
+
+    def test_cast_overflow_raises_numeric_error(self, forks, parent_chunks, monkeypatch):
+        # A finite state entry beyond float32's range, in the worker's
+        # share: the float32 cast raises NumericError, with no overflow
+        # RuntimeWarning, and the parent's recomputation raises the same.
+        net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
+        net.params.freeze()
+        x = np.random.default_rng(25).normal(size=(self.ITEMS, 3, LAYOUT.feature_dim))
+        x[-1, 1, 0] = 1e300
+
+        def message():
+            with warnings.catch_warnings():  # the worker inherits it at fork
+                warnings.simplefilter("error", RuntimeWarning)
+                with net.item_workers(self.ITEMS, 3), pytest.raises(NumericError) as exc:
+                    net.forward(Tensor(x), [6] * self.ITEMS, net.zero_constraint(self.ITEMS))
+            return str(exc.value)
+
+        forked = message()
+        assert len(forks) == 1
+        assert (self.ITEMS // 2, self.ITEMS) in parent_chunks
+        _no_child_left()
+        _one_core(monkeypatch)
+        assert message() == forked == "float32: produced non-finite values"
 
     def test_parent_exception_mid_loop_reaps_worker(self, frozen_vae, forks, monkeypatch):
         calls = []
