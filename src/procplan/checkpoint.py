@@ -12,18 +12,18 @@ Layout (all integers little-endian):
         payload  f64 * prod(extents), little-endian, row-major
 
 Round trips are bit-exact; loaders validate structure before trusting any
-length field.  Scalar metadata (schedule parameters, architecture sizes)
-is stored as ordinary entries under a ``_meta.`` name prefix so one format
-covers everything.
+length field.  A checkpoint's provenance record (the config keys its
+training read) is stored as empty entries named ``_meta.<key>=<value>``,
+so one format covers everything.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
+
+from . import atomic_write
 
 MAGIC = b"CLADCKPT"
 VERSION = 1
@@ -35,7 +35,7 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path: str, arrays: dict[str, np.ndarray]) -> None:
-    """Write atomically: serialize to a temp file, then rename into place."""
+    """Serialize ``arrays`` and write the file atomically."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<II", VERSION, len(arrays))
@@ -47,17 +47,7 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray]) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.astype("<f8", copy=False).tobytes()
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(blob))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, bytes(blob))
 
 
 class _Reader:
@@ -120,18 +110,28 @@ def inspect_checkpoint(path: str) -> list[tuple[str, tuple[int, ...]]]:
     return [(name, tuple(arr.shape)) for name, arr in arrays.items()]
 
 
-def pack_meta(values: dict[str, float]) -> dict[str, np.ndarray]:
-    """Encode scalar metadata as checkpoint entries."""
-    return {META_PREFIX + key: np.asarray([float(v)]) for key, v in values.items()}
+def pack_meta(record: dict[str, str]) -> dict[str, np.ndarray]:
+    """Encode a provenance record as empty ``_meta.<key>=<value>`` entries."""
+    return {f"{META_PREFIX}{key}={value}": np.empty(0) for key, value in record.items()}
 
 
-def split_meta(arrays: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Separate parameter entries from ``_meta.`` scalar entries."""
+def split_meta(
+    arrays: dict[str, np.ndarray], path: str
+) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Separate parameters from the ``_meta.`` record.  An entry that is not
+    ``key=value`` with no payload (an older file's float), or repeats a key, is an error."""
     params: dict[str, np.ndarray] = {}
-    meta: dict[str, float] = {}
+    record: dict[str, str] = {}
     for name, arr in arrays.items():
-        if name.startswith(META_PREFIX):
-            meta[name[len(META_PREFIX):]] = float(np.asarray(arr).reshape(-1)[0])
-        else:
+        if not name.startswith(META_PREFIX):
             params[name] = arr
-    return params, meta
+            continue
+        key, sep, value = name[len(META_PREFIX):].partition("=")
+        if not key or not sep or np.size(arr):
+            raise CheckpointError(
+                f"{path}: entry {name!r} is not an empty {META_PREFIX}<key>=<value> record"
+            )
+        if key in record:
+            raise CheckpointError(f"{path}: record key {key!r} appears twice")
+        record[key] = value
+    return params, record

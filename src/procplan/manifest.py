@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
+from . import atomic_write
 from .corpus import Samples
 
 
@@ -50,7 +50,6 @@ def write_manifest(
     blob = np.concatenate([samples.o_s, samples.o_g, samples.n_es, samples.n_eg], axis=1)
     if blob.shape[1] != record:
         raise ManifestError(f"samples hold {blob.shape[1]} feature floats each, expected {record}")
-    os.makedirs(directory, exist_ok=True)
     feature_file = f"{name}.f32"
     entries = [
         {"task": task, "actions": actions, "feature_file": feature_file, "offset": i * record}
@@ -63,12 +62,9 @@ def write_manifest(
         "num_actions": num_actions,
         "samples": entries,
     }
-    _atomic_write(os.path.join(directory, feature_file), blob.astype("<f4").tobytes())
+    atomic_write(os.path.join(directory, feature_file), blob.astype("<f4").tobytes())
     manifest_path = os.path.join(directory, f"{name}.json")
-    _atomic_write(
-        manifest_path,
-        json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8") + b"\n",
-    )
+    atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return manifest_path
 
 
@@ -164,15 +160,3 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
     plans = np.array(actions, dtype=np.int64).reshape(len(entries), horizon)
     return Samples(np.array(tasks, dtype=np.int64), plans, o_s, o_g, n_es, n_eg), meta
 
-
-def _atomic_write(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, asdict
+
+from . import atomic_write
 
 
 class MetricsError(ValueError):
@@ -149,13 +150,7 @@ def score_pairs(pairs: list[PlanPair]) -> dict[str, float]:
     }
 
 
-def write_report(path_prefix: str, report: PlanReport) -> tuple[str, str]:
-    """Write ``<prefix>.json`` and ``<prefix>.csv``; returns both paths."""
-    json_path = path_prefix + ".json"
-    csv_path = path_prefix + ".csv"
-    os.makedirs(os.path.dirname(os.path.abspath(json_path)), exist_ok=True)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(reports_to_csv([report]))
-    return json_path, csv_path
+def write_report(path_prefix: str, report: PlanReport) -> None:
+    """Write ``<prefix>.json`` and ``<prefix>.csv``."""
+    atomic_write(path_prefix + ".json", report.to_json())
+    atomic_write(path_prefix + ".csv", reports_to_csv([report]))

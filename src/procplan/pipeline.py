@@ -17,6 +17,7 @@ import zlib
 
 import numpy as np
 
+from . import atomic_write
 from . import checkpoint as ckpt
 from .classifier import TaskClassifier
 from .config import RunConfig, StageParams, apply_overrides
@@ -30,7 +31,7 @@ from .diffusion import (
     generate_plans,
     make_schedule,
 )
-from .manifest import read_manifest, write_manifest
+from .manifest import ManifestError, read_manifest, write_manifest
 from .metrics import PlanPair, PlanReport, aligned_csv, apply_gt_boundary, score_pairs, write_report
 from .optim import adamw_step
 from .tensor import NumericError
@@ -75,13 +76,46 @@ def _corpus_config(config: RunConfig) -> CorpusConfig:
     )
 
 
-def _data_keys(config: RunConfig) -> dict[str, str]:
-    """The config keys that determine what ``generate_dataset`` writes."""
+# The config keys each artifact depends on ("data": the manifests).  Diffusion
+# trained against the frozen vae, so it records ``vae.*`` too.  Only eval reads
+# ``flags.gt_boundary_eval`` and ``dataset_name``; ablation variants differ
+# only in flags, so they share each seed's vae and classifier.
+_DATA_KEYS = ("seed", "horizon", "curation", "data.*")
+_PROVENANCE = {
+    "data": _DATA_KEYS,
+    "vae": _DATA_KEYS + ("vae.*",),
+    "classifier": _DATA_KEYS + ("classifier.*",),
+    "diffusion": _DATA_KEYS + ("vae.*", "diffusion.*", "schedule.*")
+    + ("flags.use_eps", "flags.inject_constraints"),
+}
+
+
+def provenance(config: RunConfig, artifact: str) -> dict[str, str]:
+    """The ``to_kv`` strings of the config keys ``artifact`` depends on."""
+    wanted = _PROVENANCE[artifact]
     return {
         key: value
         for key, value in config.to_kv().items()
-        if key in ("seed", "horizon", "curation") or key.startswith("data.")
+        if key in wanted or key.split(".")[0] + ".*" in wanted
     }
+
+
+def check_provenance(source: str, made_with: dict[str, str], config: RunConfig,
+                     artifact: str) -> None:
+    """Raise ``PipelineError`` naming the first key whose value in the record
+    ``made_with``, read from ``source``, is not ``config``'s (or is on one side only)."""
+    current = provenance(config, artifact)
+    for key in sorted(made_with.keys() | current.keys()):
+        if made_with.get(key) != current.get(key):
+            raise PipelineError(
+                f"{source} was made with {key} = {made_with.get(key)}, "
+                f"config {key} is {current.get(key)}"
+            )
+
+
+def _manifest_meta(config: RunConfig) -> dict[str, int]:
+    keys = ("obs_dim", "text_dim", "num_tasks", "num_actions")
+    return {key: getattr(config.data, key) for key in keys}
 
 
 def generate_dataset(config: RunConfig, workdir: str) -> dict:
@@ -91,24 +125,17 @@ def generate_dataset(config: RunConfig, workdir: str) -> dict:
     samples = curate_corpus(corpus, config.horizon, config.curation)
     train, test = split(samples, config.data.split_ratio, seed=stage_seed(config.seed, "split"))
     train, test, _ = normalize_splits(train, test)
-    meta_args = dict(
-        obs_dim=config.data.obs_dim,
-        text_dim=config.data.text_dim,
-        num_tasks=config.data.num_tasks,
-        num_actions=config.data.num_actions,
-    )
-    write_manifest(workdir, "train", train, **meta_args)
-    write_manifest(workdir, "test", test, **meta_args)
+    write_manifest(workdir, "train", train, **_manifest_meta(config))
+    write_manifest(workdir, "test", test, **_manifest_meta(config))
     info = {
-        "data": _data_keys(config),
+        "data": provenance(config, "data"),
         "fingerprint": config.fingerprint(),
         "videos": len(corpus.videos),
         "train_samples": len(train),
         "test_samples": len(test),
     }
-    with open(os.path.join(workdir, "dataset.json"), "w", encoding="utf-8") as fh:
-        json.dump(info, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    info_json = json.dumps(info, sort_keys=True, indent=1) + "\n"
+    atomic_write(os.path.join(workdir, "dataset.json"), info_json)
     return info
 
 
@@ -119,12 +146,7 @@ def _load_split(config: RunConfig, workdir: str, name: str) -> Samples:
             f"{name} manifest not found in {workdir!r}; run gen-data first"
         )
     samples, meta = read_manifest(path)
-    expected = {
-        "obs_dim": config.data.obs_dim,
-        "text_dim": config.data.text_dim,
-        "num_tasks": config.data.num_tasks,
-        "num_actions": config.data.num_actions,
-    }
+    expected = _manifest_meta(config)
     if meta != expected:
         raise PipelineError(
             f"{name} manifest metadata {meta} does not match config {expected}"
@@ -138,15 +160,15 @@ def _load_split(config: RunConfig, workdir: str, name: str) -> Samples:
     info_path = os.path.join(workdir, "dataset.json")
     if not os.path.exists(info_path):
         raise PrerequisiteError(f"dataset.json not found in {workdir!r}; run gen-data first")
-    with open(info_path, encoding="utf-8") as fh:
-        made_with = json.load(fh).get("data", {})
-    current = _data_keys(config)
-    for key in sorted(set(current) | set(made_with)):
-        if made_with.get(key) != current.get(key):
-            raise PipelineError(
-                f"{name} data was generated with {key} = {made_with.get(key)}, "
-                f"config {key} is {current.get(key)}"
-            )
+    try:
+        with open(info_path, encoding="utf-8") as fh:
+            info = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"{info_path}: cannot read ({exc})") from exc
+    made_with = info.get("data") if isinstance(info, dict) else None
+    if not isinstance(made_with, dict) or not all(isinstance(v, str) for v in made_with.values()):
+        raise ManifestError(f"{info_path}: expected an object whose data maps keys to strings")
+    check_provenance(info_path, made_with, config, "data")
     return samples
 
 
@@ -157,27 +179,16 @@ def _ckpt_path(workdir: str, stage: str, tag: str = "") -> str:
     return os.path.join(workdir, f"{stage}{suffix}.ckpt")
 
 
-def _stage_model(stage: str, config: RunConfig, seed: int) -> tuple[StageModel, dict]:
-    """A fresh model for ``stage`` and the ``_meta.`` fields its checkpoint stores."""
+def _stage_model(stage: str, config: RunConfig, seed: int) -> StageModel:
+    """A fresh model for ``stage``."""
     data = config.data
     if stage == "vae":
-        input_dim = data.obs_dim + data.text_dim
-        return StateAutoencoder(input_dim=input_dim, seed=seed), {"vae.input_dim": input_dim}
+        return StateAutoencoder(input_dim=data.obs_dim + data.text_dim, seed=seed)
     if stage == "classifier":
-        model = TaskClassifier(obs_dim=data.obs_dim, num_tasks=data.num_tasks, seed=seed)
-        return model, {"classifier.obs_dim": data.obs_dim, "classifier.num_tasks": data.num_tasks}
+        return TaskClassifier(obs_dim=data.obs_dim, num_tasks=data.num_tasks, seed=seed)
     if stage == "diffusion":
         feature_dim = _layout(config).feature_dim
-        model = ConditionedUNet(
-            feature_dim=feature_dim, time_steps=config.schedule.steps, seed=seed
-        )
-        return model, {
-            "denoiser.feature_dim": feature_dim,
-            "denoiser.time_steps": config.schedule.steps,
-            "schedule.steps": config.schedule.steps,
-            "schedule.beta_start": config.schedule.beta_start,
-            "schedule.beta_end": config.schedule.beta_end,
-        }
+        return ConditionedUNet(feature_dim=feature_dim, time_steps=config.schedule.steps, seed=seed)
     raise PipelineError(f"unknown stage {stage!r}, expected one of {STAGES}")
 
 
@@ -185,8 +196,7 @@ def _write_loss_curve(path: str, header: list[str], rows: list[list[float]]) -> 
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.8g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> dict:
@@ -197,7 +207,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     A non-finite value raises ``NumericError`` naming the stage and step.
     """
     config.validate()
-    model, meta = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
+    model = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
     train = _load_split(config, workdir, "train")
     params: StageParams = getattr(config, stage)
     rng = np.random.default_rng(stage_seed(config.seed, f"train.{stage}"))
@@ -273,7 +283,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     if stage == "diffusion" and vae.params.checksum() != frozen_checksum:
         raise PipelineError("frozen autoencoder changed during diffusion training")
     arrays = model.params.state_arrays()
-    arrays.update(ckpt.pack_meta(meta))
+    arrays.update(ckpt.pack_meta(provenance(config, stage)))
     path = _ckpt_path(workdir, stage, tag)
     ckpt.save_checkpoint(path, arrays)
     curve_path = path[: -len(".ckpt")] + "_loss.csv"
@@ -288,29 +298,16 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
 
 def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> StageModel:
-    """Load a trained stage's model, frozen, checking its checkpoint against ``config``.
-
-    Every ``_meta.`` field the checkpoint stores must equal the value
-    ``train_stage`` would store for ``config``; a mismatched, missing or
-    unknown field raises ``PipelineError`` naming the key.
-    """
-    model, expected = _stage_model(stage, config, seed=0)
+    """Load a trained stage's model, frozen, checking its checkpoint's
+    provenance record against ``config`` (see ``check_provenance``)."""
+    model = _stage_model(stage, config, seed=0)
     path = _ckpt_path(workdir, stage, tag)
     if not os.path.exists(path):
         raise PrerequisiteError(
             f"{stage} checkpoint missing at {path!r} (train the {stage} stage first)"
         )
-    arrays, meta = ckpt.split_meta(ckpt.load_checkpoint(path))
-    for key, value in expected.items():
-        if key not in meta:
-            raise PipelineError(f"{path}: checkpoint metadata lacks {key!r}")
-        if meta[key] != float(value):
-            raise PipelineError(
-                f"{path}: checkpoint has {key} = {meta[key]!r}, config expects {value!r}"
-            )
-    unknown = sorted(meta.keys() - expected.keys())
-    if unknown:
-        raise PipelineError(f"{path}: unknown checkpoint metadata {unknown}")
+    arrays, made_with = ckpt.split_meta(ckpt.load_checkpoint(path), path)
+    check_provenance(path, made_with, config, stage)
     model.params.load_state(arrays)
     model.params.freeze()
     return model
@@ -407,7 +404,6 @@ def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = No
     for seed in seeds:
         seed_cfg = apply_overrides(config, {"seed": str(seed)})
         seed_dir = os.path.join(workdir, f"seed{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
         generate_dataset(seed_cfg, seed_dir)
         train_stage("vae", seed_cfg, seed_dir)
         train_stage("classifier", seed_cfg, seed_dir)
@@ -435,9 +431,8 @@ def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = No
         for variant in ABLATION_VARIANTS
     }
     table = {"rows": rows, "medians": medians, "seeds": seeds}
-    with open(os.path.join(workdir, "ablation.json"), "w", encoding="utf-8") as fh:
-        json.dump(table, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    table_json = json.dumps(table, sort_keys=True, indent=1) + "\n"
+    atomic_write(os.path.join(workdir, "ablation.json"), table_json)
     columns = ("sr", "macc", "msiou")
     lines = [("variant", "seed", "SR", "mAcc", "mSIoU")]
     lines += [
@@ -447,6 +442,5 @@ def ablation_suite(config: RunConfig, workdir: str, seeds: list[int] | None = No
         (variant, "median", *(f"{med[m]:.4f}" for m in columns))
         for variant, med in medians.items()
     ]
-    with open(os.path.join(workdir, "ablation.csv"), "w", encoding="utf-8") as fh:
-        fh.write(aligned_csv(lines))
+    atomic_write(os.path.join(workdir, "ablation.csv"), aligned_csv(lines))
     return table

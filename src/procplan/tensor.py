@@ -143,28 +143,28 @@ class Tensor:
 
     # Operator sugar; all defer to the module-level ops below.
     def __add__(self, other):
-        return add(self, _ensure_tensor(other))
+        return add(self, _ensure_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_ensure_tensor(other), self)
+        return add(_ensure_tensor(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _ensure_tensor(other))
+        return mul(self, _ensure_tensor(other, self))
 
     def __rmul__(self, other):
-        return mul(_ensure_tensor(other), self)
+        return mul(_ensure_tensor(other, self), self)
 
     def __neg__(self):
-        return mul(self, _ensure_tensor(-1.0))
+        return mul(self, _ensure_tensor(-1.0, self))
 
     def __sub__(self, other):
-        return add(self, -_ensure_tensor(other))
+        return add(self, -_ensure_tensor(other, self))
 
     def __rsub__(self, other):
-        return add(_ensure_tensor(other), -self)
+        return add(_ensure_tensor(other, self), -self)
 
     def __truediv__(self, other: float):
-        return mul(self, _ensure_tensor(1.0 / other))
+        return mul(self, _ensure_tensor(1.0 / other, self))
 
     def __matmul__(self, other):
         return matmul(self, _ensure_tensor(other))
@@ -204,8 +204,13 @@ def float32_tensor(data: np.ndarray, checked: bool = True) -> Tensor:
     return out
 
 
-def _ensure_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _ensure_tensor(value, like: Tensor | None = None) -> Tensor:
+    """``value`` as a tensor; a Python scalar operand of ``like`` takes its dtype."""
+    if isinstance(value, Tensor):
+        return value
+    if like is not None and like.data.dtype == np.float32 and isinstance(value, (int, float)):
+        return float32_tensor(np.array(value, dtype=np.float64))
+    return Tensor(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and structural validation."""
 
+import re
 import struct
 
 import numpy as np
@@ -106,11 +107,34 @@ def test_inspect_matches_writer(tmp_path):
 def test_meta_entries_round_trip(tmp_path):
     path = str(tmp_path / "m.ckpt")
     arrays = {"w": np.ones(3)}
-    arrays.update(pack_meta({"schedule.steps": 200, "beta_start": 1e-4}))
+    arrays.update(pack_meta({"schedule.steps": "200", "schedule.beta_start": "0.0001"}))
     save_checkpoint(path, arrays)
-    params, meta = split_meta(load_checkpoint(path))
+    loaded = load_checkpoint(path)
+    assert list(loaded) == ["w", "_meta.schedule.steps=200", "_meta.schedule.beta_start=0.0001"]
+    assert all(loaded[name].shape == (0,) for name in loaded if name != "w")
+    params, record = split_meta(loaded, path)
     assert list(params) == ["w"]
-    assert meta == {"schedule.steps": 200.0, "beta_start": 1e-4}
+    assert record == {"schedule.steps": "200", "schedule.beta_start": "0.0001"}
+
+
+@pytest.mark.parametrize(
+    "name, payload, message",
+    [
+        ("_meta.schedule.steps", np.asarray([200.0]), "not an empty _meta.<key>=<value>"),
+        ("_meta.schedule.steps=200", np.asarray([200.0]), "not an empty _meta.<key>=<value>"),
+        ("_meta.=200", np.empty(0), "not an empty _meta.<key>=<value>"),
+        ("_meta.seed=1", np.empty(0), "'seed' appears twice"),
+    ],
+    ids=["float-entry", "payload", "no-key", "repeated-key"],
+)
+def test_malformed_meta_entry_rejected(tmp_path, name, payload, message):
+    """An older file's float ``_meta.`` entry, a record entry with a payload
+    or without a key, and a repeated key are format errors naming the entry."""
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, {"w": np.ones(3), "_meta.seed=0": np.empty(0), name: payload})
+    with pytest.raises(CheckpointError, match=re.escape(message)) as exc:
+        split_meta(load_checkpoint(path), path)
+    assert path in str(exc.value)
 
 
 def _renamed(tmp_path, names: dict[bytes, bytes]):

@@ -10,7 +10,7 @@ import pytest
 
 import procplan
 from procplan import BLAS_THREAD_VARS
-from procplan.checkpoint import save_checkpoint
+from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_PREREQ, main
 
 TINY_ARGS = [
@@ -76,6 +76,23 @@ class TestTrainEvalFlow:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_checkpoint_records_the_config_it_trained_with(self, tmp_path, capsys):
+        assert _gen(tmp_path) == 0
+        assert main(["train", "--stage", "all", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
+        capsys.readouterr()
+        assert main(["inspect-checkpoint", str(tmp_path / "diffusion.ckpt")]) == 0
+        assert "_meta.flags.inject_constraints=true  [0]" in capsys.readouterr().out.splitlines()
+        eval_args = ["eval", "--workdir", str(tmp_path), *TINY_ARGS]
+        assert main([*eval_args, "--set", "diffusion.epochs=9"]) == 1
+        assert "config diffusion.epochs is 9" in capsys.readouterr().err
+        # A file with the older float ``_meta.`` entries must be retrained.
+        arrays = load_checkpoint(str(tmp_path / "diffusion.ckpt"))
+        older = {name: a for name, a in arrays.items() if not name.startswith("_meta.")}
+        older["_meta.schedule.steps"] = np.asarray([20.0])
+        save_checkpoint(str(tmp_path / "diffusion.ckpt"), older)
+        assert main(eval_args) == EXIT_FORMAT
+        assert "'_meta.schedule.steps' is not an empty" in capsys.readouterr().err
+
     def test_diffusion_without_vae_exits_prereq(self, tmp_path, capsys):
         _gen(tmp_path)
         code = main(["train", "--stage", "diffusion", "--workdir", str(tmp_path), *TINY_ARGS])
@@ -94,6 +111,25 @@ class TestTrainEvalFlow:
         assert main([*args, "--set", "classifier.peak_lr=1e200"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert re.search(r"numeric: classifier step \d+: \w+: produced non-finite", err), err
+
+
+class TestDatasetRecord:
+    @pytest.mark.parametrize(
+        "text",
+        [None, "[1]", '{"data": ["seed"]}', '{"data": {"seed": 0}}', '{"videos": 20}'],
+        ids=["truncated", "not-an-object", "data-not-an-object", "non-string-value", "no-data"],
+    )
+    def test_malformed_dataset_json_exits_format(self, tmp_path, capsys, text):
+        """A dataset.json that is cut short or is not an object whose
+        ``data`` maps keys to strings is a format error naming the file."""
+        assert _gen(tmp_path) == 0
+        path = tmp_path / "dataset.json"
+        path.write_text(path.read_text()[:40] if text is None else text)
+        capsys.readouterr()
+        assert main(["train", "--stage", "vae", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("error: format: ") and "dataset.json" in err
+        assert not (tmp_path / "vae.ckpt").exists()
 
 
 class TestAblate:

@@ -1,6 +1,7 @@
 """Sequence metrics against independent naive oracles."""
 
 import itertools
+import os
 
 import pytest
 
@@ -14,6 +15,7 @@ from procplan.metrics import (
     reports_to_csv,
     score_pairs,
     success_rate,
+    write_report,
 )
 
 
@@ -193,6 +195,21 @@ class TestPlanReport:
         assert '"sr": 0.5' in report.to_json()
         csv_text = reports_to_csv([report])
         assert csv_text.splitlines()[0].replace(" ", "") == "dataset,curation,T,SR,mAcc,mSIoU"
+
+    def test_interrupted_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        """Reports are renamed into place, as every artifact is: a write cut
+        short leaves the previous file and no temporary one."""
+        prefix = str(tmp_path / "report")
+        write_report(prefix, self._report())
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_report(prefix, self._report(sr=0.25))
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
     def test_out_of_range_rejected(self):
         with pytest.raises(MetricsError):

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import sys
 
 import numpy as np
@@ -272,34 +273,66 @@ class TestTrainedPipeline:
             ("schedule.beta_end", "0.2"),
             ("schedule.beta_start", "0.0002"),
             ("onehot_scale", "stale"),
-            ("denoiser.feature_dim", "delete"),
+            ("diffusion.epochs", "delete"),
         ],
     )
     def test_corrupted_checkpoint_meta_detected(self, trained_workdir, tmp_path, key, change):
-        """A stored ``_meta.`` entry that is corrupted, deleted, stale (no
-        longer written), or that differs from an eval-time override must
+        """A stored ``_meta.`` record entry that is corrupted, deleted, stale
+        (no longer written), or that differs from an eval-time override must
         fail the load, naming it."""
         workdir, cfg, _ = trained_workdir
         arrays = load_checkpoint(os.path.join(workdir, "diffusion.ckpt"))
+        stored = [name for name in arrays if name.startswith(f"_meta.{key}=")]
         overrides = {}
         if change == "corrupt":
-            arrays["_meta." + key] = np.asarray([999.0])
+            arrays[f"_meta.{key}=999"] = arrays.pop(stored[0])
         elif change == "stale":
-            arrays["_meta." + key] = np.asarray([1.0])
+            arrays[f"_meta.{key}=1.0"] = np.empty(0)
         elif change == "delete":
-            del arrays["_meta." + key]
+            del arrays[stored[0]]
         else:
             overrides[key] = change
-        clone = str(tmp_path / "clone")
-        os.makedirs(clone)
-        for name in ("train.json", "train.f32", "test.json", "test.f32", "dataset.json",
-                     "vae.ckpt", "classifier.ckpt"):
-            with open(os.path.join(workdir, name), "rb") as src:
-                with open(os.path.join(clone, name), "wb") as dst:
-                    dst.write(src.read())
+        clone = _clone(workdir, tmp_path)
         save_checkpoint(os.path.join(clone, "diffusion.ckpt"), arrays)
-        with pytest.raises(PipelineError, match=re.escape(key)):
+        with pytest.raises(PipelineError, match=re.escape(f"made with {key} = ")):
             evaluate(apply_overrides(cfg, overrides), clone)
+
+    def test_eval_refuses_other_diffusion_hyperparameters(self, trained_workdir):
+        """The report's fingerprint must be the config the denoiser trained with."""
+        workdir, cfg, _ = trained_workdir
+        other = apply_overrides(cfg, {"diffusion.epochs": "9", "diffusion.peak_lr": "1e-2"})
+        message = "diffusion.ckpt was made with diffusion.epochs = 2, config diffusion.epochs is 9"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            evaluate(other, workdir)
+
+    def test_eval_refuses_diffusion_trained_without_injection(self, trained_workdir):
+        workdir, cfg, _ = trained_workdir
+        plain = apply_overrides(cfg, {"flags.inject_constraints": "false"})
+        train_stage("diffusion", plain, workdir, tag="plain")
+        evaluate(plain, workdir, tag="plain", report_name="report_plain")
+        message = "flags.inject_constraints = false, config flags.inject_constraints is true"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            evaluate(cfg, workdir, tag="plain")
+
+    def test_eval_refuses_a_retrained_vae(self, trained_workdir, tmp_path):
+        """The denoiser must be sampled through the frozen vae it trained against."""
+        workdir, cfg, _ = trained_workdir
+        clone = _clone(workdir, tmp_path)
+        retrained = apply_overrides(cfg, {"vae.peak_lr": "1e-2"})
+        train_stage("vae", retrained, clone)
+        message = "vae.ckpt was made with vae.peak_lr = 0.01, config vae.peak_lr is 0.001"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            evaluate(cfg, clone)
+        message = "diffusion.ckpt was made with vae.peak_lr = 0.001, config vae.peak_lr is 0.01"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            evaluate(retrained, clone)
+
+
+def _clone(workdir: str, tmp_path) -> str:
+    """A copy of ``workdir`` that a test may change."""
+    clone = str(tmp_path / "clone")
+    shutil.copytree(workdir, clone)
+    return clone
 
 
 class TestDeterminismEndToEnd:

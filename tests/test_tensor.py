@@ -101,6 +101,44 @@ class TestErrors:
             Tensor([np.nan])
 
 
+class TestScalarOperands:
+    OPS = {
+        "mul": lambda t: t * 0.5, "rmul": lambda t: 0.5 * t,
+        "add": lambda t: t + 1, "radd": lambda t: 1 + t,
+        "sub": lambda t: t - 0.25, "rsub": lambda t: 0.25 - t,
+        "neg": lambda t: -t, "div": lambda t: t / 3,
+    }
+    EXPLICIT = {
+        "mul": lambda t: T.mul(t, Tensor(0.5)), "rmul": lambda t: T.mul(Tensor(0.5), t),
+        "add": lambda t: T.add(t, Tensor(1)), "radd": lambda t: T.add(Tensor(1), t),
+        "sub": lambda t: T.add(t, T.mul(Tensor(0.25), Tensor(-1.0))),
+        "rsub": lambda t: T.add(Tensor(0.25), T.mul(t, Tensor(-1.0))),
+        "neg": lambda t: T.mul(t, Tensor(-1.0)), "div": lambda t: T.mul(t, Tensor(1.0 / 3)),
+    }
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_scalar_keeps_float32(self, op):
+        x = np.random.default_rng(0).normal(size=(2, 3))
+        out = self.OPS[op](T.float32_tensor(x))
+        assert out.data.dtype == np.float32
+        expected = self.EXPLICIT[op](Tensor(x)).data
+        assert np.allclose(out.data, expected, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_float64_bit_identical(self, op):
+        x = np.random.default_rng(1).normal(size=(2, 3))
+        out = self.OPS[op](Tensor(x)).data
+        assert out.dtype == np.float64
+        assert np.array_equal(out.view(np.uint64), self.EXPLICIT[op](Tensor(x)).data.view(np.uint64))
+
+    @pytest.mark.parametrize("scalar", [np.nan, np.inf, 1e39])
+    def test_non_finite_or_overflowing_scalar_raises(self, scalar):
+        with pytest.raises(NumericError):
+            T.float32_tensor(np.ones(3)) * scalar
+        with pytest.raises(NumericError):
+            scalar + T.float32_tensor(np.ones(3))
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([3.0], requires_grad=True)
