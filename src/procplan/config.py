@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
+
+
+# Horizons whose corpus windows ``generate_corpus`` checks identify the task.
+SUPPORTED_HORIZONS = range(3, 7)
 
 
 class ConfigError(Exception):
@@ -103,10 +108,29 @@ class RunConfig:
     flags: Flags = field(default_factory=Flags)
 
     def validate(self) -> None:
-        if self.horizon < 2:
-            raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
+        """Raise ``ConfigError`` for a value that would fail a later stage or
+        be silently ignored (NaN noise reads as "no noise", for example)."""
+        values = dict(self._items())
+        for key, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.curation not in ("pdpp", "kepp"):
             raise ConfigError(f"curation must be pdpp or kepp, got {self.curation!r}")
+        data, sched = self.data, self.schedule
+        horizons = f"{SUPPORTED_HORIZONS[0]}..{SUPPORTED_HORIZONS[-1]}"
+        rules = (
+            ("horizon", self.horizon in SUPPORTED_HORIZONS, f"lie in {horizons}"),
+            ("data.noise_sd", data.noise_sd >= 0.0, "be >= 0"),
+            ("data.branch_prob", 0.0 <= data.branch_prob <= 1.0, "lie in [0, 1]"),
+            ("data.split_ratio", 0.0 < data.split_ratio < 1.0, "lie in (0, 1)"),
+            ("schedule.steps", sched.steps >= 1, "be positive"),
+            ("schedule.beta_start", 0.0 < sched.beta_start <= sched.beta_end,
+             "lie in (0, schedule.beta_end]"),
+            ("schedule.beta_end", sched.beta_end < 1.0, "be < 1"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{key} must {rule}, got {values[key]}")
         for name in ("vae", "classifier", "diffusion"):
             stage: StageParams = getattr(self, name)
             for attr in ("epochs", "steps_per_epoch", "batch_size"):
@@ -115,16 +139,18 @@ class RunConfig:
             if stage.peak_lr < 0 or stage.decay_every < 1:
                 raise ConfigError(f"{name} has invalid learning-rate settings")
 
-    def to_kv(self) -> dict[str, str]:
-        out: dict[str, str] = {}
+    def _items(self):
+        """(dotted key, value) of every setting, sections flattened."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if dataclasses.is_dataclass(value):
                 for sub in dataclasses.fields(value):
-                    out[f"{f.name}.{sub.name}"] = _format_value(getattr(value, sub.name))
+                    yield f"{f.name}.{sub.name}", getattr(value, sub.name)
             else:
-                out[f.name] = _format_value(value)
-        return out
+                yield f.name, value
+
+    def to_kv(self) -> dict[str, str]:
+        return {key: _format_value(value) for key, value in self._items()}
 
     def to_kv_text(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in sorted(self.to_kv().items()))

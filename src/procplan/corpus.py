@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import SUPPORTED_HORIZONS, DataParams
+
 LEAD_IN_SECONDS = 2.0
 STEP_SECONDS = 6.0
 CHAIN_LENGTH_RANGE = (6, 10)
-SUPPORTED_HORIZONS = range(3, 7)
 _MAX_CHAIN_ATTEMPTS = 500
 
 
@@ -90,24 +91,8 @@ class Samples:
         return np.stack([start, goal], axis=1)
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
-    num_tasks: int = 5
-    num_actions: int = 12
-    obs_dim: int = 16
-    text_dim: int = 8
-    videos_per_task: int = 30
-    noise_sd: float = 0.02
-    seed: int = 0
-    branch_prob: float = 0.0
-
-
 @dataclass
 class Corpus:
-    num_tasks: int
-    num_actions: int
-    obs_dim: int
-    text_dim: int
     action_embeddings: np.ndarray  # [A, obs_dim]
     language_embeddings: np.ndarray  # [A, text_dim]
     task_chains: list[list[int]]
@@ -176,41 +161,42 @@ def _chains_identifiable(chains: list[list[int]]) -> bool:
     return True
 
 
-def _draw_chains(config: CorpusConfig, rng: np.random.Generator) -> list[list[int]]:
+def _draw_chains(data: DataParams, rng: np.random.Generator) -> list[list[int]]:
     lo, hi = CHAIN_LENGTH_RANGE
-    max_len = min(hi, config.num_actions)
-    starts = rng.permutation(config.num_actions)[: config.num_tasks]
+    max_len = min(hi, data.num_actions)
+    starts = rng.permutation(data.num_actions)[: data.num_tasks]
     chains: list[list[int]] = []
-    for task in range(config.num_tasks):
+    for task in range(data.num_tasks):
         length = int(rng.integers(lo, max_len + 1))
-        pool = [a for a in range(config.num_actions) if a != starts[task]]
+        pool = [a for a in range(data.num_actions) if a != starts[task]]
         body = rng.permutation(len(pool))[: length - 1]
         chains.append([int(starts[task])] + [pool[i] for i in body])
     return chains
 
 
-def generate_corpus(config: CorpusConfig) -> Corpus:
-    """Deterministic corpus for the given config; same seed, same bytes."""
-    c, a = config.num_tasks, config.num_actions
+def generate_corpus(data: DataParams, seed: int) -> Corpus:
+    """Deterministic corpus for ``data``; same seed, same bytes.
+    ``split_ratio`` is read by ``curation.split``, not here."""
+    c, a = data.num_tasks, data.num_actions
     if c < 1 or a < 2:
         raise CorpusError(f"need num_tasks >= 1 and num_actions >= 2, got {c}/{a}")
-    if config.videos_per_task < 1:
+    if data.videos_per_task < 1:
         raise CorpusError("videos_per_task must be >= 1")
     if a < c or a < CHAIN_LENGTH_RANGE[0]:
         raise CorpusError(
             f"num_actions={a} is too small to build {c} disjoint-start chains "
             f"of length >= {CHAIN_LENGTH_RANGE[0]}"
         )
-    if config.obs_dim < 1 or config.text_dim < 1:
+    if data.obs_dim < 1 or data.text_dim < 1:
         raise CorpusError("obs_dim and text_dim must be positive")
 
-    rng = np.random.default_rng(config.seed)
-    action_embeddings = rng.random((a, config.obs_dim))
-    language_embeddings = rng.random((a, config.text_dim))
+    rng = np.random.default_rng(seed)
+    action_embeddings = rng.random((a, data.obs_dim))
+    language_embeddings = rng.random((a, data.text_dim))
 
     chains: list[list[int]] | None = None
     for _ in range(_MAX_CHAIN_ATTEMPTS):
-        candidate = _draw_chains(config, rng)
+        candidate = _draw_chains(data, rng)
         if _chains_identifiable(candidate):
             chains = candidate
             break
@@ -220,22 +206,14 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
             f"after {_MAX_CHAIN_ATTEMPTS} attempts"
         )
 
-    corpus = Corpus(
-        num_tasks=c,
-        num_actions=a,
-        obs_dim=config.obs_dim,
-        text_dim=config.text_dim,
-        action_embeddings=action_embeddings,
-        language_embeddings=language_embeddings,
-        task_chains=chains,
-    )
+    corpus = Corpus(action_embeddings, language_embeddings, chains)
     for task in range(c):
         chain = chains[task]
-        for _ in range(config.videos_per_task):
+        for _ in range(data.videos_per_task):
             actions = list(chain)
-            if config.branch_prob > 0.0:
+            if data.branch_prob > 0.0:
                 for pos in range(1, len(actions) - 1):
-                    if rng.random() < config.branch_prob:
+                    if rng.random() < data.branch_prob:
                         actions[pos] = int(rng.integers(0, a))
             steps = [
                 Step(
@@ -246,6 +224,6 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
                 for i, action in enumerate(actions)
             ]
             n_frames = int(LEAD_IN_SECONDS + STEP_SECONDS * len(actions))
-            frames = render_frames(steps, action_embeddings, n_frames, config.noise_sd, rng)
+            frames = render_frames(steps, action_embeddings, n_frames, data.noise_sd, rng)
             corpus.videos.append(Video(task=task, steps=steps, frames=frames))
     return corpus

@@ -46,17 +46,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -96,13 +87,11 @@ class ParamStore:
             t.data = arr.copy()
 
 
-def adamw_step(
-    store: ParamStore,
-    lr: float,
-    weight_decay: float = 0.0,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam update over every parameter.
 
     All gradients must be populated; they are left untouched so the caller
@@ -113,9 +102,7 @@ def adamw_step(
         raise FrozenStoreError("adamw_step: parameter store is frozen")
     if lr < 0.0:
         raise ValueError(f"adamw_step: lr must be >= 0, got {lr}")
-    b1, b2 = betas
-    if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-        raise ValueError(f"adamw_step: betas must lie in [0, 1), got {betas}")
+    b1, b2 = ADAM_BETAS
     for name, p in store.items():
         if p.grad is None:
             raise MissingGradError(f"adamw_step: parameter {name!r} has no gradient")
@@ -132,7 +119,7 @@ def adamw_step(
         v *= b2
         v += (1.0 - b2) * g * g
         denom = np.sqrt(v / bias2)
-        denom += eps
+        denom += ADAM_EPS
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
         p.data -= (lr / bias1) * (m / denom)

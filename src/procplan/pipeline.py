@@ -21,7 +21,7 @@ from . import atomic_write
 from . import checkpoint as ckpt
 from .classifier import TaskClassifier
 from .config import RunConfig, StageParams, apply_overrides
-from .corpus import CorpusConfig, Samples, generate_corpus
+from .corpus import Samples, generate_corpus
 from .curation import curate_corpus, normalize_splits, split
 from .denoiser import ConditionedUNet
 from .diffusion import (
@@ -60,19 +60,6 @@ def _layout(config: RunConfig) -> BlockLayout:
         num_tasks=config.data.num_tasks,
         num_actions=config.data.num_actions,
         obs_dim=config.data.obs_dim,
-    )
-
-
-def _corpus_config(config: RunConfig) -> CorpusConfig:
-    return CorpusConfig(
-        num_tasks=config.data.num_tasks,
-        num_actions=config.data.num_actions,
-        obs_dim=config.data.obs_dim,
-        text_dim=config.data.text_dim,
-        videos_per_task=config.data.videos_per_task,
-        noise_sd=config.data.noise_sd,
-        branch_prob=config.data.branch_prob,
-        seed=stage_seed(config.seed, "corpus"),
     )
 
 
@@ -121,7 +108,7 @@ def _manifest_meta(config: RunConfig) -> dict[str, int]:
 def generate_dataset(config: RunConfig, workdir: str) -> dict:
     """Corpus, curation, split and normalization, persisted as manifests."""
     config.validate()
-    corpus = generate_corpus(_corpus_config(config))
+    corpus = generate_corpus(config.data, stage_seed(config.seed, "corpus"))
     samples = curate_corpus(corpus, config.horizon, config.curation)
     train, test = split(samples, config.data.split_ratio, seed=stage_seed(config.seed, "split"))
     train, test, _ = normalize_splits(train, test)

@@ -166,23 +166,6 @@ class Tensor:
     def __truediv__(self, other: float):
         return mul(self, _ensure_tensor(1.0 / other, self))
 
-    def __matmul__(self, other):
-        return matmul(self, _ensure_tensor(other))
-
-    def __getitem__(self, index):
-        return getitem(self, index)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
 
 def float32_tensor(data: np.ndarray, checked: bool = True) -> Tensor:
     """A float32 copy of ``data`` as a tensor that records no graph.
@@ -309,14 +292,6 @@ def exp(a: Tensor) -> Tensor:
         data = np.exp(a.data)
     _check_finite("exp", data)
     return _make("exp", data, (a,), (lambda g: g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    _check_finite("log", data)
-    return _make("log", data, (a,), (lambda g: g / a.data,))
 
 
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:

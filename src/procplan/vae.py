@@ -97,11 +97,6 @@ class StateAutoencoder:
         weight_decay: float = 0.0,
     ) -> tuple[float, float]:
         """One optimizer step on BCE + KL; returns both loss terms."""
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2:
-            raise ValueError(f"train_step: batch must be [B, d], got {batch.shape}")
-        if batch.min() < 0.0 or batch.max() > 1.0:
-            raise ValueError("train_step: batch values must lie in [0, 1]")
         x = Tensor(batch)
         mu, logvar = self.encode(x)
         eps = Tensor(rng.standard_normal(mu.shape))

@@ -36,7 +36,7 @@ class TestPredict:
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 
     def test_zero_weights_uniform_and_tie_to_zero(self, model):
-        for t in model.params.tensors():
+        for _, t in model.params.items():
             t.data[:] = 0.0
         o_s = o_g = np.ones((1, OBS_DIM))
         assert model.predict_batch(o_s, o_g).tolist() == [0]
@@ -86,4 +86,4 @@ class TestTraining:
             model.train_step(o_s, o_g, [0, 1, NUM_TASKS, 2], lr=1e-3)
 
     def test_checkpoint_prefix(self, model):
-        assert all(name.startswith("classifier.") for name in model.params.names())
+        assert all(name.startswith("classifier.") for name, _ in model.params.items())

@@ -25,6 +25,28 @@ TINY_ARGS = [
 ]
 
 
+# Settings that load but would fail a later stage, or be silently ignored,
+# with the message each exits 3 with; a ``file:`` setting is a config file's text.
+BAD_SETTINGS = [
+    ("data.noise_sd=nan", "data.noise_sd must be finite, got nan"),
+    ("vae.peak_lr=inf", "vae.peak_lr must be finite, got inf"),
+    ("horizon=9", "horizon must lie in 3..6, got 9"),
+    ("horizon=2", "horizon must lie in 3..6, got 2"),
+    ("data.noise_sd=-0.1", "data.noise_sd must be >= 0, got -0.1"),
+    ("data.branch_prob=1.5", "data.branch_prob must lie in [0, 1], got 1.5"),
+    ("data.branch_prob=-0.5", "data.branch_prob must lie in [0, 1], got -0.5"),
+    ("data.split_ratio=1", "data.split_ratio must lie in (0, 1), got 1.0"),
+    ("data.split_ratio=0", "data.split_ratio must lie in (0, 1), got 0.0"),
+    ("schedule.steps=0", "schedule.steps must be positive, got 0"),
+    ("schedule.beta_start=0", "schedule.beta_start must lie in (0, schedule.beta_end], got 0.0"),
+    ("schedule.beta_end=2", "schedule.beta_end must be < 1, got 2.0"),
+    ("vae.epochs=0", "vae.epochs must be positive"),
+    ("diffusion.peak_lr=-1", "diffusion has invalid learning-rate settings"),
+    ("data=1", "'data' is a section, not a value"),
+    ("file:seed 3", "line 1: expected 'key = value', got 'seed 3'"),
+]
+
+
 def _gen(workdir):
     return main(["gen-data", "--workdir", str(workdir), *TINY_ARGS])
 
@@ -132,6 +154,16 @@ class TestDatasetRecord:
         assert not (tmp_path / "vae.ckpt").exists()
 
 
+    def test_missing_dataset_json_exits_prereq(self, tmp_path, capsys):
+        assert _gen(tmp_path) == 0
+        (tmp_path / "dataset.json").unlink()
+        capsys.readouterr()
+        assert main(["train", "--stage", "vae", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_PREREQ
+        err = capsys.readouterr().err
+        assert err.startswith("error: prerequisite: dataset.json not found")
+        assert not (tmp_path / "vae.ckpt").exists()
+
+
 class TestAblate:
     def test_single_seed_table(self, tmp_path, capsys):
         args = ["ablate", "--workdir", str(tmp_path), "--seeds", "0", *TINY_ARGS]
@@ -197,6 +229,20 @@ class TestErrorPaths:
 
     def test_bad_preset_exits_config(self, tmp_path):
         assert main(["gen-data", "--workdir", str(tmp_path), "--preset", "imagenet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("setting, message", BAD_SETTINGS, ids=[s for s, _ in BAD_SETTINGS])
+    def test_bad_value_exits_config(self, tmp_path, capsys, setting, message):
+        """Refused before gen-data writes anything."""
+        if setting.startswith("file:"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(setting[len("file:"):] + "\n")
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--set", setting]
+        workdir = tmp_path / "work"
+        assert main(["gen-data", "--workdir", str(workdir), *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not workdir.exists()
 
     def test_infeasible_corpus_exits_format(self, tmp_path, capsys):
         code = main(

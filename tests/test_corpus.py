@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from procplan.config import DataParams
 from procplan.corpus import (
-    CorpusConfig,
     CorpusError,
     Step,
     Video,
@@ -15,12 +15,12 @@ from procplan.corpus import (
 
 @pytest.fixture(scope="module")
 def noise_free():
-    return generate_corpus(CorpusConfig(noise_sd=0.0, seed=5))
+    return generate_corpus(DataParams(noise_sd=0.0), seed=5)
 
 
 class TestGeneration:
     def test_niv_scale_video_count(self):
-        corpus = generate_corpus(CorpusConfig(num_tasks=5, num_actions=12, videos_per_task=30))
+        corpus = generate_corpus(DataParams(num_tasks=5, num_actions=12, videos_per_task=30), seed=0)
         assert len(corpus.videos) == 150
 
     def test_noise_free_frames_equal_embedding_rows(self, noise_free):
@@ -32,8 +32,7 @@ class TestGeneration:
                 )
 
     def test_same_seed_gives_byte_identical_corpora(self):
-        cfg = CorpusConfig(seed=7)
-        a, b = generate_corpus(cfg), generate_corpus(cfg)
+        a, b = generate_corpus(DataParams(), seed=7), generate_corpus(DataParams(), seed=7)
         assert np.array_equal(a.action_embeddings, b.action_embeddings)
         assert np.array_equal(a.language_embeddings, b.language_embeddings)
         assert a.task_chains == b.task_chains
@@ -43,24 +42,25 @@ class TestGeneration:
         )
 
     def test_different_seeds_differ(self):
-        a = generate_corpus(CorpusConfig(seed=1))
-        b = generate_corpus(CorpusConfig(seed=2))
+        a = generate_corpus(DataParams(), seed=1)
+        b = generate_corpus(DataParams(), seed=2)
         assert not np.array_equal(a.action_embeddings, b.action_embeddings)
 
     def test_chain_shape(self, noise_free):
+        data = DataParams()
         starts = [chain[0] for chain in noise_free.task_chains]
-        assert len(set(starts)) == noise_free.num_tasks  # disjoint start actions
+        assert len(set(starts)) == data.num_tasks  # disjoint start actions
         for chain in noise_free.task_chains:
             assert 6 <= len(chain) <= 10
             assert len(set(chain)) == len(chain)  # no repeats inside a chain
-            assert all(0 <= a < noise_free.num_actions for a in chain)
+            assert all(0 <= a < data.num_actions for a in chain)
 
     def test_videos_follow_their_chain_by_default(self, noise_free):
         for video in noise_free.videos:
             assert [s.action for s in video.steps] == noise_free.task_chains[video.task]
 
     def test_branch_substitutions_alter_some_videos(self):
-        corpus = generate_corpus(CorpusConfig(seed=3, branch_prob=0.5))
+        corpus = generate_corpus(DataParams(branch_prob=0.5), seed=3)
         altered = sum(
             [s.action for s in v.steps] != corpus.task_chains[v.task] for v in corpus.videos
         )
@@ -76,19 +76,19 @@ class TestGeneration:
 class TestFeasibility:
     def test_more_tasks_than_actions_rejected(self):
         with pytest.raises(CorpusError, match="disjoint-start"):
-            generate_corpus(CorpusConfig(num_tasks=9, num_actions=8))
+            generate_corpus(DataParams(num_tasks=9, num_actions=8), seed=0)
 
     def test_too_few_actions_for_a_chain_rejected(self):
         with pytest.raises(CorpusError, match="disjoint-start"):
-            generate_corpus(CorpusConfig(num_tasks=2, num_actions=5))
+            generate_corpus(DataParams(num_tasks=2, num_actions=5), seed=0)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(CorpusError):
-            generate_corpus(CorpusConfig(videos_per_task=0))
+            generate_corpus(DataParams(videos_per_task=0), seed=0)
         with pytest.raises(CorpusError):
-            generate_corpus(CorpusConfig(num_tasks=0))
+            generate_corpus(DataParams(num_tasks=0), seed=0)
         with pytest.raises(CorpusError):
-            generate_corpus(CorpusConfig(obs_dim=0))
+            generate_corpus(DataParams(obs_dim=0), seed=0)
 
 
 class TestVideoValidation:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from procplan.corpus import CorpusConfig, Samples, Step, Video, generate_corpus, render_frames
+from procplan.config import DataParams
+from procplan.corpus import Samples, Step, Video, generate_corpus, render_frames
 from procplan.curation import (
     CurationError,
     MinMaxNormalizer,
@@ -69,7 +70,7 @@ class TestCurateWindows:
         assert not np.array_equal(pdpp[0], kepp[0]) or not np.array_equal(pdpp[1], kepp[1])
 
     def test_single_action_window_returns_exact_row(self):
-        corpus = generate_corpus(CorpusConfig(noise_sd=0.0, seed=2))
+        corpus = generate_corpus(DataParams(noise_sd=0.0), seed=2)
         video = corpus.videos[0]
         o_s, _ = curate_windows(video, 1, 2, "pdpp")
         assert np.array_equal(o_s, corpus.action_embeddings[video.steps[1].action])
@@ -92,7 +93,7 @@ class TestCurateWindows:
 
 @pytest.fixture(scope="module")
 def corpus():
-    return generate_corpus(CorpusConfig(noise_sd=0.0, seed=4))
+    return generate_corpus(DataParams(noise_sd=0.0), seed=4)
 
 
 class TestSlideHorizon:

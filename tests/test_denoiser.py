@@ -246,7 +246,7 @@ class TestForward:
         assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
 
     def test_checkpoint_prefix(self, net):
-        assert all(name.startswith("denoiser.") for name in net.params.names())
+        assert all(name.startswith("denoiser.") for name, _ in net.params.items())
 
 
 class TestSamplingProcesses:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from procplan.cli import EXIT_FORMAT, main
-from procplan.corpus import CorpusConfig, Samples, generate_corpus
+from procplan.config import DataParams
+from procplan.corpus import Samples, generate_corpus
 from procplan.curation import curate_corpus
 from procplan.manifest import ManifestError, read_manifest, write_manifest
 from tests.test_cli import TINY_ARGS
@@ -15,7 +16,7 @@ from tests.test_cli import TINY_ARGS
 
 @pytest.fixture(scope="module")
 def samples():
-    corpus = generate_corpus(CorpusConfig(seed=1))
+    corpus = generate_corpus(DataParams(), seed=1)
     return curate_corpus(corpus, 3, "pdpp").take(slice(0, 10))
 
 

@@ -58,11 +58,12 @@ class TestAdamW:
 
     def test_single_step_matches_hand_evaluated_moments(self):
         # Fresh state, one step: m_hat = g, v_hat = g^2 after bias correction.
+        # b1, b2 and eps are adamw_step's constants.
         g = 0.37
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         store = _store_with(value=(2.0,))
         store["w"].grad = np.array([g])
-        adamw_step(store, lr=lr, betas=(b1, b2), eps=eps)
+        adamw_step(store, lr=lr)
         m_hat = (1 - b1) * g / (1 - b1)
         v_hat = (1 - b2) * g * g / (1 - b2)
         expected = 2.0 - lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -75,7 +76,7 @@ class TestAdamW:
         p, m, v = 1.0, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
             store["w"].grad = np.array([g])
-            adamw_step(store, lr=lr, betas=(b1, b2), eps=eps)
+            adamw_step(store, lr=lr)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
@@ -115,7 +116,7 @@ class TestAdamW:
             store.add("a", rng.normal(size=(4, 3)))
             store.add("b", rng.normal(size=(3,)))
             for _ in range(25):
-                for t in store.tensors():
+                for _, t in store.items():
                     t.grad = rng.normal(size=t.shape)
                 adamw_step(store, lr=3e-3, weight_decay=1e-2)
                 store.zero_grads()

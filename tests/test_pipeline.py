@@ -247,7 +247,7 @@ class TestTrainedPipeline:
         for stage in STAGES:
             model = load_stage(stage, cfg, workdir)
             assert model.params.frozen, stage
-            assert not any(t.requires_grad for t in model.params.tensors()), stage
+            assert not any(t.requires_grad for _, t in model.params.items()), stage
 
     def test_horizon_mismatch_detected(self, trained_workdir):
         workdir, cfg, _ = trained_workdir

@@ -48,7 +48,7 @@ class TestForwardValues:
         b = Tensor([[3.0, 4.0]])
         joined = T.concat([a, b], axis=0)
         assert joined.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert joined[1].data.tolist() == [3.0, 4.0]
+        assert T.getitem(joined, 1).data.tolist() == [3.0, 4.0]
 
     def test_layer_norm_normalizes(self):
         x = Tensor(np.random.default_rng(2).normal(size=(5, 8)) * 4 + 3)
@@ -93,8 +93,8 @@ class TestErrors:
     def test_non_finite_output_names_op(self):
         with pytest.raises(NumericError, match="exp"):
             T.exp(Tensor([1000.0]))
-        with pytest.raises(NumericError, match="log"):
-            T.log(Tensor([-1.0]))
+        with pytest.raises(NumericError, match="mul"), np.errstate(over="ignore"):
+            T.mul(Tensor([1e200]), Tensor([1e200]))
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(NumericError):
@@ -198,7 +198,8 @@ class TestBackward:
         gc.disable()
         try:
             h = T.gelu(T.layer_norm(T.conv1d_same(x, w), gain, bias))
-            loss = T.mean(T.concat([h, h[:, :2] * 2.0], axis=1).reshape(-1))
+            head = T.getitem(h, (slice(None), slice(None, 2)))
+            loss = T.mean(T.reshape(T.concat([h, head * 2.0], axis=1), (-1,)))
             loss.backward()
             del h, loss
             # Every op output is freed by reference count, not by the GC.
@@ -260,7 +261,6 @@ class TestGradChecks:
         point = np.abs(rng.normal(size=(3, 3))) + 0.5
         assert grad_check(lambda t: T.sum(T.power(t, 1.7)), point) < 1e-6
         assert grad_check(lambda t: T.sum(T.exp(t)), rng.normal(size=(4,))) < 1e-6
-        assert grad_check(lambda t: T.sum(T.log(t)), point) < 1e-6
 
     def test_clip_passes_gradient_inside_bounds(self):
         rng = np.random.default_rng(10)

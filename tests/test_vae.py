@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from procplan.corpus import CorpusConfig, generate_corpus
+from procplan.config import DataParams
+from procplan.corpus import generate_corpus
 from procplan.curation import curate_corpus, normalize_splits, split
 from procplan.tensor import _sigmoid_array
 from procplan.vae import (
@@ -21,7 +22,7 @@ def model():
 
 
 def _zeroed(model):
-    for t in model.params.tensors():
+    for _, t in model.params.items():
         t.data[:] = 0.0
     return model
 
@@ -29,7 +30,7 @@ def _zeroed(model):
 @pytest.fixture(scope="module")
 def trained_setup():
     """A briefly trained, frozen autoencoder over a noise-free corpus."""
-    corpus = generate_corpus(CorpusConfig(noise_sd=0.0, seed=1))
+    corpus = generate_corpus(DataParams(noise_sd=0.0), seed=1)
     samples = curate_corpus(corpus, 3, "pdpp")
     train, test = split(samples, 0.7, seed=0)
     train, test, _ = normalize_splits(train, test)
@@ -158,11 +159,13 @@ class TestTrainStep:
         assert np.isfinite(recon) and np.isfinite(kl)
 
     def test_batch_outside_unit_interval_rejected(self, model):
+        before = model.params.checksum()
         with pytest.raises(ValueError, match="0, 1"):
             model.train_step(np.full((2, INPUT_DIM), 1.5), lr=1e-3, rng=np.random.default_rng(0))
+        assert model.params.checksum() == before
 
     def test_loss_decreases_over_training(self):
-        corpus = generate_corpus(CorpusConfig(noise_sd=0.0, seed=2))
+        corpus = generate_corpus(DataParams(noise_sd=0.0), seed=2)
         samples = curate_corpus(corpus, 3, "pdpp")
         train, test = split(samples, 0.7, seed=0)
         train, _, _ = normalize_splits(train, test)
@@ -260,7 +263,7 @@ class TestFreezing:
     def test_freeze_marks_store(self, model):
         model.freeze()
         assert model.frozen
-        assert all(not t.requires_grad for t in model.params.tensors())
+        assert all(not t.requires_grad for _, t in model.params.items())
 
     def test_checkpoint_prefix(self, model):
-        assert all(name.startswith("vae.") for name in model.params.names())
+        assert all(name.startswith("vae.") for name, _ in model.params.items())
