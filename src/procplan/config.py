@@ -120,6 +120,11 @@ class RunConfig:
         horizons = f"{SUPPORTED_HORIZONS[0]}..{SUPPORTED_HORIZONS[-1]}"
         rules = (
             ("horizon", self.horizon in SUPPORTED_HORIZONS, f"lie in {horizons}"),
+            ("data.num_tasks", data.num_tasks >= 1, "be positive"),
+            ("data.num_actions", data.num_actions >= 2, "be >= 2"),
+            ("data.obs_dim", data.obs_dim >= 1, "be positive"),
+            ("data.text_dim", data.text_dim >= 1, "be positive"),
+            ("data.videos_per_task", data.videos_per_task >= 1, "be positive"),
             ("data.noise_sd", data.noise_sd >= 0.0, "be >= 0"),
             ("data.branch_prob", 0.0 <= data.branch_prob <= 1.0, "lie in [0, 1]"),
             ("data.split_ratio", 0.0 < data.split_ratio < 1.0, "lie in (0, 1)"),

@@ -27,7 +27,8 @@ import numpy as np
 from . import BLAS_THREAD_VARS
 from .optim import ParamStore
 from .tensor import (
-    Tensor, concat, conv1d_same, float32_tensor, gelu, layer_norm, matmul, reshape,
+    GELU_C, GELU_K, NumericError, Tensor, check_finite, concat, conv1d_same, gelu,
+    im2col, layer_norm, matmul, reshape, tap_spans,
 )
 from .vae import LATENT_DIM
 
@@ -40,15 +41,21 @@ KERNEL = 3
 # number of chunks of whole items, 2 * ceil(B * T / (2 * CHUNK_ROWS)) capped
 # at B, so that two processes (``item_workers``) can split them evenly, and
 # the layout, hence every output byte, never depends on the core count.
-# Chunks are the unit of parallel work, and their size also suits the cache:
-# with desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1 is the widest
+# Chunks are the unit of parallel work.  At 512 rows the 648 rows of a
+# horizon-6 batch of 108 plans and the 729 of a desk batch of 243 plans
+# (T=3) each form two chunks, one per process on two cores; at 256 rows they
+# formed four, and one process ran the body over four chunks in 4.8 and
+# 5.3 ms against 3.6 and 3.7 ms over two (one BLAS thread, 2-CPU Xeon VM
+# with 4 MB L2 per core).  384 rows gives the same two chunks for both.  On
+# four or more cores two chunks leave the other cores idle where four chunks
+# used them; that case is unmeasured.  The size still suits the cache: with
+# desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1 is the widest
 # conv, reading 2 * BOTTLENECK_CHANNELS channels over KERNEL taps, so its
-# float32 im2col matrix at 256 rows is 256 * 768 * 4 B = 0.75 MB, well
-# inside one core's 2 MB L2 (twice that in float64); a whole
-# 729-row eval batch (243 plans x T=3) would take 2.2 MB.  Wider features
-# make enc1's im2col the widest (4.8-7.7 MB at 256 rows in float32 for the
-# D = 1,559-2,494 presets), which no chunk this size keeps in L2.
-CHUNK_ROWS = 256
+# float32 im2col buffer at 512 rows is 512 * 768 * 4 B = 1.5 MB, inside one
+# core's L2.  Wider features make enc1's im2col the widest (9.6-15.3 MB at
+# 512 rows for the D = 1,559-2,494 presets), which no chunk this size keeps
+# in L2.
+CHUNK_ROWS = 512
 
 
 def chunk_bounds(items: int, t_len: int) -> list[int]:
@@ -139,6 +146,7 @@ class ConditionedUNet:
         self.time_steps = time_steps
         self.params = ParamStore()
         self._workers: _ItemWorkers | None = None
+        self._float32: dict[str, np.ndarray] | None = None  # set inside item_workers
         rng = np.random.default_rng(seed)
 
         def conv(name: str, c_in: int, c_out: int):
@@ -156,8 +164,8 @@ class ConditionedUNet:
             b = self.params.add(name + ".b", np.zeros(d_out))
             return w, b
 
-        # The body reads its weights by name (``_forward_rows``); the
-        # registration order is the checkpoint order.
+        # The bodies read their weights by name (``_forward_rows``,
+        # ``sample_chunk``); the registration order is the checkpoint order.
         d, c1, c2 = feature_dim, BASE_CHANNELS, BOTTLENECK_CHANNELS
         conv("denoiser.enc1", d, c1)
         conv("denoiser.enc2", c1, c2)
@@ -196,13 +204,16 @@ class ConditionedUNet:
 
         ``steps`` is one 1-based diffusion step per batch item; ``z_c`` is
         the [B, C] constraint batch (use ``zero_constraint`` to disable).
-        Only a forward that records no graph (a frozen network on plain
-        inputs, as in sampling) runs in chunks of whole items
-        (``chunk_bounds``), each in float32 (``_chunks``); training runs
-        each batch whole, in float64.  Inside ``item_workers`` forked
-        processes run some of the chunks.  Each chunk runs the same code on
-        the same bytes wherever it runs, so the output does not depend on
-        how many processes share the batch.
+        A forward that records a graph (training) runs the whole batch
+        through the float64 engine (``_forward_rows``).  One that records
+        no graph (a frozen network on plain inputs, as in sampling) runs
+        in chunks of whole items (``chunk_bounds``), each through the
+        float32 plain-numpy body ``sample_chunk`` (``_chunks``), and
+        returns float64.  Either way each item's step is embedded once
+        (``timestep_embedding``).  Inside ``item_workers`` forked processes
+        run some of the chunks.  Each chunk runs the same code on the same
+        bytes wherever it runs, so the output does not depend on how many
+        processes share the batch.
         """
         if x.ndim != 3 or x.shape[-1] != self.feature_dim:
             raise ValueError(
@@ -218,66 +229,81 @@ class ConditionedUNet:
                 f"forward: constraint batch must be {(items, BOTTLENECK_CHANNELS)}, got {z_c.shape}"
             )
         if not self.params.frozen or x.requires_grad or z_c.requires_grad:
-            return self._forward_rows(x, Tensor(emb), z_c, self.params)
+            return self._forward_rows(x, Tensor(emb), z_c)
         if self._workers is not None and self._workers.shape == x.shape:
             return Tensor(self._workers.forward(x.data, emb, z_c.data))
         bounds = chunk_bounds(items, t_len)
-        return Tensor(np.concatenate(
-            self._chunks(x.data, emb, z_c.data, list(zip(bounds, bounds[1:])))
-        ))
+        out = np.empty_like(x.data)
+        self._chunks(x.data, emb, z_c.data, list(zip(bounds, bounds[1:])), out)
+        return Tensor(out)
 
     @contextlib.contextmanager
     def item_workers(self, items: int, t_len: int):
         """Share the chunks of graph-free [items, t_len, D] forwards with
         forked workers while the block runs.
 
-        One worker per usable core beyond this one (``sampling_processes``),
-        never more than the chunks allow; none for a network that is not
-        frozen.  Each worker copies the frozen network at fork and computes
+        A frozen network casts its float32 weights once on entry, for every
+        forward in the block; a parameter written in place inside the block
+        is not seen until the next one.  One worker per usable core beyond
+        this one (``sampling_processes``), never more than the chunks allow;
+        none for a network that is not frozen.  Each worker copies the
+        frozen network and its float32 weights at fork and computes
         a fixed share of every forward's chunks while this process computes
         the first share; rows go both ways through anonymous shared memory
         (``_ItemWorkers``).  When the block ends, by return or by exception,
         the workers' pipes reach EOF and each worker is reaped with
         ``waitpid``.
         """
-        bounds = chunk_bounds(items, t_len)
-        processes = min(sampling_processes(), len(bounds) - 1)
-        if not self.params.frozen or processes < 2:
+        if not self.params.frozen:
             yield
             return
-        pool = _ItemWorkers(self, (items, t_len, self.feature_dim), bounds, processes)
-        self._workers = pool
+        bounds = chunk_bounds(items, t_len)
+        processes = min(sampling_processes(), len(bounds) - 1)
+        self._float32 = _float32_weights(self.params)
+        pool = None
         try:
+            if processes >= 2:
+                pool = _ItemWorkers(self, (items, t_len, self.feature_dim), bounds, processes)
+                self._workers = pool
             yield
         finally:
-            self._workers = None
-            pool.close()
+            self._float32 = self._workers = None
+            if pool is not None:
+                pool.close()
 
     def _chunks(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
-                spans: list[tuple[int, int]]) -> list[np.ndarray]:
-        """The network body over items [lo, hi) of a graph-free batch, for
-        each (lo, hi) in ``spans``, as float64 arrays.
+                spans: list[tuple[int, int]], out: np.ndarray) -> None:
+        """The float32 body (``sample_chunk``) over items [lo, hi) of a
+        graph-free batch, for each (lo, hi) in ``spans``, written to
+        ``out[lo:hi]`` in float64.
 
-        The body runs in float32 on float32 copies of the inputs and the
-        weights (``float32_tensor``); an input beyond float32's range
-        raises ``NumericError``.  The weights are cast once per call and
-        never kept, since a parameter's array may be written in place.
+        The weights are the float32 copies cast on entering
+        ``item_workers``, or cast for this call outside a block.  When every
+        item has the same timestep features, as in sampling, the time MLP
+        runs on one row.  A chunk whose output, or whose layer-norm
+        variance, is not finite runs again with a check after every op,
+        which raises ``NumericError`` naming the op that went non-finite
+        first ("float32" for an input beyond float32's range).
         """
-        weights = {name: float32_tensor(t.data, checked=False) for name, t in self.params.items()}
-        return [
-            self._forward_rows(
-                float32_tensor(x[lo:hi]), float32_tensor(emb[lo:hi]),
-                float32_tensor(z_c[lo:hi]), weights,
-            ).data.astype(np.float64)
-            for lo, hi in spans
-        ]
+        weights = self._float32 if self._float32 is not None else _float32_weights(self.params)
+        one_row = bool((emb == emb[0]).all())
+        with np.errstate(all="ignore"):  # non-finite values raise NumericError
+            for lo, hi in spans:
+                args = (x[lo:hi], emb[:1] if one_row else emb[lo:hi], z_c[lo:hi], weights)
+                try:
+                    y = sample_chunk(*args, _unchecked)
+                    finite = bool(np.isfinite(y).all())
+                except NumericError:
+                    finite = False
+                if not finite:
+                    y = sample_chunk(*args, check_finite)
+                out[lo:hi] = y
 
-    def _forward_rows(self, x: Tensor, emb: Tensor, z_c: Tensor, weights) -> Tensor:
-        """The network body over one chunk of items, with ``weights``
-        mapping each parameter name to its tensor: the parameters, or the
-        float32 copies ``_chunks`` makes."""
+    def _forward_rows(self, x: Tensor, emb: Tensor, z_c: Tensor) -> Tensor:
+        """The network body as engine ops over a whole batch, recording a
+        graph when any input or parameter requires grad."""
         def w(name: str) -> Tensor:
-            return weights["denoiser." + name]
+            return self.params["denoiser." + name]
 
         t_h = gelu(matmul(emb, w("time1.w")) + w("time1.b"))
         t_emb = matmul(t_h, w("time2.w")) + w("time2.b")
@@ -288,6 +314,129 @@ class ConditionedUNet:
         mid = gelu(conv1d_same(mid_in, w("bottleneck.w"), w("bottleneck.b")))
         d1 = gelu(conv1d_same(concat([mid, h2], axis=-1), w("dec1.w"), w("dec1.b")))
         return conv1d_same(concat([d1, h1], axis=-1), w("out.w"), w("out.b"))
+
+
+def _float32_weights(params: ParamStore) -> dict[str, np.ndarray]:
+    """float32 copies of the denoiser's parameters by short name, each conv
+    kernel flattened to its [K * C_in, C_out] gemm operand.  A value beyond
+    float32's range becomes infinite, left for the first op that reads it,
+    as for a float64 parameter written in place."""
+    with np.errstate(over="ignore"):
+        return {
+            name.removeprefix("denoiser."): t.data.reshape(-1, t.shape[-1]).astype(np.float32)
+            if t.ndim == 3 else t.data.astype(np.float32)
+            for name, t in params.items()
+        }
+
+
+def _unchecked(op: str, data: np.ndarray) -> None:
+    pass
+
+
+def _gelu_(x: np.ndarray) -> None:
+    """Tanh-form GELU of ``x`` in place, with the arithmetic of
+    ``tensor.gelu`` in the same order."""
+    t = np.multiply(x, x)
+    t *= x
+    t *= GELU_K
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+
+
+def conv_step(cols: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One conv of the float32 body: the [rows, T, K, C_in] im2col buffer
+    as a [rows * T, K * C_in] @ [K * C_in, C_out] gemm, plus the bias."""
+    flat = cols.reshape(-1, w.shape[0]) @ w
+    flat += b
+    return flat
+
+
+def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
+                 w: dict[str, np.ndarray], check) -> np.ndarray:
+    """The network body over one chunk of a graph-free forward, in float32
+    plain numpy, with no graph and no workspace kept past the call.
+
+    ``x`` is the chunk's [n, T, D] float64 state, ``z_c`` its [n, C]
+    constraints and ``emb`` its [n, E] timestep features, or one row that
+    every item shares; ``w`` holds the float32 weights
+    (``_float32_weights``).  It does the arithmetic of ``_forward_rows``
+    op for op, in the same order, except that a shared ``emb`` row runs the
+    time MLP once.  ``mid|h2`` and ``d1|h1`` go straight into the im2col
+    buffers of dec1 and out, with no separate concatenation.  ``check(op,
+    data)`` follows every op that can first turn non-finite; the
+    layer-norm variance is checked always, since an overflowed variance
+    gives a finite output.  Returns the [n, T, D] float32 output.
+    """
+    n, t_len, d = x.shape
+    c1, c2 = BASE_CHANNELS, BOTTLENECK_CHANNELS
+    spans = tap_spans(KERNEL, t_len)
+    centre = KERNEL // 2
+
+    def conv(cols, name):
+        flat = conv_step(cols, w[name + ".w"], w[name + ".b"])
+        check("conv1d_same", flat)
+        _gelu_(flat)
+        check("gelu", flat)
+        return flat.reshape(n, t_len, -1)
+
+    cols = np.empty((n, t_len, KERNEL, d), dtype=np.float32)
+    im2col(x, cols, spans)  # casts the state to float32
+    check("float32", cols[:, :, centre])
+    emb = emb.astype(np.float32)
+    check("float32", emb)
+    cond = z_c.astype(np.float32)
+    check("float32", cond)
+    t_h = emb @ w["time1.w"]
+    check("matmul", t_h)
+    t_h += w["time1.b"]
+    check("add", t_h)
+    _gelu_(t_h)
+    check("gelu", t_h)
+    t_emb = t_h @ w["time2.w"]
+    check("matmul", t_emb)
+    t_emb += w["time2.b"]
+    check("add", t_emb)
+
+    h1 = conv(cols, "enc1")
+    cols = np.empty((n, t_len, KERNEL, c1), dtype=np.float32)
+    im2col(h1, cols, spans)
+    h2 = conv(cols, "enc2")
+    cond += t_emb
+    check("add", cond)
+    # Layer norm over h2 + cond, in place, with tensor.layer_norm's
+    # arithmetic in the same order.
+    x_hat = h2 + cond[:, None, :]
+    check("add", x_hat)
+    mu = x_hat.sum(axis=-1, keepdims=True)
+    mu *= 1.0 / c2
+    x_hat -= mu
+    sq = np.multiply(x_hat, x_hat)
+    var = sq.sum(axis=-1, keepdims=True)
+    var *= 1.0 / c2
+    check_finite("layer_norm", var)
+    var += 1e-5
+    x_hat *= var ** -0.5
+    x_hat *= w["bottleneck.ln_gain"]
+    x_hat += w["bottleneck.ln_bias"]
+    check("layer_norm", x_hat)
+
+    cols = np.empty((n, t_len, KERNEL, c2), dtype=np.float32)
+    im2col(x_hat, cols, spans)
+    mid = conv(cols, "bottleneck")
+    cols = np.empty((n, t_len, KERNEL, c2 + c2), dtype=np.float32)
+    im2col(mid, cols[..., :c2], spans)
+    im2col(h2, cols[..., c2:], spans)
+    d1 = conv(cols, "dec1")
+    cols = np.empty((n, t_len, KERNEL, c1 + c1), dtype=np.float32)
+    im2col(d1, cols[..., :c1], spans)
+    im2col(h1, cols[..., c1:], spans)
+    out = conv_step(cols, w["out.w"], w["out.b"])
+    check("conv1d_same", out)
+    return out.reshape(n, t_len, d)
 
 
 class _Worker:
@@ -369,16 +518,15 @@ class _ItemWorkers:
         """The worker's loop: one request byte per forward, until EOF."""
         while os.read(request, 1):
             try:
-                parts = self.net._chunks(self.x, self.emb, self.z_c, share)
-                for (lo, hi), part in zip(share, parts):
-                    self.out[lo:hi] = part
+                self.net._chunks(self.x, self.emb, self.z_c, share, self.out)
             except Exception:  # left for the parent to recompute
                 os.write(reply, b"0")
                 continue
             os.write(reply, b"1")
 
     def forward(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray) -> np.ndarray:
-        """The network body over the whole batch, chunks in item order."""
+        """The network body over the whole batch, in the shared output
+        array, which the next forward overwrites."""
         self.x[...], self.emb[...], self.z_c[...] = x, emb, z_c
         posted = []
         for worker in self.workers:
@@ -390,7 +538,7 @@ class _ItemWorkers:
                     worker.alive = False
         done = set()
         try:
-            parts = self.net._chunks(x, emb, z_c, self.own)
+            self.net._chunks(x, emb, z_c, self.own, self.out)
         finally:
             for worker in posted:
                 try:
@@ -401,9 +549,9 @@ class _ItemWorkers:
                 if reply == b"1":
                     done.add(worker)
         for worker in self.workers:
-            parts += ([self.out[lo:hi] for lo, hi in worker.share] if worker in done
-                      else self.net._chunks(x, emb, z_c, worker.share))
-        return np.concatenate(parts)
+            if worker not in done:
+                self.net._chunks(x, emb, z_c, worker.share, self.out)
+        return self.out
 
     def close(self) -> None:
         started = [worker for worker in self.workers if worker.pid is not None]

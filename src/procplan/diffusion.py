@@ -205,10 +205,14 @@ def generate_plans(
     the encoder and network outputs agree across batchings only to
     rounding, since BLAS may sum a row differently at another batch size.
 
-    The reverse loop runs inside ``denoiser.item_workers``: with BLAS pinned
-    to one thread on a multi-core Linux machine, forked workers compute
-    some of each step's item chunks, with the same bytes as this process
-    would; they are reaped when the loop returns or raises.  Each item's
+    Each reverse step is one ``denoiser.forward`` over all B items at
+    step n; a frozen network runs it through its float32 body, with the
+    time MLP on one row since every item shares n.  The reverse loop runs
+    inside ``denoiser.item_workers``, which casts the float32 weights once
+    for the whole chain; with BLAS pinned to one thread on a multi-core
+    Linux machine, forked workers compute some of each step's item chunks,
+    with the same bytes as this process would, and are reaped when the
+    loop returns or raises.  The sampler state stays float64.  Each item's
     stream gives its noise for a block of steps at a time
     (``NOISE_BLOCK_STEPS``), the same numbers in the same order as one
     draw per step.

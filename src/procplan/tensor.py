@@ -1,13 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Training is 64-bit and CPU-only: the models here are desk-scale and the
+The engine is 64-bit and CPU-only: the models here are desk-scale and the
 finite-difference checks in :mod:`procplan.gradcheck` need the precision.
-``Tensor(...)`` always casts to float64.  The one float32 path is
-``float32_tensor``, which the frozen denoiser's graph-free sampling
-forward uses for its inputs and weight copies.  The ops that network body
-uses (matmul, add, conv1d_same, gelu, layer_norm, concat, reshape) keep
-their operands' dtype, so that forward runs in float32 end to end; it
-records no graph.
+``Tensor(...)`` always casts to float64, and every op works in float64.
 
 A ``Tensor`` wraps a numpy array; operations record a graph whenever any
 input has ``requires_grad`` set, and ``Tensor.backward`` accumulates
@@ -58,14 +53,13 @@ class GraphError(TensorError):
     """Backward was invoked on an unsuitable tensor."""
 
 
-def _check_finite(op: str, data: np.ndarray) -> None:
+def check_finite(op: str, data: np.ndarray) -> None:
     if not np.isfinite(data).all():
         raise NumericError(f"{op}: produced non-finite values")
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient buffer (float32 only
-    from ``float32_tensor`` and the ops applied to its output).
+    """Dense float64 array with an optional gradient buffer.
 
     Tensors are value-semantic: the constructor copies its input, and a
     tensor with no graph attached is safe to share between threads.
@@ -75,7 +69,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        _check_finite("tensor", arr)
+        check_finite("tensor", arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -143,57 +137,32 @@ class Tensor:
 
     # Operator sugar; all defer to the module-level ops below.
     def __add__(self, other):
-        return add(self, _ensure_tensor(other, self))
+        return add(self, _ensure_tensor(other))
 
     def __radd__(self, other):
-        return add(_ensure_tensor(other, self), self)
+        return add(_ensure_tensor(other), self)
 
     def __mul__(self, other):
-        return mul(self, _ensure_tensor(other, self))
+        return mul(self, _ensure_tensor(other))
 
     def __rmul__(self, other):
-        return mul(_ensure_tensor(other, self), self)
+        return mul(_ensure_tensor(other), self)
 
     def __neg__(self):
-        return mul(self, _ensure_tensor(-1.0, self))
+        return mul(self, _ensure_tensor(-1.0))
 
     def __sub__(self, other):
-        return add(self, -_ensure_tensor(other, self))
+        return add(self, -_ensure_tensor(other))
 
     def __rsub__(self, other):
-        return add(_ensure_tensor(other, self), -self)
+        return add(_ensure_tensor(other), -self)
 
     def __truediv__(self, other: float):
-        return mul(self, _ensure_tensor(1.0 / other, self))
+        return mul(self, _ensure_tensor(1.0 / other))
 
 
-def float32_tensor(data: np.ndarray, checked: bool = True) -> Tensor:
-    """A float32 copy of ``data`` as a tensor that records no graph.
-
-    The only way to make a float32 tensor: ``Tensor()`` casts to float64,
-    so float32 manifest blobs never quietly turn training into float32.
-    A finite value beyond float32's range becomes infinite without a
-    RuntimeWarning; ``checked`` raises ``NumericError`` for it, and an
-    unchecked copy (a weight) leaves it to the first op that reads it, as
-    for a float64 parameter written in place.
-    """
-    with np.errstate(over="ignore"):
-        arr = data.astype(np.float32)
-    if checked:
-        _check_finite("float32", arr)
-    out = Tensor.__new__(Tensor)
-    out.data, out.requires_grad, out.grad = arr, False, None
-    out._parents, out._backward = (), None
-    return out
-
-
-def _ensure_tensor(value, like: Tensor | None = None) -> Tensor:
-    """``value`` as a tensor; a Python scalar operand of ``like`` takes its dtype."""
-    if isinstance(value, Tensor):
-        return value
-    if like is not None and like.data.dtype == np.float32 and isinstance(value, (int, float)):
-        return float32_tensor(np.array(value, dtype=np.float64))
-    return Tensor(value)
+def _ensure_tensor(value) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -221,7 +190,7 @@ def _make(
     handed ``out``'s gradient: a closure over ``out`` stored on ``out``
     would make every output a reference cycle, freed only by the cyclic GC.
     """
-    _check_finite(op, data)
+    check_finite(op, data)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -290,7 +259,7 @@ def exp(a: Tensor) -> Tensor:
     a = _ensure_tensor(a)
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
-    _check_finite("exp", data)
+    check_finite("exp", data)
     return _make("exp", data, (a,), (lambda g: g * data,))
 
 
@@ -309,8 +278,8 @@ def relu(a: Tensor) -> Tensor:
     return _make("relu", data, (a,), (lambda g: g * (a.data > 0.0),))
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-_GELU_K = 0.044715
+GELU_C = math.sqrt(2.0 / math.pi)
+GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -325,19 +294,19 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     t = np.multiply(x, x, out=np.empty_like(x))
     t *= x
-    t *= _GELU_K
+    t *= GELU_K
     t += x
-    t *= _GELU_C
+    t *= GELU_C
     np.tanh(t, out=t)
     data = np.multiply(x, 0.5, out=np.empty_like(x))
     data *= 1.0 + t
 
     def grad(g: np.ndarray) -> np.ndarray:
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3K * x * x))
-        d_inner = np.multiply(x, 3.0 * _GELU_K, out=np.empty_like(x))
+        d_inner = np.multiply(x, 3.0 * GELU_K, out=np.empty_like(x))
         d_inner *= x
         d_inner += 1.0
-        d_inner *= _GELU_C
+        d_inner *= GELU_C
         slope = np.multiply(t, t, out=np.empty_like(x))
         np.subtract(1.0, slope, out=slope)
         tail = np.multiply(x, 0.5, out=np.empty_like(x))
@@ -469,14 +438,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", data, (a, b), (grad_a, grad_b))
 
 
+def tap_spans(k: int, t_len: int) -> list[tuple[int, int, int]]:
+    """(shift, lo, hi) of each of the K taps of a zero-padded conv over T
+    times: tap ``tap`` reads x[t + shift], shift = tap - K // 2, in range
+    for output times lo..hi-1."""
+    spans = []
+    for tap in range(k):
+        shift = tap - k // 2
+        lo = min(max(0, -shift), t_len)
+        spans.append((shift, lo, max(min(t_len, t_len - shift), lo)))
+    return spans
+
+
+def im2col(seqs: np.ndarray, cols: np.ndarray, spans: list[tuple[int, int, int]]) -> None:
+    """Write the taps of [rows, T, C] ``seqs`` into ``cols``, a
+    [rows, T, K, C] array or a channel slice of a wider one: row (r, t)
+    holds x[r, t - K//2 .. t + K//2], zero off either end, in the
+    tap-major order of a flattened [K, C_in, C_out] weight."""
+    t_len = seqs.shape[1]
+    for tap, (shift, lo, hi) in enumerate(spans):
+        if lo:
+            cols[:, :lo, tap] = 0.0
+        cols[:, lo:hi, tap] = seqs[:, lo + shift:hi + shift]
+        if hi < t_len:
+            cols[:, hi:, tap] = 0.0
+
+
 def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Resolution-preserving 1-D convolution along the second-to-last axis.
 
     ``x`` is [..., T, C_in], ``weight`` is [K, C_in, C_out] with odd K,
     ``bias`` is an optional [C_out], and the time axis is zero-padded so the
     output is [..., T, C_out].  The forward is one im2col gemm,
-    [rows*T, K*C_in] @ [K*C_in, C_out], in the operands' dtype; the
-    backward is analytic.
+    [rows*T, K*C_in] @ [K*C_in, C_out] (``im2col``); the backward is
+    analytic.
     """
     x, weight = _ensure_tensor(x), _ensure_tensor(weight)
     if weight.ndim != 3:
@@ -494,23 +489,12 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
         if bias.shape != (c_out,):
             raise ShapeError(f"conv1d_same: bias must be [{c_out}], got {bias.shape}")
         parents += (bias,)
-    half = k // 2
     t_len = x.shape[-2]
     seqs = x.data.reshape(-1, t_len, c_in)
     rows = seqs.shape[0]
-    # Row (r, t) of cols holds the K taps x[r, t - half .. t + half], zero
-    # off either end, in the tap-major order of the flattened weight.  Tap
-    # ``tap`` reads x[t + tap - half], in range for output times lo..hi-1.
-    spans = []
-    for tap in range(k):
-        shift = tap - half
-        lo = min(max(0, -shift), t_len)
-        spans.append((shift, lo, max(min(t_len, t_len - shift), lo)))
-    cols = np.empty((rows, t_len, k, c_in), dtype=np.result_type(seqs, weight.data))
-    for tap, (shift, lo, hi) in enumerate(spans):
-        cols[:, :lo, tap] = 0.0
-        cols[:, lo:hi, tap] = seqs[:, lo + shift:hi + shift]
-        cols[:, hi:, tap] = 0.0
+    spans = tap_spans(k, t_len)
+    cols = np.empty((rows, t_len, k, c_in))
+    im2col(seqs, cols, spans)
     cols = cols.reshape(rows * t_len, k * c_in)
     w_flat = weight.data.reshape(k * c_in, c_out)
     flat = cols @ w_flat
@@ -558,7 +542,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = data.sum(axis=-1, keepdims=True)
     var *= scale
     # An overflowed variance would give inv = 0 and a finite output.
-    _check_finite("layer_norm", var)
+    check_finite("layer_norm", var)
     var += eps
     inv = var ** -0.5
     x_hat *= inv

@@ -32,6 +32,11 @@ BAD_SETTINGS = [
     ("vae.peak_lr=inf", "vae.peak_lr must be finite, got inf"),
     ("horizon=9", "horizon must lie in 3..6, got 9"),
     ("horizon=2", "horizon must lie in 3..6, got 2"),
+    ("data.num_tasks=0", "data.num_tasks must be positive, got 0"),
+    ("data.num_actions=1", "data.num_actions must be >= 2, got 1"),
+    ("data.obs_dim=0", "data.obs_dim must be positive, got 0"),
+    ("data.text_dim=0", "data.text_dim must be positive, got 0"),
+    ("data.videos_per_task=0", "data.videos_per_task must be positive, got 0"),
     ("data.noise_sd=-0.1", "data.noise_sd must be >= 0, got -0.1"),
     ("data.branch_prob=1.5", "data.branch_prob must lie in [0, 1], got 1.5"),
     ("data.branch_prob=-0.5", "data.branch_prob must lie in [0, 1], got -0.5"),

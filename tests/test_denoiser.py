@@ -38,6 +38,15 @@ def _fuse(net, code):
     return net.fuse_batch(code.z, code.eps)
 
 
+def _assert_layout(items, t_len, chunks):
+    """``chunk_bounds`` splits the items into ``chunks`` whole-item chunks
+    whose sizes differ by at most one."""
+    bounds = denoiser.chunk_bounds(items, t_len)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == items and len(sizes) == chunks
+    assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+
+
 class TestTimestepEmbedding:
     def test_step_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +180,7 @@ class TestForward:
             net.forward(Tensor(rng.normal(size=(1, 4, FEATURE_DIM))), [1], net.zero_constraint(3))
 
     def test_chunked_forward_matches_per_chunk_forwards(self, net):
-        # 101 items at T=3 are 303 rows: two chunks, of 50 and 51 items.
+        # 186 items at T=3 are 558 rows: two chunks of 93 items.
         net.params.freeze()
         rng = np.random.default_rng(10)
         items = CHUNK_ROWS // 3 + 16
@@ -188,34 +197,78 @@ class TestForward:
         # to about 3e-7 relative.
         assert np.allclose(whole, np.concatenate(parts), rtol=0.0, atol=1e-5 * np.abs(whole).max())
 
-    def test_graph_free_forward_is_float32_close_to_graph_forward(self, net, monkeypatch):
+    def test_graph_free_forward_is_float32_close_to_graph_forward(self, net):
         # One frozen network and one batch: with ``x`` requiring grad the
-        # forward records a graph in float64; on plain inputs it runs its
-        # chunks in float32 and returns float64.
-        dtypes = []
-        conv = T.conv1d_same
-
-        def spy(x, weight, bias=None):
-            dtypes.append({x.data.dtype, weight.data.dtype, bias.data.dtype})
-            return conv(x, weight, bias)
-
-        monkeypatch.setattr(denoiser, "conv1d_same", spy)
+        # forward records a graph in float64; on plain inputs it runs the
+        # float32 body (``sample_chunk``) and returns float64.
         net.params.freeze()
         rng = np.random.default_rng(12)
-        items = 9
-        x = rng.normal(size=(items, 4, FEATURE_DIM))
-        steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
-        z_c = _fuse(net, _code(rng, batch=items))
-        graph = net.forward(Tensor(x, requires_grad=True), steps, z_c)
-        assert graph.requires_grad and dtypes == [{np.dtype(np.float64)}] * 5
-        dtypes.clear()
-        free = net.forward(Tensor(x), steps, z_c)
-        chunks = len(denoiser.chunk_bounds(items, 4)) - 1
-        assert not free.requires_grad and free.data.dtype == np.float64
-        assert dtypes == [{np.dtype(np.float32)}] * (5 * chunks)
-        scale = np.abs(graph.data).max()
-        assert np.allclose(free.data, graph.data, rtol=0.0, atol=1e-5 * scale)
-        assert not np.array_equal(free.data, graph.data)
+        for t_len, items in ((3, 1), (3, 9), (6, 1), (6, 9)):
+            x = rng.normal(size=(items, t_len, FEATURE_DIM))
+            steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
+            z_c = _fuse(net, _code(rng, batch=items))
+            graph = net.forward(Tensor(x, requires_grad=True), steps, z_c)
+            free = net.forward(Tensor(x), steps, z_c)
+            assert graph.requires_grad and graph.data.dtype == np.float64
+            assert not free.requires_grad and free.data.dtype == np.float64
+            scale = np.abs(graph.data).max()
+            assert np.allclose(free.data, graph.data, rtol=0.0, atol=1e-5 * scale)
+            assert not np.array_equal(free.data, graph.data)
+
+    @pytest.mark.parametrize("t_len,items", [(3, 1), (3, 9), (6, 1), (6, 9)])
+    def test_one_row_time_mlp_matches_per_row(self, net, t_len, items):
+        # Every item at one step: the time MLP runs on one shared row, which
+        # agrees with running it on each item's copy of that row.
+        net.params.freeze()
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(items, t_len, FEATURE_DIM))
+        z_c = _fuse(net, _code(rng, batch=items)).data
+        emb = np.stack([timestep_embedding(17, TIME_STEPS)] * items)
+        weights = denoiser._float32_weights(net.params)
+        shared = denoiser.sample_chunk(x, emb[:1], z_c, weights, T.check_finite)
+        per_row = denoiser.sample_chunk(x, emb, z_c, weights, T.check_finite)
+        assert shared.shape == per_row.shape == x.shape
+        assert np.allclose(shared, per_row, rtol=0.0, atol=1e-5 * np.abs(per_row).max())
+
+    @pytest.mark.parametrize("name,op", [
+        ("time1.w", "matmul"), ("time1.b", "add"), ("enc2.w", "conv1d_same"),
+        ("bottleneck.ln_gain", "layer_norm"), ("out.b", "conv1d_same"),
+    ])
+    def test_non_finite_weight_names_first_op(self, net, name, op):
+        # The float32 body checks only its layer-norm variance and output;
+        # a failing chunk runs again checking every op, as the engine does.
+        net.params["denoiser." + name].data.flat[0] = np.nan
+        net.params.freeze()
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 4, FEATURE_DIM)))
+        with pytest.raises(T.NumericError) as exc:
+            net.forward(x, [5] * 3, net.zero_constraint(3))
+        assert str(exc.value) == f"{op}: produced non-finite values"
+
+    def test_overflowed_variance_is_caught(self, net):
+        # h2 alternates 1e30 and 0 over its channels (gelu zeroes -1e30), so
+        # the centred squares overflow float32 and the variance is inf; the
+        # layer norm's output would be its (finite) bias.
+        net.params.freeze()
+        x = np.random.default_rng(15).normal(size=(2, 3, FEATURE_DIM))
+        weights = denoiser._float32_weights(net.params)
+        weights["enc2.b"] = np.resize(np.float32([1e30, -1e30]), BOTTLENECK_CHANNELS)
+        z_c = np.zeros((2, BOTTLENECK_CHANNELS))
+        emb = timestep_embedding(1, TIME_STEPS)[None]
+        with np.errstate(all="ignore"), pytest.raises(T.NumericError, match="^layer_norm"):
+            denoiser.sample_chunk(x, emb, z_c, weights, denoiser._unchecked)
+
+    def test_weights_cast_once_per_block(self, net, monkeypatch):
+        casts = []
+        cast = denoiser._float32_weights
+        monkeypatch.setattr(denoiser, "_float32_weights", lambda p: casts.append(1) or cast(p))
+        net.params.freeze()
+        x = Tensor(np.random.default_rng(16).normal(size=(2, 3, FEATURE_DIM)))
+        with net.item_workers(2, 3):
+            for _ in range(3):
+                net.forward(x, [4, 4], net.zero_constraint(2))
+        assert len(casts) == 1 and net._float32 is None
+        net.forward(x, [4, 4], net.zero_constraint(2))
+        assert len(casts) == 2
 
     @pytest.mark.parametrize("frozen,x_grad,bodies", [
         (False, False, 1), (True, True, 1), (True, False, 3),
@@ -223,27 +276,40 @@ class TestForward:
     def test_only_graph_free_forwards_chunk(self, net, monkeypatch, frozen, x_grad, bodies):
         # Chunks of 4 rows would split a 3-item, T=3 batch in three.
         monkeypatch.setattr(denoiser, "CHUNK_ROWS", 4)
-        calls = []
-        body = ConditionedUNet._forward_rows
+        graphs, chunks = [], []
+        body, chunk = ConditionedUNet._forward_rows, denoiser.sample_chunk
         monkeypatch.setattr(
             ConditionedUNet, "_forward_rows",
-            lambda self, *args: calls.append(1) or body(self, *args),
+            lambda self, *args: graphs.append(1) or body(self, *args),
+        )
+        monkeypatch.setattr(
+            denoiser, "sample_chunk", lambda *args: chunks.append(1) or chunk(*args),
         )
         if frozen:
             net.params.freeze()
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 3, FEATURE_DIM)), requires_grad=x_grad)
         out = net.forward(x, [1, 20, TIME_STEPS], net.zero_constraint(3))
-        assert len(calls) == bodies and out.shape == x.shape
+        graph_free = frozen and not x_grad
+        assert (len(chunks), len(graphs)) == ((bodies, 0) if graph_free else (0, bodies))
+        assert out.shape == x.shape
 
     @pytest.mark.parametrize("items,t_len,chunks", [
         (243, 3, 4), (108, 6, 4), (170, 3, 2), (171, 3, 4), (3, 3, 2), (1, 6, 1), (700, 3, 10),
     ])
-    def test_chunk_layout_is_even_and_whole_items(self, items, t_len, chunks):
-        bounds = denoiser.chunk_bounds(items, t_len)
-        sizes = np.diff(bounds)
-        assert bounds[0] == 0 and bounds[-1] == items and len(sizes) == chunks
-        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+    def test_chunk_layout_is_even_and_whole_items(self, monkeypatch, items, t_len, chunks):
+        # The rule's arithmetic at 256-row chunks, where these batches split
+        # into 1 to 10 chunks; ``test_sampling_batch_layout`` pins the
+        # default size.
+        monkeypatch.setattr(denoiser, "CHUNK_ROWS", 256)
+        _assert_layout(items, t_len, chunks)
+
+    @pytest.mark.parametrize("items,t_len", [(243, 3), (108, 6)])
+    def test_sampling_batch_layout(self, items, t_len):
+        # Desk (243 x 3) and horizon-6 (108 x 6) eval batches form two
+        # chunks, one per process on two cores.
+        assert CHUNK_ROWS == 512
+        _assert_layout(items, t_len, 2)
 
     def test_checkpoint_prefix(self, net):
         assert all(name.startswith("denoiser.") for name, _ in net.params.items())

@@ -343,6 +343,31 @@ class TestSampling:
         )
         assert np.array_equal(batch, batch_again)
 
+    def test_one_forward_per_step_over_all_items(self, frozen_vae, monkeypatch):
+        # The call contract the benchmark's traced counts rely on: each
+        # reverse step is one denoiser forward over all B items, which
+        # embeds each item's step once.
+        items, n_steps = 5, 7
+        forwards, embeddings = [], []
+        forward, embed = ConditionedUNet.forward, denoiser.timestep_embedding
+
+        def spy_forward(self, x, steps, z_c):
+            forwards.append((x.shape[0], list(steps)))
+            return forward(self, x, steps, z_c)
+
+        monkeypatch.setattr(ConditionedUNet, "forward", spy_forward)
+        monkeypatch.setattr(
+            denoiser, "timestep_embedding", lambda n, *args: embeddings.append(n) or embed(n, *args)
+        )
+        net = ConditionedUNet(LAYOUT.feature_dim, n_steps, seed=2)
+        net.params.freeze()
+        generate_plans(
+            _batch(np.random.default_rng(24), items), np.arange(items) % LAYOUT.num_tasks,
+            make_schedule(n_steps), net, frozen_vae, LAYOUT, seeds=list(range(items)),
+        )
+        assert forwards == [(items, [n] * items) for n in range(n_steps, 0, -1)]
+        assert embeddings == [n for n in range(n_steps, 0, -1) for _ in range(items)]
+
     def test_alignment_validated(self, frozen_vae):
         rng = np.random.default_rng(20)
         net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=2)
@@ -444,9 +469,9 @@ def parent_chunks(monkeypatch):
     """The item ranges whose chunks this process computes."""
     ranges, chunks = [], ConditionedUNet._chunks
 
-    def recording_chunks(self, x, emb, z_c, spans):
+    def recording_chunks(self, x, emb, z_c, spans, out):
         ranges.extend(spans)
-        return chunks(self, x, emb, z_c, spans)
+        chunks(self, x, emb, z_c, spans, out)
 
     monkeypatch.setattr(ConditionedUNet, "_chunks", recording_chunks)
     return ranges
@@ -490,26 +515,35 @@ class TestWorkerSampling:
             self._plan(frozen_vae, net, samples)
         return str(exc.value)
 
-    def test_non_finite_weight_same_error(self, frozen_vae, forks, monkeypatch):
+    def _non_finite_weight_messages(self, frozen_vae, forks, monkeypatch, name):
+        """The error of a NaN in weight ``name``, forked and in one process."""
         net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
-        net.params["denoiser.enc2.w"].data[0, 0, 0] = np.nan
+        net.params["denoiser." + name].data.flat[0] = np.nan
         net.params.freeze()
         forked = self._numeric_message(frozen_vae, net)
         assert len(forks) == 1
         _no_child_left()
         _one_core(monkeypatch)
-        assert self._numeric_message(frozen_vae, net) == forked
-        assert forked == "conv1d_same: produced non-finite values"
+        return forked, self._numeric_message(frozen_vae, net)
+
+    def test_non_finite_weight_same_error(self, frozen_vae, forks, monkeypatch):
+        forked, in_process = self._non_finite_weight_messages(frozen_vae, forks, monkeypatch, "enc2.w")
+        assert forked == in_process == "conv1d_same: produced non-finite values"
+
+    @pytest.mark.parametrize("name,op", [("time1.w", "matmul"), ("bottleneck.ln_gain", "layer_norm")])
+    def test_non_finite_weight_names_op(self, frozen_vae, forks, monkeypatch, name, op):
+        forked, in_process = self._non_finite_weight_messages(frozen_vae, forks, monkeypatch, name)
+        assert forked == in_process == f"{op}: produced non-finite values"
 
     def test_more_workers_than_cores(self, frozen_vae, forks, monkeypatch):
-        # 200 items at T=3 are four chunks, one per process on however many
+        # 400 items at T=3 are four chunks, one per process on however many
         # cores there are.
         monkeypatch.setattr(denoiser, "usable_cores", lambda: 4)
-        forked = self._plan(frozen_vae, items=200)
+        forked = self._plan(frozen_vae, items=400)
         assert len(forks) == 3
         _no_child_left()
         _one_core(monkeypatch)
-        assert np.array_equal(forked, self._plan(frozen_vae, items=200))
+        assert np.array_equal(forked, self._plan(frozen_vae, items=400))
 
     def test_error_in_worker_chunk_recomputed_in_parent(
         self, frozen_vae, forks, parent_chunks, monkeypatch

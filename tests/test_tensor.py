@@ -117,14 +117,6 @@ class TestScalarOperands:
     }
 
     @pytest.mark.parametrize("op", OPS)
-    def test_scalar_keeps_float32(self, op):
-        x = np.random.default_rng(0).normal(size=(2, 3))
-        out = self.OPS[op](T.float32_tensor(x))
-        assert out.data.dtype == np.float32
-        expected = self.EXPLICIT[op](Tensor(x)).data
-        assert np.allclose(out.data, expected, rtol=1e-6, atol=1e-6)
-
-    @pytest.mark.parametrize("op", OPS)
     def test_float64_bit_identical(self, op):
         x = np.random.default_rng(1).normal(size=(2, 3))
         out = self.OPS[op](Tensor(x)).data
@@ -133,10 +125,13 @@ class TestScalarOperands:
 
     @pytest.mark.parametrize("scalar", [np.nan, np.inf, 1e39])
     def test_non_finite_or_overflowing_scalar_raises(self, scalar):
-        with pytest.raises(NumericError):
-            T.float32_tensor(np.ones(3)) * scalar
-        with pytest.raises(NumericError):
-            scalar + T.float32_tensor(np.ones(3))
+        # 1e39 is finite in float64, but its product with 1e300 is not.
+        big = Tensor(np.full(3, 1e300))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError):
+                big * scalar
+            with pytest.raises(NumericError):
+                scalar * big
 
 
 class TestBackward:
