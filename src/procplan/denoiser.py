@@ -138,11 +138,13 @@ def _sinusoid(n: int, dim: int) -> np.ndarray:
 
 
 class ConditionedUNet:
-    """Denoiser mapping a batch of noised [T, D] states (plus steps and
-    constraints) to predictions of the clean states."""
+    """Denoiser mapping a batch of [T, D] states, whose action block is
+    noised (plus steps and constraints), to predictions of the clean
+    [T, num_actions] action blocks."""
 
-    def __init__(self, feature_dim: int, time_steps: int, seed: int = 0):
+    def __init__(self, feature_dim: int, time_steps: int, *, num_actions: int, seed: int = 0):
         self.feature_dim = feature_dim
+        self.num_actions = num_actions
         self.time_steps = time_steps
         self.params = ParamStore()
         self._workers: _ItemWorkers | None = None
@@ -173,7 +175,7 @@ class ConditionedUNet:
         self.params.add("denoiser.bottleneck.ln_bias", np.zeros(c2))
         conv("denoiser.bottleneck", c2, c2)
         conv("denoiser.dec1", c2 + c2, c1)
-        conv("denoiser.out", c1 + c1, d)
+        conv("denoiser.out", c1 + c1, num_actions)
         linear("denoiser.time1", TIME_EMBED_DIM, c2)
         linear("denoiser.time2", c2, c2, gain=1.0)
         self.fuse_w, self.fuse_b = linear("denoiser.fuse", FUSION_INPUT_DIM, c2, gain=1.0)
@@ -200,7 +202,8 @@ class ConditionedUNet:
     # -- forward ---------------------------------------------------------------
 
     def forward(self, x: Tensor, steps, z_c: Tensor) -> Tensor:
-        """Predict the clean state from a noised [B, T, D] batch.
+        """Predict the clean [B, T, num_actions] action blocks from a
+        [B, T, D] batch of states.
 
         ``steps`` is one 1-based diffusion step per batch item; ``z_c`` is
         the [B, C] constraint batch (use ``zero_constraint`` to disable).
@@ -233,7 +236,7 @@ class ConditionedUNet:
         if self._workers is not None and self._workers.shape == x.shape:
             return Tensor(self._workers.forward(x.data, emb, z_c.data))
         bounds = chunk_bounds(items, t_len)
-        out = np.empty_like(x.data)
+        out = np.empty((items, t_len, self.num_actions))
         self._chunks(x.data, emb, z_c.data, list(zip(bounds, bounds[1:])), out)
         return Tensor(out)
 
@@ -369,7 +372,7 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     buffers of dec1 and out, with no separate concatenation.  ``check(op,
     data)`` follows every op that can first turn non-finite; the
     layer-norm variance is checked always, since an overflowed variance
-    gives a finite output.  Returns the [n, T, D] float32 output.
+    gives a finite output.  Returns the [n, T, num_actions] float32 output.
     """
     n, t_len, d = x.shape
     c1, c2 = BASE_CHANNELS, BOTTLENECK_CHANNELS
@@ -436,7 +439,7 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     im2col(h1, cols[..., c1:], spans)
     out = conv_step(cols, w["out.w"], w["out.b"])
     check("conv1d_same", out)
-    return out.reshape(n, t_len, d)
+    return out.reshape(n, t_len, -1)
 
 
 class _Worker:
@@ -472,7 +475,8 @@ class _ItemWorkers:
                   for p in range(processes)]
         self.own = shares[0]
         items = shape[0]
-        shapes = [shape, (items, TIME_EMBED_DIM), (items, BOTTLENECK_CHANNELS), shape]
+        shapes = [shape, (items, TIME_EMBED_DIM), (items, BOTTLENECK_CHANNELS),
+                  shape[:2] + (net.num_actions,)]
         sizes = [math.prod(s) for s in shapes]
         shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))  # float64, MAP_SHARED
         self.x, self.emb, self.z_c, self.out = (

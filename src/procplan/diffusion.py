@@ -2,17 +2,15 @@
 
 A plan state is a [T, D] matrix, batched as a plain [B, T, D] array, with
 D = num_tasks + num_actions + obs_dim per-row blocks: a task one-hot
-repeated down every row, an action one-hot per row, and an observation
-block that carries the start observation in the first row, the goal
-observation in the last row, and zeros between.
+repeated down every row, a [T, A] action block, and an observation block
+that carries o_s in the first row, o_g in the last row, and zeros between.
 
-The forward process is the closed form x_n = sqrt(abar_n) x_0 +
-sqrt(1 - abar_n) eps.  The reverse sampler starts from Gaussian noise on
-the action block with the condition blocks set from (task, o_s, o_g),
-predicts the clean state each step, forms the posterior mean with
-variance beta_n I, and re-imposes the condition blocks after every step,
-so the conditioning holds exactly all the way down.  Training regresses
-the clean state directly, and the loss covers only the action block.
+Only the action block diffuses: a_n = sqrt(abar_n) a_0 + sqrt(1 - abar_n)
+eps.  The task and observation blocks are clean inputs, in training as in
+sampling, and the network predicts the clean action block.  The reverse
+sampler writes the condition blocks once, starts the action block from
+Gaussian noise, and moves it each step to the posterior mean plus noise of
+variance beta_n I.
 """
 
 from __future__ import annotations
@@ -24,20 +22,20 @@ import numpy as np
 from .corpus import Samples
 from .denoiser import ConditionedUNet
 from .losses import mse
-from .tensor import Tensor, getitem
+from .tensor import Tensor
 from .vae import StateAutoencoder, reparameterize
 
 
 # The sampler draws each item's noise for up to NOISE_BLOCK_STEPS reverse
 # steps in one call (``noise_block_steps``), into a block of at most
 # NOISE_BLOCK_BYTES unless one step is larger: a 16-step block of a large
-# batch with D ~ 2,000 features would otherwise take hundreds of MB.
+# batch with the coin preset's 778 actions would otherwise take hundreds of MB.
 NOISE_BLOCK_STEPS = 16
 NOISE_BLOCK_BYTES = 16 << 20
 
 
 def noise_block_steps(state_bytes: int) -> int:
-    """Reverse steps of noise each item draws per call, for a batch state
+    """Reverse steps of noise each item draws per call, for action blocks
     of ``state_bytes``: ``NOISE_BLOCK_STEPS``, fewer when the block would
     pass ``NOISE_BLOCK_BYTES``, and at least one."""
     return max(1, min(NOISE_BLOCK_STEPS, NOISE_BLOCK_BYTES // state_bytes))
@@ -105,37 +103,29 @@ class BlockLayout:
         return slice(self.num_tasks + self.num_actions, self.feature_dim)
 
 
-def impose_conditions(
-    x: np.ndarray,
+def conditioned_states(
+    actions: np.ndarray,
     task_labels: np.ndarray,
     o_s: np.ndarray,
     o_g: np.ndarray,
     layout: BlockLayout,
-) -> None:
-    """Write the condition blocks of a [B, T, D] batch in place: the task
+) -> np.ndarray:
+    """[B, T, D] states around a [B, T, A] batch of action blocks: the task
     one-hot in every row, o_s in the first row's observation block, o_g in
     the last row's, and zeros in the observation rows between."""
-    x[:, :, layout.task_cols] = 0.0
-    x[np.arange(len(x)), :, layout.task_cols.start + task_labels] = 1.0
-    x[:, :, layout.obs_cols] = 0.0
+    batch, horizon = actions.shape[:2]
+    x = np.zeros((batch, horizon, layout.feature_dim))
+    x[:, :, layout.action_cols] = actions
+    x[np.arange(batch), :, layout.task_cols.start + np.asarray(task_labels)] = 1.0
     x[:, 0, layout.obs_cols] = o_s
     x[:, -1, layout.obs_cols] = o_g
-
-
-def build_x0(plans: Samples, layout: BlockLayout) -> np.ndarray:
-    """Clean conditioned [B, T, D] states of a batch of plans."""
-    batch, horizon = plans.actions.shape
-    x = np.zeros((batch, horizon, layout.feature_dim))
-    items = np.arange(batch)[:, None]
-    x[items, np.arange(horizon), layout.action_cols.start + plans.actions] = 1.0
-    impose_conditions(x, plans.task, plans.o_s, plans.o_g, layout)
     return x
 
 
 def q_forward(
     x0: np.ndarray, steps: np.ndarray | list[int], schedule: NoiseSchedule, noise: np.ndarray
 ) -> np.ndarray:
-    """Closed-form noising of a clean [B, T, D] batch, item i to step ``steps[i]``."""
+    """Closed-form noising of clean [B, T, A] action blocks, item i to step ``steps[i]``."""
     steps = np.asarray(steps)
     schedule.check_steps(steps)
     abar = schedule.alpha_bars[steps][:, None, None]
@@ -156,32 +146,31 @@ def diffusion_loss(
     rng: np.random.Generator,
     use_eps: bool = True,
 ) -> Tensor:
-    """Training loss over a batch: predict x_0 from a uniformly noised x_n.
+    """Training loss over a batch: predict the clean action block a_0 from
+    a uniformly noised a_n, with clean condition blocks (ground-truth task,
+    o_s, o_g) around it, as in sampling.
 
-    Ground-truth task labels condition x_0.  ``codes`` holds the frozen
-    autoencoder's (mu, logvar) of each plan's (start, goal) states, each
-    [B, 2, LATENT_DIM]; ``None`` trains against the zero constraint.  The
-    generator gives each item its step and noise in turn, then the
-    constraint noise of the whole batch.  The squared error covers only the
-    action block; the condition blocks are clamped at inference.
+    ``codes`` holds the frozen autoencoder's (mu, logvar) of each plan's
+    (start, goal) states, each [B, 2, LATENT_DIM]; ``None`` trains against
+    the zero constraint.  The generator gives each item its step and [T, A]
+    noise in turn, then the constraint noise of the whole batch.
     """
-    x0 = build_x0(plans, layout)
-    batch = len(x0)
+    a0 = np.eye(layout.num_actions)[plans.actions]
+    batch = len(a0)
     steps = np.empty(batch, dtype=np.int64)
-    noise = np.empty_like(x0)
+    noise = np.empty_like(a0)
     for i in range(batch):
         steps[i] = rng.integers(1, schedule.n_steps + 1)
         rng.standard_normal(out=noise[i])
-    xn = q_forward(x0, steps, schedule, noise)
+    an = q_forward(a0, steps, schedule, noise)
+    xn = conditioned_states(an, plans.task, plans.o_s, plans.o_g, layout)
     if codes is None:
         z_c = denoiser.zero_constraint(batch)
     else:
         mu, logvar = codes
         eps = rng.standard_normal(mu.shape) if use_eps else np.zeros_like(mu)
         z_c = denoiser.fuse_batch(reparameterize(mu, logvar, eps), eps)
-    pred = denoiser.forward(Tensor(xn), steps, z_c)
-    cols = (Ellipsis, layout.action_cols)
-    return mse(getitem(pred, cols), getitem(Tensor(x0), cols))
+    return mse(denoiser.forward(Tensor(xn), steps, z_c), Tensor(a0))
 
 
 def generate_plans(
@@ -200,14 +189,16 @@ def generate_plans(
     Row i is conditioned on ``task_labels[i]`` and its o_s/o_g, and its
     ``states()`` feed the constraint encoder.  Of ``conditions.actions``
     only the width, the horizon, is read: ground-truth actions are never
-    consulted.  Returns the final [B, T, D] states.  Each row owns its seeded noise
-    stream, so every row draws the same noise however rows are batched;
-    the encoder and network outputs agree across batchings only to
-    rounding, since BLAS may sum a row differently at another batch size.
+    consulted.  Returns the final [B, T, D] states, whose condition blocks
+    were written once.  Each row owns its seeded noise stream, so every
+    row draws the same noise however rows are batched; the encoder and
+    network outputs agree across batchings only to rounding, since BLAS
+    may sum a row differently at another batch size.
 
     Each reverse step is one ``denoiser.forward`` over all B items at
-    step n; a frozen network runs it through its float32 body, with the
-    time MLP on one row since every item shares n.  The reverse loop runs
+    step n, predicting the clean action blocks, and updates only the
+    action block; a frozen network runs it through its float32 body, with
+    the time MLP on one row since every item shares n.  The reverse loop runs
     inside ``denoiser.item_workers``, which casts the float32 weights once
     for the whole chain; with BLAS pinned to one thread on a multi-core
     Linux machine, forked workers compute some of each step's item chunks,
@@ -230,26 +221,27 @@ def generate_plans(
     else:
         z_c = denoiser.zero_constraint(batch)
 
-    x = np.zeros((batch, horizon, layout.feature_dim))
-    for i, rng in enumerate(rngs):
-        x[i, :, layout.action_cols] = rng.standard_normal((horizon, layout.num_actions))
-    impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
+    x = conditioned_states(
+        np.stack([rng.standard_normal((horizon, layout.num_actions)) for rng in rngs]),
+        task_labels, conditions.o_s, conditions.o_g, layout,
+    )
+    a = x[:, :, layout.action_cols]  # the action block, updated in place
 
-    block = noise_block_steps(x.nbytes)
-    noise = np.empty((batch, block) + x.shape[1:])
+    block = noise_block_steps(a.nbytes)
+    noise = np.empty((batch, block) + a.shape[1:])
     with denoiser.item_workers(batch, horizon):
         for n in range(schedule.n_steps, 0, -1):
-            pred_x0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
+            pred_a0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
             abar_n = schedule.alpha_bars[n]
             abar_prev = schedule.alpha_bars[n - 1]
             beta = schedule.betas[n - 1]
             alpha = schedule.alphas[n - 1]
             c0 = np.sqrt(abar_prev) * beta / (1.0 - abar_n)
             c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
-            # x = c0 * pred_x0 + c1 * x, in place.
-            pred_x0 *= c0
-            x *= c1
-            x += pred_x0
+            # a = c0 * pred_a0 + c1 * a, in place.
+            pred_a0 *= c0
+            a *= c1
+            a += pred_a0
             if n > 1:
                 # Steps n = N..2 draw noise; the draw for step n is number
                 # N - n of each item's stream after its initial state.
@@ -259,7 +251,6 @@ def generate_plans(
                         rng.standard_normal(out=noise[i, :min(block, n - 1)])
                 step_noise = noise[:, slot]
                 step_noise *= np.sqrt(beta)
-                x += step_noise
-            impose_conditions(x, task_labels, conditions.o_s, conditions.o_g, layout)
+                a += step_noise
 
     return x

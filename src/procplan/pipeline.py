@@ -174,8 +174,8 @@ def _stage_model(stage: str, config: RunConfig, seed: int) -> StageModel:
     if stage == "classifier":
         return TaskClassifier(obs_dim=data.obs_dim, num_tasks=data.num_tasks, seed=seed)
     if stage == "diffusion":
-        feature_dim = _layout(config).feature_dim
-        return ConditionedUNet(feature_dim=feature_dim, time_steps=config.schedule.steps, seed=seed)
+        return ConditionedUNet(_layout(config).feature_dim, config.schedule.steps,
+                               num_actions=data.num_actions, seed=seed)
     raise PipelineError(f"unknown stage {stage!r}, expected one of {STAGES}")
 
 
@@ -286,7 +286,8 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
 def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> StageModel:
     """Load a trained stage's model, frozen, checking its checkpoint's
-    provenance record against ``config`` (see ``check_provenance``)."""
+    provenance record against ``config`` (see ``check_provenance``) and
+    its parameter names and shapes against the model's."""
     model = _stage_model(stage, config, seed=0)
     path = _ckpt_path(workdir, stage, tag)
     if not os.path.exists(path):
@@ -295,7 +296,10 @@ def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> St
         )
     arrays, made_with = ckpt.split_meta(ckpt.load_checkpoint(path), path)
     check_provenance(path, made_with, config, stage)
-    model.params.load_state(arrays)
+    try:
+        model.params.load_state(arrays)
+    except ValueError as exc:
+        raise ckpt.CheckpointError(f"{path}: {exc}") from exc
     model.params.freeze()
     return model
 

@@ -143,7 +143,9 @@ class TestCriterion1GradientIntegrity:
         assert layout.feature_dim == 20
         frozen = StateAutoencoder(input_dim=layout.obs_dim + 3, seed=2)
         frozen.freeze()
-        denoiser = ConditionedUNet(layout.feature_dim, time_steps=10, seed=3)
+        denoiser = ConditionedUNet(
+            layout.feature_dim, time_steps=10, num_actions=layout.num_actions, seed=3
+        )
         schedule = make_schedule(10)
         # Two plans, drawn field by field per plan: task, actions, o_s, o_g,
         # n_es, n_eg.

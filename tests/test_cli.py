@@ -120,6 +120,24 @@ class TestTrainEvalFlow:
         assert main(eval_args) == EXIT_FORMAT
         assert "'_meta.schedule.steps' is not an empty" in capsys.readouterr().err
 
+    def test_full_width_out_conv_exits_format(self, tmp_path, capsys):
+        # The denoiser predicts only the action block; a checkpoint whose
+        # out conv emits all D state columns is refused.
+        assert _gen(tmp_path) == 0
+        assert main(["train", "--stage", "all", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
+        path = tmp_path / "diffusion.ckpt"
+        capsys.readouterr()
+        assert main(["inspect-checkpoint", str(path)]) == 0
+        assert "denoiser.out.w  [3, 128, 12]" in capsys.readouterr().out.splitlines()
+        arrays = load_checkpoint(str(path))
+        feature_dim = arrays["denoiser.enc1.w"].shape[1]
+        arrays["denoiser.out.w"] = np.zeros((3, 128, feature_dim))
+        arrays["denoiser.out.b"] = np.zeros(feature_dim)
+        save_checkpoint(str(path), arrays)
+        assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert str(path) in err and "'denoiser.out.w' has shape (3, 128, 12)" in err, err
+
     def test_diffusion_without_vae_exits_prereq(self, tmp_path, capsys):
         _gen(tmp_path)
         code = main(["train", "--stage", "diffusion", "--workdir", str(tmp_path), *TINY_ARGS])

@@ -19,12 +19,13 @@ from procplan.tensor import Tensor
 from procplan.vae import LatentCode, StateAutoencoder
 
 FEATURE_DIM = 20
+NUM_ACTIONS = 7
 TIME_STEPS = 50
 
 
 @pytest.fixture()
 def net():
-    return ConditionedUNet(feature_dim=FEATURE_DIM, time_steps=TIME_STEPS, seed=0)
+    return ConditionedUNet(FEATURE_DIM, TIME_STEPS, num_actions=NUM_ACTIONS, seed=0)
 
 
 def _code(rng, batch=1):
@@ -128,13 +129,13 @@ class TestForward:
         for horizon in (3, 4, 5, 6):
             x = Tensor(rng.normal(size=(1, horizon, FEATURE_DIM)))
             out = net.forward(x, [5], net.zero_constraint(1))
-            assert out.shape == (1, horizon, FEATURE_DIM)
+            assert out.shape == (1, horizon, NUM_ACTIONS)
 
     def test_batched_shape(self, net):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(7, 3, FEATURE_DIM)))
         out = net.forward(x, [1] * 7, net.zero_constraint(7))
-        assert out.shape == (7, 3, FEATURE_DIM)
+        assert out.shape == (7, 3, NUM_ACTIONS)
 
     def test_zero_constraint_matches_explicit_zeros(self, net):
         rng = np.random.default_rng(5)
@@ -162,7 +163,8 @@ class TestForward:
         x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
         z_c = _fuse(net, _code(rng))
         net.params.zero_grads()
-        T.sum(T.mul(net.forward(x, [3], z_c), x)).backward()
+        out = net.forward(x, [3], z_c)
+        T.sum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
         assert net.fuse_w.grad is not None
         assert np.abs(net.fuse_w.grad).max() > 0.0
 
@@ -227,7 +229,7 @@ class TestForward:
         weights = denoiser._float32_weights(net.params)
         shared = denoiser.sample_chunk(x, emb[:1], z_c, weights, T.check_finite)
         per_row = denoiser.sample_chunk(x, emb, z_c, weights, T.check_finite)
-        assert shared.shape == per_row.shape == x.shape
+        assert shared.shape == per_row.shape == (items, t_len, NUM_ACTIONS)
         assert np.allclose(shared, per_row, rtol=0.0, atol=1e-5 * np.abs(per_row).max())
 
     @pytest.mark.parametrize("name,op", [
@@ -292,7 +294,7 @@ class TestForward:
         out = net.forward(x, [1, 20, TIME_STEPS], net.zero_constraint(3))
         graph_free = frozen and not x_grad
         assert (len(chunks), len(graphs)) == ((bodies, 0) if graph_free else (0, bodies))
-        assert out.shape == x.shape
+        assert out.shape == (3, 3, NUM_ACTIONS)
 
     @pytest.mark.parametrize("items,t_len,chunks", [
         (243, 3, 4), (108, 6, 4), (170, 3, 2), (171, 3, 4), (3, 3, 2), (1, 6, 1), (700, 3, 10),
@@ -313,6 +315,15 @@ class TestForward:
 
     def test_checkpoint_prefix(self, net):
         assert all(name.startswith("denoiser.") for name, _ in net.params.items())
+
+    def test_out_conv_emits_the_action_block(self, net):
+        # The network reads all D columns and predicts only the actions;
+        # the width has no default.
+        assert net.params["denoiser.enc1.w"].shape == (3, FEATURE_DIM, 64)
+        assert net.params["denoiser.out.w"].shape == (3, 128, NUM_ACTIONS)
+        assert net.params["denoiser.out.b"].shape == (NUM_ACTIONS,)
+        with pytest.raises(TypeError, match="num_actions"):
+            ConditionedUNet(FEATURE_DIM, TIME_STEPS)
 
 
 class TestSamplingProcesses:

@@ -15,16 +15,15 @@ from procplan.denoiser import BOTTLENECK_CHANNELS, ConditionedUNet
 from procplan.diffusion import (
     BlockLayout,
     ScheduleError,
-    build_x0,
+    conditioned_states,
     decode_plans,
     diffusion_loss,
     generate_plans,
-    impose_conditions,
     make_schedule,
     q_forward,
 )
 from procplan.losses import mse
-from procplan.tensor import NumericError, Tensor, getitem
+from procplan.tensor import NumericError, Tensor
 from procplan.vae import StateAutoencoder
 
 LAYOUT = BlockLayout(num_tasks=3, num_actions=4, obs_dim=5)
@@ -46,8 +45,20 @@ def _batch(rng, n):
     return Samples.concat([_sample(rng) for _ in range(n)])
 
 
+def _a0(samples):
+    """Clean [B, T, A] action blocks: one one-hot row per action."""
+    return np.eye(LAYOUT.num_actions)[samples.actions]
+
+
 def _x0(samples):
-    return build_x0(samples, LAYOUT)
+    """Clean conditioned [B, T, D] states."""
+    return conditioned_states(_a0(samples), samples.task, samples.o_s, samples.o_g, LAYOUT)
+
+
+def _net(time_steps, seed):
+    return ConditionedUNet(
+        LAYOUT.feature_dim, time_steps, num_actions=LAYOUT.num_actions, seed=seed
+    )
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +69,13 @@ def frozen_vae():
 
 
 class _StubDenoiser:
-    """Duck-typed denoiser returning a fixed clean-state batch."""
+    """Duck-typed denoiser returning a fixed batch of clean action blocks."""
 
-    def __init__(self, x0_batch):
-        self.x0 = np.asarray(x0_batch)
+    def __init__(self, a0_batch):
+        self.a0 = np.asarray(a0_batch)
 
     def forward(self, x, steps, z_c):
-        return Tensor(self.x0)
+        return Tensor(self.a0)
 
     def zero_constraint(self, batch):
         return Tensor(np.zeros((batch, BOTTLENECK_CHANNELS)))
@@ -107,7 +118,7 @@ class TestSchedule:
 class TestForwardNoising:
     def test_zero_noise_scales_by_sqrt_alpha_bar(self):
         rng = np.random.default_rng(0)
-        x0 = _x0(_sample(rng))
+        x0 = _a0(_sample(rng))
         sched = make_schedule(10)
         for n in (1, 5, 10):
             xn = q_forward(x0, [n], sched, np.zeros_like(x0))
@@ -115,7 +126,7 @@ class TestForwardNoising:
 
     def test_tiny_beta_is_nearly_identity(self):
         rng = np.random.default_rng(1)
-        x0 = _x0(_sample(rng))
+        x0 = _a0(_sample(rng))
         sched = make_schedule(5, 1e-12, 1e-12)
         xn = q_forward(x0, [5], sched, np.zeros_like(x0))
         assert np.allclose(xn, x0, atol=1e-10)
@@ -131,7 +142,7 @@ class TestForwardNoising:
 
     def test_step_out_of_range(self):
         rng = np.random.default_rng(2)
-        x0 = _x0(_sample(rng))
+        x0 = _a0(_sample(rng))
         sched = make_schedule(10)
         with pytest.raises(ScheduleError):
             q_forward(x0, [0], sched, np.zeros_like(x0))
@@ -142,7 +153,7 @@ class TestForwardNoising:
         # Many copies of one clean state noised to one step: per entry, the
         # mean is sqrt(abar) x0 and the variance is 1 - abar.
         rng = np.random.default_rng(3)
-        x0 = np.repeat(_x0(_sample(rng)), 20000, axis=0)
+        x0 = np.repeat(_a0(_sample(rng)), 20000, axis=0)
         sched = make_schedule(100)
         n = 40
         xn = q_forward(x0, [n] * len(x0), sched, rng.standard_normal(x0.shape))
@@ -152,7 +163,7 @@ class TestForwardNoising:
 
     def test_per_item_steps_match_scalar_closed_form(self):
         rng = np.random.default_rng(21)
-        x0 = _x0(_batch(rng, 3))
+        x0 = _a0(_batch(rng, 3))
         noise = rng.standard_normal(x0.shape)
         sched = make_schedule(10)
         batched = q_forward(x0, [2, 7, 10], sched, noise)
@@ -210,7 +221,7 @@ class TestDiffusionLoss:
     def test_oracle_denoiser_reaches_zero(self):
         rng = np.random.default_rng(9)
         plans = _batch(rng, 4)
-        oracle = _StubDenoiser(build_x0(plans, LAYOUT))
+        oracle = _StubDenoiser(_a0(plans))
         loss = diffusion_loss(
             plans, None, make_schedule(10), oracle, LAYOUT, rng=np.random.default_rng(0)
         )
@@ -219,19 +230,19 @@ class TestDiffusionLoss:
     def test_zero_denoiser_hits_mean_squared_actions(self):
         rng = np.random.default_rng(10)
         plans = _batch(rng, 3)
-        x0s = build_x0(plans, LAYOUT)
-        zero = _StubDenoiser(np.zeros_like(x0s))
+        a0s = _a0(plans)
+        zero = _StubDenoiser(np.zeros_like(a0s))
         loss = diffusion_loss(
             plans, None, make_schedule(10), zero, LAYOUT, rng=np.random.default_rng(0)
         )
-        expected = np.mean(x0s[:, :, LAYOUT.action_cols] ** 2)
+        expected = np.mean(a0s ** 2)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_finite_positive_at_init(self, frozen_vae):
         rng = np.random.default_rng(12)
         samples = _batch(rng, 4)
         code = frozen_vae.encode_constraints_batch(samples)
-        net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=0)
+        net = _net(10, seed=0)
         loss = diffusion_loss(
             samples, (code.mu, code.logvar), make_schedule(10), net,
             LAYOUT, rng=np.random.default_rng(0),
@@ -240,15 +251,16 @@ class TestDiffusionLoss:
 
     def test_one_step_draws_in_per_sample_order(self, frozen_vae):
         """A training step draws its batch indices, then each item's step
-        and noise in turn, then each item's (start, goal) eps.  Built from
-        per-sample encodes and forwards in that order, a reference loss
+        and [T, A] action noise in turn, then each item's (start, goal)
+        eps.  Built from per-sample encodes and forwards in that order, on
+        noised action blocks with clean condition blocks, a reference loss
         matches and leaves the generator in the same state."""
         rng = np.random.default_rng(22)
         samples = Samples.concat([
             _sample(rng, actions=rng.integers(0, 4, 3), task=int(rng.integers(0, 3)))
             for _ in range(6)
         ])
-        net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=4)
+        net = _net(10, seed=4)
         sched = make_schedule(10)
         code = frozen_vae.encode_constraints_batch(samples)
 
@@ -262,15 +274,16 @@ class TestDiffusionLoss:
         ref = np.random.default_rng(7)
         drawn = []
         for i in ref.integers(0, len(samples), 4):
-            x0 = _x0(samples.take([i]))
+            a0 = _a0(samples.take([i]))
             n = int(ref.integers(1, sched.n_steps + 1))
-            drawn.append((i, x0, n, q_forward(x0, [n], sched, ref.standard_normal(x0.shape))))
-        cols = (Ellipsis, LAYOUT.action_cols)
+            drawn.append((i, a0, n, q_forward(a0, [n], sched, ref.standard_normal(a0.shape))))
         per_sample = []
-        for i, x0, n, xn in drawn:
-            one = frozen_vae.encode_constraints_batch(samples.take([i]), use_eps=True, rngs=[ref])
-            pred = net.forward(Tensor(xn), [n], net.fuse_batch(one.z, one.eps))
-            per_sample.append(mse(getitem(pred, cols), getitem(Tensor(x0), cols)).item())
+        for i, a0, n, an in drawn:
+            one = samples.take([i])
+            xn = conditioned_states(an, one.task, one.o_s, one.o_g, LAYOUT)
+            code = frozen_vae.encode_constraints_batch(one, use_eps=True, rngs=[ref])
+            pred = net.forward(Tensor(xn), [n], net.fuse_batch(code.z, code.eps))
+            per_sample.append(mse(pred, Tensor(a0)).item())
 
         assert abs(loss.item() - np.mean(per_sample)) <= 1e-12 * np.mean(per_sample)
         assert ours.bit_generator.state == ref.bit_generator.state
@@ -279,7 +292,7 @@ class TestDiffusionLoss:
         rng = np.random.default_rng(24)
         plans = _batch(rng, 3)
         code = frozen_vae.encode_constraints_batch(plans)
-        net = ConditionedUNet(LAYOUT.feature_dim, 10, seed=4)
+        net = _net(10, seed=4)
         with_codes, without = np.random.default_rng(1), np.random.default_rng(1)
         diffusion_loss(plans, (code.mu, code.logvar), make_schedule(10), net, LAYOUT,
                        rng=with_codes, use_eps=False)
@@ -291,7 +304,7 @@ class TestSampling:
     def test_single_step_oracle_recovers_truth(self, frozen_vae):
         rng = np.random.default_rng(15)
         sample = _sample(rng, actions=(2, 1, 3), task=1)
-        oracle = _StubDenoiser(_x0(sample))
+        oracle = _StubDenoiser(_a0(sample))
         plans = generate_plans(
             sample, [1], make_schedule(1), oracle, frozen_vae, LAYOUT, seeds=[0],
             inject_constraints=False,
@@ -301,7 +314,7 @@ class TestSampling:
     def test_same_seed_bit_identical(self, frozen_vae):
         rng = np.random.default_rng(16)
         sample = _sample(rng)
-        net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
+        net = _net(8, seed=1)
         a = generate_plans(sample, [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
         b = generate_plans(sample, [0], make_schedule(8), net, frozen_vae, LAYOUT, seeds=[11])
         assert np.array_equal(a, b)
@@ -309,7 +322,7 @@ class TestSampling:
     def test_different_seeds_differ(self, frozen_vae):
         rng = np.random.default_rng(17)
         sample = _sample(rng)
-        net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
+        net = _net(8, seed=1)
         a, b = generate_plans(
             Samples.concat([sample, sample]), [0, 0], make_schedule(8), net, frozen_vae, LAYOUT,
             seeds=[1, 2],
@@ -319,7 +332,7 @@ class TestSampling:
     def test_condition_blocks_exactly_imposed(self, frozen_vae):
         rng = np.random.default_rng(18)
         sample = _sample(rng, task=0)
-        net = ConditionedUNet(LAYOUT.feature_dim, 8, seed=1)
+        net = _net(8, seed=1)
         predicted_task = 2  # deliberately different from the sample's label
         [state] = generate_plans(
             sample, [predicted_task], make_schedule(8), net, frozen_vae, LAYOUT,
@@ -334,7 +347,7 @@ class TestSampling:
     def test_batched_results_are_per_item_seeded(self, frozen_vae):
         rng = np.random.default_rng(19)
         samples = _batch(rng, 3)
-        net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=2)
+        net = _net(6, seed=2)
         batch = generate_plans(
             samples, [0, 1, 2], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[5, 6, 7]
         )
@@ -359,7 +372,7 @@ class TestSampling:
         monkeypatch.setattr(
             denoiser, "timestep_embedding", lambda n, *args: embeddings.append(n) or embed(n, *args)
         )
-        net = ConditionedUNet(LAYOUT.feature_dim, n_steps, seed=2)
+        net = _net(n_steps, seed=2)
         net.params.freeze()
         generate_plans(
             _batch(np.random.default_rng(24), items), np.arange(items) % LAYOUT.num_tasks,
@@ -370,36 +383,87 @@ class TestSampling:
 
     def test_alignment_validated(self, frozen_vae):
         rng = np.random.default_rng(20)
-        net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=2)
+        net = _net(6, seed=2)
         with pytest.raises(ValueError, match="align"):
             generate_plans(
                 _sample(rng), [0, 1], make_schedule(6), net, frozen_vae, LAYOUT, seeds=[1]
             )
 
 
+class TestCleanConditions:
+    """Every forward, in training and in sampling, reads clean condition
+    blocks and predicts only the action block."""
+
+    @pytest.fixture()
+    def forwards(self, monkeypatch):
+        seen, forward = [], ConditionedUNet.forward
+
+        def spy_forward(self, x, steps, z_c):
+            out = forward(self, x, steps, z_c)
+            seen.append((x.data.copy(), out.shape))
+            return out
+
+        monkeypatch.setattr(ConditionedUNet, "forward", spy_forward)
+        return seen
+
+    @staticmethod
+    def _assert_clean(forwards, labels, samples, count):
+        batch, horizon = samples.actions.shape
+        task = np.repeat(np.eye(LAYOUT.num_tasks)[labels][:, None], horizon, axis=1)
+        obs = np.zeros((batch, horizon, LAYOUT.obs_dim))
+        obs[:, 0], obs[:, -1] = samples.o_s, samples.o_g
+        assert len(forwards) == count
+        for x, out_shape in forwards:
+            assert np.array_equal(x[:, :, LAYOUT.task_cols], task)
+            assert np.array_equal(x[:, :, LAYOUT.obs_cols], obs)
+            assert out_shape == (batch, horizon, LAYOUT.num_actions)
+
+    def test_training_forward(self, frozen_vae, forwards):
+        rng = np.random.default_rng(26)
+        plans = Samples.concat([_sample(rng, task=t) for t in (0, 2, 1, 2)])
+        code = frozen_vae.encode_constraints_batch(plans)
+        diffusion_loss(plans, (code.mu, code.logvar), make_schedule(10), _net(10, seed=0),
+                       LAYOUT, rng=np.random.default_rng(0))
+        self._assert_clean(forwards, plans.task, plans, 1)
+        [(x, _)] = forwards
+        assert not np.array_equal(x[:, :, LAYOUT.action_cols], _a0(plans))  # noised
+
+    def test_sampling_forwards(self, frozen_vae, forwards):
+        items = 5
+        samples = _batch(np.random.default_rng(27), items)
+        labels = (np.arange(items) + 1) % LAYOUT.num_tasks
+        net = _net(6, seed=2)
+        net.params.freeze()
+        generate_plans(samples, labels, make_schedule(6), net, frozen_vae, LAYOUT,
+                       seeds=list(range(items)))
+        self._assert_clean(forwards, labels, samples, 6)
+
+
 def _per_step_reference(samples, labels, schedule, net, vae, seeds):
-    """``generate_plans`` as one noise draw and one posterior expression
-    per reverse step."""
+    """``generate_plans`` as one [T, A] noise draw per item and one
+    posterior expression on the action block per reverse step, with the
+    clean condition blocks put around the action block before each
+    forward."""
     batch, horizon = samples.actions.shape
     rngs = [np.random.default_rng(seed) for seed in seeds]
     code = vae.encode_constraints_batch(samples, use_eps=True, rngs=rngs)
     z_c = net.fuse_batch(code.z, code.eps)
-    x = np.zeros((batch, horizon, LAYOUT.feature_dim))
-    for i, rng in enumerate(rngs):
-        x[i, :, LAYOUT.action_cols] = rng.standard_normal((horizon, LAYOUT.num_actions))
-    impose_conditions(x, labels, samples.o_s, samples.o_g, LAYOUT)
+
+    def state(a):
+        return conditioned_states(a, labels, samples.o_s, samples.o_g, LAYOUT)
+
+    a = np.stack([rng.standard_normal((horizon, LAYOUT.num_actions)) for rng in rngs])
     for n in range(schedule.n_steps, 0, -1):
-        pred_x0 = net.forward(Tensor(x), [n] * batch, z_c).data
+        pred_a0 = net.forward(Tensor(state(a)), [n] * batch, z_c).data
         abar_n, abar_prev = schedule.alpha_bars[n], schedule.alpha_bars[n - 1]
         beta, alpha = schedule.betas[n - 1], schedule.alphas[n - 1]
         c0 = np.sqrt(abar_prev) * beta / (1.0 - abar_n)
         c1 = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar_n)
-        x = c0 * pred_x0 + c1 * x
+        a = c0 * pred_a0 + c1 * a
         if n > 1:
-            noise = np.stack([rng.standard_normal(x.shape[1:]) for rng in rngs])
-            x = x + np.sqrt(beta) * noise
-        impose_conditions(x, labels, samples.o_s, samples.o_g, LAYOUT)
-    return x
+            noise = np.stack([rng.standard_normal(a.shape[1:]) for rng in rngs])
+            a = a + np.sqrt(beta) * noise
+    return state(a)
 
 
 class TestNoiseBlocks:
@@ -414,9 +478,9 @@ class TestNoiseBlocks:
         items = 4
         samples = _batch(np.random.default_rng(23), items)
         if block_steps is not None:  # a byte budget that holds this many steps
-            state_bytes = items * 3 * LAYOUT.feature_dim * 8
+            state_bytes = items * 3 * LAYOUT.num_actions * 8
             monkeypatch.setattr(diffusion, "NOISE_BLOCK_BYTES", block_steps * state_bytes + 7)
-        net = ConditionedUNet(LAYOUT.feature_dim, n_steps, seed=4)
+        net = _net(n_steps, seed=4)
         net.params.freeze()
         labels = np.arange(items) % LAYOUT.num_tasks
         seeds = list(range(40, 40 + items))
@@ -492,7 +556,7 @@ class TestWorkerSampling:
         if samples is None:
             samples = _batch(np.random.default_rng(21), items)
         if net is None:
-            net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
+            net = _net(6, seed=3)
             net.params.freeze()
         labels = np.arange(items) % LAYOUT.num_tasks
         return generate_plans(
@@ -517,7 +581,7 @@ class TestWorkerSampling:
 
     def _non_finite_weight_messages(self, frozen_vae, forks, monkeypatch, name):
         """The error of a NaN in weight ``name``, forked and in one process."""
-        net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
+        net = _net(6, seed=3)
         net.params["denoiser." + name].data.flat[0] = np.nan
         net.params.freeze()
         forked = self._numeric_message(frozen_vae, net)
@@ -564,7 +628,7 @@ class TestWorkerSampling:
         # A finite state entry beyond float32's range, in the worker's
         # share: the float32 cast raises NumericError, with no overflow
         # RuntimeWarning, and the parent's recomputation raises the same.
-        net = ConditionedUNet(LAYOUT.feature_dim, 6, seed=3)
+        net = _net(6, seed=3)
         net.params.freeze()
         x = np.random.default_rng(25).normal(size=(self.ITEMS, 3, LAYOUT.feature_dim))
         x[-1, 1, 0] = 1e300
@@ -585,15 +649,16 @@ class TestWorkerSampling:
 
     def test_parent_exception_mid_loop_reaps_worker(self, frozen_vae, forks, monkeypatch):
         calls = []
-        impose = diffusion.impose_conditions
+        forward = ConditionedUNet.forward
 
-        def failing_impose(*args):
+        def failing_forward(*args):
             calls.append(1)
+            out = forward(*args)
             if len(calls) == 4:
                 raise RuntimeError("interrupted")
-            impose(*args)
+            return out
 
-        monkeypatch.setattr(diffusion, "impose_conditions", failing_impose)
+        monkeypatch.setattr(ConditionedUNet, "forward", failing_forward)
         with pytest.raises(RuntimeError, match="interrupted"):
             self._plan(frozen_vae)
         assert len(forks) == 1
@@ -602,15 +667,16 @@ class TestWorkerSampling:
     def test_dead_worker_rows_computed_in_parent(self, frozen_vae, forks, monkeypatch):
         expected = self._plan(frozen_vae)
         calls = []
-        impose = diffusion.impose_conditions
+        forward = ConditionedUNet.forward
 
-        def killing_impose(*args):
+        def killing_forward(*args):
             calls.append(1)
+            out = forward(*args)
             if len(calls) == 3:
                 os.kill(forks[-1], signal.SIGKILL)
-            impose(*args)
+            return out
 
-        monkeypatch.setattr(diffusion, "impose_conditions", killing_impose)
+        monkeypatch.setattr(ConditionedUNet, "forward", killing_forward)
         assert np.array_equal(self._plan(frozen_vae), expected)
         assert len(forks) == 2
         _no_child_left()

@@ -412,7 +412,9 @@ class TestTrainingStepMemory:
         vae.freeze()
         codes = vae.encode_constraints_batch(train)
         layout = BlockLayout(cfg.data.num_tasks, cfg.data.num_actions, cfg.data.obs_dim)
-        model = denoiser.ConditionedUNet(layout.feature_dim, cfg.schedule.steps, seed=0)
+        model = denoiser.ConditionedUNet(
+            layout.feature_dim, cfg.schedule.steps, num_actions=layout.num_actions, seed=0
+        )
         schedule = make_schedule(cfg.schedule.steps)
         rng = np.random.default_rng(0)
 
