@@ -7,8 +7,10 @@ error family maps to its own exit code so scripts can branch on failures:
     2  usage error (argparse)
     3  configuration error
     4  missing prerequisite (stage order, absent artifacts)
-    5  data or checkpoint format error
-    6  numeric error (a non-finite value, reported with stage, step and op)
+    5  data or checkpoint format error (including a non-finite parameter)
+    6  numeric error (a non-finite value, reported with stage, step and op:
+       "classifier step 12: matmul: ..." in training, "sampling step 200:
+       layer_norm: ..." in eval)
     1  anything else
 """
 
@@ -81,11 +83,15 @@ def _resolve_config(args: argparse.Namespace):
 
 def _seed_list(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise argparse.ArgumentTypeError(f"seed {seed} is listed twice in {text!r}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

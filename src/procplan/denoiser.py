@@ -284,22 +284,23 @@ class ConditionedUNet:
         ``item_workers``, or cast for this call outside a block.  When every
         item has the same timestep features, as in sampling, the time MLP
         runs on one row.  A chunk whose output, or whose layer-norm
-        variance, is not finite runs again with a check after every op,
-        which raises ``NumericError`` naming the op that went non-finite
-        first ("float32" for an input beyond float32's range).
+        variance, is not finite runs once more through the float64 engine
+        (``_forward_rows``), whose first non-finite op raises
+        ``NumericError`` naming itself; if that run is finite, the float32
+        body alone went non-finite (a value beyond float32's range) and the
+        error names "float32".
         """
         weights = self._float32 if self._float32 is not None else _float32_weights(self.params)
         one_row = bool((emb == emb[0]).all())
         with np.errstate(all="ignore"):  # non-finite values raise NumericError
             for lo, hi in spans:
-                args = (x[lo:hi], emb[:1] if one_row else emb[lo:hi], z_c[lo:hi], weights)
                 try:
-                    y = sample_chunk(*args, _unchecked)
-                    finite = bool(np.isfinite(y).all())
+                    y = sample_chunk(x[lo:hi], emb[:1] if one_row else emb[lo:hi],
+                                     z_c[lo:hi], weights)
+                    check_finite("float32", y)
                 except NumericError:
-                    finite = False
-                if not finite:
-                    y = sample_chunk(*args, check_finite)
+                    self._forward_rows(Tensor(x[lo:hi]), Tensor(emb[lo:hi]), Tensor(z_c[lo:hi]))
+                    raise NumericError("float32: produced non-finite values") from None
                 out[lo:hi] = y
 
     def _forward_rows(self, x: Tensor, emb: Tensor, z_c: Tensor) -> Tensor:
@@ -322,18 +323,14 @@ class ConditionedUNet:
 def _float32_weights(params: ParamStore) -> dict[str, np.ndarray]:
     """float32 copies of the denoiser's parameters by short name, each conv
     kernel flattened to its [K * C_in, C_out] gemm operand.  A value beyond
-    float32's range becomes infinite, left for the first op that reads it,
-    as for a float64 parameter written in place."""
+    float32's range becomes infinite, which the output check of
+    ``ConditionedUNet._chunks`` catches."""
     with np.errstate(over="ignore"):
         return {
             name.removeprefix("denoiser."): t.data.reshape(-1, t.shape[-1]).astype(np.float32)
             if t.ndim == 3 else t.data.astype(np.float32)
             for name, t in params.items()
         }
-
-
-def _unchecked(op: str, data: np.ndarray) -> None:
-    pass
 
 
 def _gelu_(x: np.ndarray) -> None:
@@ -359,7 +356,7 @@ def conv_step(cols: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
-                 w: dict[str, np.ndarray], check) -> np.ndarray:
+                 w: dict[str, np.ndarray]) -> np.ndarray:
     """The network body over one chunk of a graph-free forward, in float32
     plain numpy, with no graph and no workspace kept past the call.
 
@@ -369,51 +366,38 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     (``_float32_weights``).  It does the arithmetic of ``_forward_rows``
     op for op, in the same order, except that a shared ``emb`` row runs the
     time MLP once.  ``mid|h2`` and ``d1|h1`` go straight into the im2col
-    buffers of dec1 and out, with no separate concatenation.  ``check(op,
-    data)`` follows every op that can first turn non-finite; the
-    layer-norm variance is checked always, since an overflowed variance
-    gives a finite output.  Returns the [n, T, num_actions] float32 output.
+    buffers of dec1 and out, with no separate concatenation.  Only the
+    layer-norm variance is checked, since an overflowed variance gives a
+    finite output; the caller checks the output.  Returns the
+    [n, T, num_actions] float32 output.
     """
     n, t_len, d = x.shape
     c1, c2 = BASE_CHANNELS, BOTTLENECK_CHANNELS
     spans = tap_spans(KERNEL, t_len)
-    centre = KERNEL // 2
 
     def conv(cols, name):
         flat = conv_step(cols, w[name + ".w"], w[name + ".b"])
-        check("conv1d_same", flat)
         _gelu_(flat)
-        check("gelu", flat)
         return flat.reshape(n, t_len, -1)
 
     cols = np.empty((n, t_len, KERNEL, d), dtype=np.float32)
     im2col(x, cols, spans)  # casts the state to float32
-    check("float32", cols[:, :, centre])
     emb = emb.astype(np.float32)
-    check("float32", emb)
     cond = z_c.astype(np.float32)
-    check("float32", cond)
     t_h = emb @ w["time1.w"]
-    check("matmul", t_h)
     t_h += w["time1.b"]
-    check("add", t_h)
     _gelu_(t_h)
-    check("gelu", t_h)
     t_emb = t_h @ w["time2.w"]
-    check("matmul", t_emb)
     t_emb += w["time2.b"]
-    check("add", t_emb)
 
     h1 = conv(cols, "enc1")
     cols = np.empty((n, t_len, KERNEL, c1), dtype=np.float32)
     im2col(h1, cols, spans)
     h2 = conv(cols, "enc2")
     cond += t_emb
-    check("add", cond)
     # Layer norm over h2 + cond, in place, with tensor.layer_norm's
     # arithmetic in the same order.
     x_hat = h2 + cond[:, None, :]
-    check("add", x_hat)
     mu = x_hat.sum(axis=-1, keepdims=True)
     mu *= 1.0 / c2
     x_hat -= mu
@@ -425,7 +409,6 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     x_hat *= var ** -0.5
     x_hat *= w["bottleneck.ln_gain"]
     x_hat += w["bottleneck.ln_bias"]
-    check("layer_norm", x_hat)
 
     cols = np.empty((n, t_len, KERNEL, c2), dtype=np.float32)
     im2col(x_hat, cols, spans)
@@ -438,7 +421,6 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     im2col(d1, cols[..., :c1], spans)
     im2col(h1, cols[..., c1:], spans)
     out = conv_step(cols, w["out.w"], w["out.b"])
-    check("conv1d_same", out)
     return out.reshape(n, t_len, -1)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import Samples
 from .denoiser import ConditionedUNet
 from .losses import mse
-from .tensor import Tensor
+from .tensor import NumericError, Tensor
 from .vae import StateAutoencoder, reparameterize
 
 
@@ -206,7 +206,8 @@ def generate_plans(
     loop returns or raises.  The sampler state stays float64.  Each item's
     stream gives its noise for a block of steps at a time
     (``NOISE_BLOCK_STEPS``), the same numbers in the same order as one
-    draw per step.
+    draw per step.  A non-finite value raises ``NumericError`` naming the
+    step and the op, as ``sampling step {n}: {op}: ...``.
     """
     batch, horizon = conditions.actions.shape
     if not batch:
@@ -231,7 +232,10 @@ def generate_plans(
     noise = np.empty((batch, block) + a.shape[1:])
     with denoiser.item_workers(batch, horizon):
         for n in range(schedule.n_steps, 0, -1):
-            pred_a0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
+            try:
+                pred_a0 = denoiser.forward(Tensor(x), [n] * batch, z_c).data
+            except NumericError as exc:
+                raise NumericError(f"sampling step {n}: {exc}") from exc
             abar_n = schedule.alpha_bars[n]
             abar_prev = schedule.alpha_bars[n - 1]
             beta = schedule.betas[n - 1]

@@ -84,6 +84,8 @@ class ParamStore:
                 raise ValueError(
                     f"parameter {name!r} has shape {t.data.shape}, checkpoint has {arr.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name!r} holds non-finite values")
             t.data = arr.copy()
 
 

@@ -138,6 +138,33 @@ class TestTrainEvalFlow:
         err = capsys.readouterr().err
         assert str(path) in err and "'denoiser.out.w' has shape (3, 128, 12)" in err, err
 
+    def test_non_finite_checkpoint_exits_format(self, tmp_path, capsys):
+        assert _gen(tmp_path) == 0
+        assert main(["train", "--stage", "all", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
+        path = tmp_path / "diffusion.ckpt"
+        arrays = load_checkpoint(str(path))
+        arrays["denoiser.enc2.w"].flat[0] = np.nan
+        save_checkpoint(str(path), arrays)
+        capsys.readouterr()
+        assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert str(path) in err and "'denoiser.enc2.w' holds non-finite values" in err, err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weight_beyond_float32_exits_numeric_naming_sampling_step(self, tmp_path, capsys):
+        # 1e39 is a finite float64, so the checkpoint loads; its float32
+        # copy is infinite, so sampling fails at its first step.
+        assert _gen(tmp_path) == 0
+        assert main(["train", "--stage", "all", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
+        path = tmp_path / "diffusion.ckpt"
+        arrays = load_checkpoint(str(path))
+        arrays["denoiser.enc2.w"].flat[0] = 1e39
+        save_checkpoint(str(path), arrays)
+        capsys.readouterr()
+        assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"numeric: sampling step \d+: \w+: produced non-finite", err), err
+
     def test_diffusion_without_vae_exits_prereq(self, tmp_path, capsys):
         _gen(tmp_path)
         code = main(["train", "--stage", "diffusion", "--workdir", str(tmp_path), *TINY_ARGS])
@@ -196,7 +223,7 @@ class TestAblate:
             assert variant in out
         assert (tmp_path / "ablation.csv").exists()
 
-    @pytest.mark.parametrize("seeds", ["1,a", "0,,2", "-"])
+    @pytest.mark.parametrize("seeds", ["1,a", "0,,2", "-", "0,0", "1,0,1"])
     def test_malformed_seeds_are_usage_error(self, tmp_path, capsys, seeds):
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--workdir", str(tmp_path), "--seeds", seeds])

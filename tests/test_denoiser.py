@@ -1,5 +1,6 @@
 """Conditioned U-Net: timestep features, fusion order, additive injection."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -227,8 +228,8 @@ class TestForward:
         z_c = _fuse(net, _code(rng, batch=items)).data
         emb = np.stack([timestep_embedding(17, TIME_STEPS)] * items)
         weights = denoiser._float32_weights(net.params)
-        shared = denoiser.sample_chunk(x, emb[:1], z_c, weights, T.check_finite)
-        per_row = denoiser.sample_chunk(x, emb, z_c, weights, T.check_finite)
+        shared = denoiser.sample_chunk(x, emb[:1], z_c, weights)
+        per_row = denoiser.sample_chunk(x, emb, z_c, weights)
         assert shared.shape == per_row.shape == (items, t_len, NUM_ACTIONS)
         assert np.allclose(shared, per_row, rtol=0.0, atol=1e-5 * np.abs(per_row).max())
 
@@ -238,7 +239,8 @@ class TestForward:
     ])
     def test_non_finite_weight_names_first_op(self, net, name, op):
         # The float32 body checks only its layer-norm variance and output;
-        # a failing chunk runs again checking every op, as the engine does.
+        # a failing chunk runs again through the float64 engine, whose
+        # first non-finite op names itself.
         net.params["denoiser." + name].data.flat[0] = np.nan
         net.params.freeze()
         x = Tensor(np.random.default_rng(14).normal(size=(3, 4, FEATURE_DIM)))
@@ -257,7 +259,39 @@ class TestForward:
         z_c = np.zeros((2, BOTTLENECK_CHANNELS))
         emb = timestep_embedding(1, TIME_STEPS)[None]
         with np.errstate(all="ignore"), pytest.raises(T.NumericError, match="^layer_norm"):
-            denoiser.sample_chunk(x, emb, z_c, weights, denoiser._unchecked)
+            denoiser.sample_chunk(x, emb, z_c, weights)
+
+    def test_overflowed_float32_variance_names_float32(self, net):
+        # The same h2 through ``forward``: the float32 variance overflows,
+        # the float64 engine's does not, so the error names the cast.
+        net.params["denoiser.enc2.b"].data[:] = np.resize([1e30, -1e30], BOTTLENECK_CHANNELS)
+        net.params.freeze()
+        x = Tensor(np.random.default_rng(15).normal(size=(2, 3, FEATURE_DIM)))
+        with pytest.raises(T.NumericError) as exc:
+            net.forward(x, [1, 1], net.zero_constraint(2))
+        assert str(exc.value) == "float32: produced non-finite values"
+
+    @pytest.mark.parametrize("last,references", [(0.0, []), (1e39, [1])])
+    def test_only_a_failing_chunk_runs_the_float64_reference(
+        self, net, monkeypatch, last, references
+    ):
+        # Chunks of 4 rows split a 3-item, T=3 batch in three.  A finite
+        # forward never runs the float64 body; an entry beyond float32's
+        # range in the last item runs it once, on that item's chunk alone.
+        monkeypatch.setattr(denoiser, "CHUNK_ROWS", 4)
+        calls = []
+        body = ConditionedUNet._forward_rows
+        monkeypatch.setattr(
+            ConditionedUNet, "_forward_rows",
+            lambda self, x, *args: calls.append(x.shape[0]) or body(self, x, *args),
+        )
+        net.params.freeze()
+        x = np.random.default_rng(17).normal(size=(3, 3, FEATURE_DIM))
+        x[-1, 0, 0] += last
+        fails = pytest.raises(T.NumericError, match="^float32: ") if last else contextlib.nullcontext()
+        with fails:
+            net.forward(Tensor(x), [4] * 3, net.zero_constraint(3))
+        assert calls == references
 
     def test_weights_cast_once_per_block(self, net, monkeypatch):
         casts = []

@@ -592,12 +592,15 @@ class TestWorkerSampling:
 
     def test_non_finite_weight_same_error(self, frozen_vae, forks, monkeypatch):
         forked, in_process = self._non_finite_weight_messages(frozen_vae, forks, monkeypatch, "enc2.w")
-        assert forked == in_process == "conv1d_same: produced non-finite values"
+        assert forked == in_process == "sampling step 6: conv1d_same: produced non-finite values"
 
-    @pytest.mark.parametrize("name,op", [("time1.w", "matmul"), ("bottleneck.ln_gain", "layer_norm")])
+    @pytest.mark.parametrize("name,op", [
+        ("time1.w", "matmul"), ("bottleneck.ln_gain", "layer_norm"),
+        ("time1.b", "add"), ("out.b", "conv1d_same"),
+    ])
     def test_non_finite_weight_names_op(self, frozen_vae, forks, monkeypatch, name, op):
         forked, in_process = self._non_finite_weight_messages(frozen_vae, forks, monkeypatch, name)
-        assert forked == in_process == f"{op}: produced non-finite values"
+        assert forked == in_process == f"sampling step 6: {op}: produced non-finite values"
 
     def test_more_workers_than_cores(self, frozen_vae, forks, monkeypatch):
         # 400 items at T=3 are four chunks, one per process on however many
@@ -624,14 +627,13 @@ class TestWorkerSampling:
             _one_core(monkeypatch)
             assert self._numeric_message(frozen_vae, samples=samples) == forked
 
-    def test_cast_overflow_raises_numeric_error(self, forks, parent_chunks, monkeypatch):
-        # A finite state entry beyond float32's range, in the worker's
-        # share: the float32 cast raises NumericError, with no overflow
-        # RuntimeWarning, and the parent's recomputation raises the same.
+    def _state_entry_messages(self, forks, parent_chunks, monkeypatch, value):
+        """The error of a finite state entry ``value`` in the worker's
+        share, forked and in one process, with no RuntimeWarning."""
         net = _net(6, seed=3)
         net.params.freeze()
         x = np.random.default_rng(25).normal(size=(self.ITEMS, 3, LAYOUT.feature_dim))
-        x[-1, 1, 0] = 1e300
+        x[-1, 1, 0] = value
 
         def message():
             with warnings.catch_warnings():  # the worker inherits it at fork
@@ -645,7 +647,19 @@ class TestWorkerSampling:
         assert (self.ITEMS // 2, self.ITEMS) in parent_chunks
         _no_child_left()
         _one_core(monkeypatch)
-        assert message() == forked == "float32: produced non-finite values"
+        return forked, message()
+
+    def test_cast_overflow_raises_numeric_error(self, forks, parent_chunks, monkeypatch):
+        # 1e300 overflows the float32 cast and, in the float64 reference
+        # the failed chunk reruns, the layer-norm variance, which names it.
+        forked, in_process = self._state_entry_messages(forks, parent_chunks, monkeypatch, 1e300)
+        assert forked == in_process == "layer_norm: produced non-finite values"
+
+    def test_state_beyond_float32_names_float32(self, forks, parent_chunks, monkeypatch):
+        # 1e39 overflows only the float32 cast; the float64 reference of
+        # the failed chunk finishes finite, so the error names the cast.
+        forked, in_process = self._state_entry_messages(forks, parent_chunks, monkeypatch, 1e39)
+        assert forked == in_process == "float32: produced non-finite values"
 
     def test_parent_exception_mid_loop_reaps_worker(self, frozen_vae, forks, monkeypatch):
         calls = []

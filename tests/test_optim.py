@@ -37,6 +37,8 @@ class TestParamStore:
             store.load_state({"other": np.zeros(2)})
         with pytest.raises(ValueError, match="shape"):
             store.load_state({"w": np.zeros(3)})
+        with pytest.raises(ValueError, match="'w' holds non-finite values"):
+            store.load_state({"w": np.array([0.0, np.nan])})
 
     def test_freeze_blocks_updates(self):
         store = _store_with()
