@@ -24,8 +24,8 @@ from . import BLAS_THREAD_VARS
 
 # Pin BLAS to one thread before numpy loads it, unless the caller set a
 # thread count or numpy is loaded already: the models are too small to gain
-# from BLAS threads, and sampling then runs one process per usable core
-# instead (``denoiser.sampling_processes``).
+# from BLAS threads, and sampling then shares each step with one forked
+# helper instead (``denoiser.can_fork``).
 if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 

@@ -118,6 +118,7 @@ class RunConfig:
             raise ConfigError(f"curation must be pdpp or kepp, got {self.curation!r}")
         data, sched = self.data, self.schedule
         horizons = f"{SUPPORTED_HORIZONS[0]}..{SUPPORTED_HORIZONS[-1]}"
+        counts = ("epochs", "steps_per_epoch", "batch_size", "decay_every")
         rules = (
             ("horizon", self.horizon in SUPPORTED_HORIZONS, f"lie in {horizons}"),
             ("data.num_tasks", data.num_tasks >= 1, "be positive"),
@@ -132,17 +133,14 @@ class RunConfig:
             ("schedule.beta_start", 0.0 < sched.beta_start <= sched.beta_end,
              "lie in (0, schedule.beta_end]"),
             ("schedule.beta_end", sched.beta_end < 1.0, "be < 1"),
+        ) + tuple(  # stage settings: the counts are positive, the rest >= 0
+            (key, values[key] >= 1, "be positive") if key.split(".")[1] in counts
+            else (key, values[key] >= 0, "be >= 0")
+            for key in values if key.split(".")[0] in ("vae", "classifier", "diffusion")
         )
         for key, ok, rule in rules:
             if not ok:
                 raise ConfigError(f"{key} must {rule}, got {values[key]}")
-        for name in ("vae", "classifier", "diffusion"):
-            stage: StageParams = getattr(self, name)
-            for attr in ("epochs", "steps_per_epoch", "batch_size"):
-                if getattr(stage, attr) < 1:
-                    raise ConfigError(f"{name}.{attr} must be positive")
-            if stage.peak_lr < 0 or stage.decay_every < 1:
-                raise ConfigError(f"{name} has invalid learning-rate settings")
 
     def _items(self):
         """(dotted key, value) of every setting, sections flattened."""

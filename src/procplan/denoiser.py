@@ -39,22 +39,22 @@ FUSION_INPUT_DIM = 4 * LATENT_DIM
 KERNEL = 3
 # A forward that records no graph splits a batch of B items into an even
 # number of chunks of whole items, 2 * ceil(B * T / (2 * CHUNK_ROWS)) capped
-# at B, so that two processes (``item_workers``) can split them evenly, and
-# the layout, hence every output byte, never depends on the core count.
-# Chunks are the unit of parallel work.  At 512 rows the 648 rows of a
+# at B, so that this process and one forked helper (``item_workers``) can
+# split them in halves, and the layout, hence every output byte, never
+# depends on whether the helper runs.  At 512 rows the 648 rows of a
 # horizon-6 batch of 108 plans and the 729 of a desk batch of 243 plans
-# (T=3) each form two chunks, one per process on two cores; at 256 rows they
-# formed four, and one process ran the body over four chunks in 4.8 and
-# 5.3 ms against 3.6 and 3.7 ms over two (one BLAS thread, 2-CPU Xeon VM
-# with 4 MB L2 per core).  384 rows gives the same two chunks for both.  On
-# four or more cores two chunks leave the other cores idle where four chunks
-# used them; that case is unmeasured.  The size still suits the cache: with
-# desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1 is the widest
-# conv, reading 2 * BOTTLENECK_CHANNELS channels over KERNEL taps, so its
-# float32 im2col buffer at 512 rows is 512 * 768 * 4 B = 1.5 MB, inside one
-# core's L2.  Wider features make enc1's im2col the widest (9.6-15.3 MB at
-# 512 rows for the D = 1,559-2,494 presets), which no chunk this size keeps
-# in L2.
+# (T=3) each form two chunks, one per process; at 256 rows they formed
+# four, and one process ran the body over four chunks in 4.8 and 5.3 ms
+# against 3.6 and 3.7 ms over two (one BLAS thread, 2-CPU Xeon VM with
+# 4 MB L2 per core).  384 rows gives the same two chunks for both.  A
+# batch of more than two chunks still runs in two processes, however many
+# cores are free; that case is unmeasured.  The size still suits the
+# cache: with desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1 is
+# the widest conv, reading 2 * BOTTLENECK_CHANNELS channels over KERNEL
+# taps, so its float32 im2col buffer at 512 rows is 512 * 768 * 4 B =
+# 1.5 MB, inside one core's L2.  Wider features make enc1's im2col the
+# widest (9.6-15.3 MB at 512 rows for the D = 1,559-2,494 presets), which
+# no chunk this size keeps in L2.
 CHUNK_ROWS = 512
 
 
@@ -106,18 +106,15 @@ def usable_cores() -> int:
     return cores
 
 
-def sampling_processes() -> int:
-    """Processes a graph-free forward may spread its chunks over.
-
-    The usable cores on Linux when BLAS was pinned to one thread at import
-    (``BLAS_PINNED``) and no other Python thread runs, since a fork copies
-    only the calling thread; otherwise 1, and sampling stays in this
-    process.  With two-thread BLAS on two cores, a worker slowed sampling
-    2-3x.
+def can_fork() -> bool:
+    """Whether a graph-free forward may share its chunks with a forked
+    helper: on Linux, with BLAS pinned to one thread at import
+    (``BLAS_PINNED``), no other Python thread running (a fork copies only
+    the calling thread) and two or more usable cores.  With two-thread
+    BLAS on two cores, a forked process slowed sampling 2-3x.
     """
-    if not (BLAS_PINNED and sys.platform.startswith("linux") and threading.active_count() == 1):
-        return 1
-    return usable_cores()
+    return (BLAS_PINNED and sys.platform.startswith("linux")
+            and threading.active_count() == 1 and usable_cores() >= 2)
 
 
 def timestep_embedding(n: int, total_steps: int, dim: int = TIME_EMBED_DIM) -> np.ndarray:
@@ -147,7 +144,7 @@ class ConditionedUNet:
         self.num_actions = num_actions
         self.time_steps = time_steps
         self.params = ParamStore()
-        self._workers: _ItemWorkers | None = None
+        self._helper: _Helper | None = None
         self._float32: dict[str, np.ndarray] | None = None  # set inside item_workers
         rng = np.random.default_rng(seed)
 
@@ -213,10 +210,10 @@ class ConditionedUNet:
         in chunks of whole items (``chunk_bounds``), each through the
         float32 plain-numpy body ``sample_chunk`` (``_chunks``), and
         returns float64.  Either way each item's step is embedded once
-        (``timestep_embedding``).  Inside ``item_workers`` forked processes
-        run some of the chunks.  Each chunk runs the same code on the same
-        bytes wherever it runs, so the output does not depend on how many
-        processes share the batch.
+        (``timestep_embedding``).  Inside ``item_workers`` a forked helper
+        may run half of the chunks.  Each chunk runs the same code on the
+        same bytes wherever it runs, so the output does not depend on
+        whether the helper shares the batch.
         """
         if x.ndim != 3 or x.shape[-1] != self.feature_dim:
             raise ValueError(
@@ -233,8 +230,8 @@ class ConditionedUNet:
             )
         if not self.params.frozen or x.requires_grad or z_c.requires_grad:
             return self._forward_rows(x, Tensor(emb), z_c)
-        if self._workers is not None and self._workers.shape == x.shape:
-            return Tensor(self._workers.forward(x.data, emb, z_c.data))
+        if self._helper is not None and self._helper.shape == x.shape:
+            return Tensor(self._helper.forward(x.data, emb, z_c.data))
         bounds = chunk_bounds(items, t_len)
         out = np.empty((items, t_len, self.num_actions))
         self._chunks(x.data, emb, z_c.data, list(zip(bounds, bounds[1:])), out)
@@ -243,36 +240,35 @@ class ConditionedUNet:
     @contextlib.contextmanager
     def item_workers(self, items: int, t_len: int):
         """Share the chunks of graph-free [items, t_len, D] forwards with
-        forked workers while the block runs.
+        a forked helper while the block runs.
 
         A frozen network casts its float32 weights once on entry, for every
         forward in the block; a parameter written in place inside the block
-        is not seen until the next one.  One worker per usable core beyond
-        this one (``sampling_processes``), never more than the chunks allow;
-        none for a network that is not frozen.  Each worker copies the
-        frozen network and its float32 weights at fork and computes
-        a fixed share of every forward's chunks while this process computes
-        the first share; rows go both ways through anonymous shared memory
-        (``_ItemWorkers``).  When the block ends, by return or by exception,
-        the workers' pipes reach EOF and each worker is reaped with
-        ``waitpid``.
+        is not seen until the next one.  For a batch of two or more chunks
+        where ``can_fork`` allows it, one helper (``_Helper``) copies the
+        frozen network and its float32 weights at fork and computes the
+        second half of every forward's chunks while this process computes
+        the first; rows go both ways through anonymous shared memory.  If
+        ``os.fork`` fails, the block samples in this process.  None forks
+        for a network that is not frozen.  When the block ends, by return
+        or by exception, the helper's pipe reaches EOF and the helper is
+        reaped with ``waitpid``.
         """
         if not self.params.frozen:
             yield
             return
         bounds = chunk_bounds(items, t_len)
-        processes = min(sampling_processes(), len(bounds) - 1)
         self._float32 = _float32_weights(self.params)
-        pool = None
+        helper = None
         try:
-            if processes >= 2:
-                pool = _ItemWorkers(self, (items, t_len, self.feature_dim), bounds, processes)
-                self._workers = pool
+            if len(bounds) > 2 and can_fork():
+                with contextlib.suppress(OSError):  # no helper: sample here
+                    self._helper = helper = _Helper(self, (items, t_len, self.feature_dim), bounds)
             yield
         finally:
-            self._float32 = self._workers = None
-            if pool is not None:
-                pool.close()
+            self._float32 = self._helper = None
+            if helper is not None:
+                helper.close()
 
     def _chunks(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
                 spans: list[tuple[int, int]], out: np.ndarray) -> None:
@@ -424,38 +420,24 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     return out.reshape(n, t_len, -1)
 
 
-class _Worker:
-    """One forked process, its share of the chunks and the parent's ends
-    of its two pipes."""
+class _Helper:
+    """One forked process that computes the second half of the chunks of
+    one batch shape's graph-free forwards, while the parent computes the
+    first half.
 
-    def __init__(self, share: list[tuple[int, int]]):
-        self.share = share
-        self.pid: int | None = None  # None: never started
-        self.alive = False
-        self.request = self.reply = -1
-
-
-class _ItemWorkers:
-    """Forked processes that each compute a fixed share of the chunks of
-    one batch shape's graph-free forwards.
-
-    The chunks split into one contiguous share per process, in item order;
-    the parent computes the first share and worker i the share after it.
     Per forward the parent copies the batch to anonymous shared memory and
-    wakes each worker with one request byte; a worker writes its share's
+    wakes the helper with one request byte; the helper writes its half's
     outputs next to the inputs and replies ``1``, or ``0`` if a chunk
-    raised.  The parent computes the share of a worker that failed or died
+    raised.  If the helper failed or died, the parent computes its half
     itself, after its own and in item order, which raises the error a
-    one-process forward would.
+    one-process forward would.  ``os.fork`` raising ``OSError`` leaves no
+    pipe open and propagates.
     """
 
-    def __init__(self, net: ConditionedUNet, shape: tuple[int, int, int],
-                 bounds: list[int], processes: int):
+    def __init__(self, net: ConditionedUNet, shape: tuple[int, int, int], bounds: list[int]):
         self.net, self.shape = net, shape
         chunks = list(zip(bounds, bounds[1:]))
-        shares = [chunks[len(chunks) * p // processes:len(chunks) * (p + 1) // processes]
-                  for p in range(processes)]
-        self.own = shares[0]
+        self.own, self.share = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
         items = shape[0]
         shapes = [shape, (items, TIME_EMBED_DIM), (items, BOTTLENECK_CHANNELS),
                   shape[:2] + (net.num_actions,)]
@@ -464,86 +446,62 @@ class _ItemWorkers:
         self.x, self.emb, self.z_c, self.out = (
             part.reshape(s) for part, s in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)
         )
-        self.workers = [_Worker(share) for share in shares[1:]]
-        for worker in self.workers:
-            self._start(worker)
-
-    def _start(self, worker: _Worker) -> None:
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
+        request_r, self.request = os.pipe()
+        self.reply, reply_w = os.pipe()
         try:
-            pid = os.fork()
-        except OSError:  # the parent computes this worker's share
-            for fd in (request_r, request_w, reply_r, reply_w):
+            self.pid = os.fork()
+        except OSError:
+            for fd in (request_r, self.request, self.reply, reply_w):
                 os.close(fd)
-            return
-        if pid == 0:
+            raise
+        if self.pid == 0:
             status = 1
             try:
-                # The worker's collections skip every object it inherited,
+                # The helper's collections skip every object it inherited,
                 # so they neither walk nor copy the parent's heap.
                 gc.freeze()
-                # Drop every write end that only the parent uses, so EOF
-                # reaches each worker as soon as the parent closes its own.
-                os.close(request_w)
-                os.close(reply_r)
-                for other in self.workers:
-                    if other.pid is not None:
-                        os.close(other.request)
-                        os.close(other.reply)
-                self._serve(worker.share, request_r, reply_w)
+                # Drop the parent's ends, so EOF reaches the helper as soon
+                # as the parent closes its request end.
+                os.close(self.request)
+                os.close(self.reply)
+                while os.read(request_r, 1):
+                    try:
+                        net._chunks(self.x, self.emb, self.z_c, self.share, self.out)
+                    except Exception:  # left for the parent to recompute
+                        os.write(reply_w, b"0")
+                        continue
+                    os.write(reply_w, b"1")
                 status = 0
             finally:
                 os._exit(status)
         os.close(request_r)
         os.close(reply_w)
-        worker.pid, worker.alive = pid, True
-        worker.request, worker.reply = request_w, reply_r
-
-    def _serve(self, share: list[tuple[int, int]], request: int, reply: int) -> None:
-        """The worker's loop: one request byte per forward, until EOF."""
-        while os.read(request, 1):
-            try:
-                self.net._chunks(self.x, self.emb, self.z_c, share, self.out)
-            except Exception:  # left for the parent to recompute
-                os.write(reply, b"0")
-                continue
-            os.write(reply, b"1")
+        self.alive = True
 
     def forward(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray) -> np.ndarray:
         """The network body over the whole batch, in the shared output
         array, which the next forward overwrites."""
         self.x[...], self.emb[...], self.z_c[...] = x, emb, z_c
-        posted = []
-        for worker in self.workers:
-            if worker.alive:
-                try:
-                    os.write(worker.request, b"\0")
-                    posted.append(worker)
-                except OSError:
-                    worker.alive = False
-        done = set()
+        posted = self.alive
+        if posted:
+            try:
+                os.write(self.request, b"\0")
+            except OSError:
+                posted = self.alive = False
+        reply = b""
         try:
             self.net._chunks(x, emb, z_c, self.own, self.out)
         finally:
-            for worker in posted:
-                try:
-                    reply = os.read(worker.reply, 1)
-                except OSError:
-                    reply = b""
-                worker.alive = bool(reply)
-                if reply == b"1":
-                    done.add(worker)
-        for worker in self.workers:
-            if worker not in done:
-                self.net._chunks(x, emb, z_c, worker.share, self.out)
+            if posted:
+                with contextlib.suppress(OSError):
+                    reply = os.read(self.reply, 1)
+                self.alive = bool(reply)
+        if reply != b"1":
+            self.net._chunks(x, emb, z_c, self.share, self.out)
         return self.out
 
     def close(self) -> None:
-        started = [worker for worker in self.workers if worker.pid is not None]
-        for worker in started:
-            os.close(worker.request)
-        for worker in started:
-            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
-                os.waitpid(worker.pid, 0)
-            os.close(worker.reply)
+        os.close(self.request)
+        with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
+            os.waitpid(self.pid, 0)
+        os.close(self.reply)

@@ -45,8 +45,12 @@ BAD_SETTINGS = [
     ("schedule.steps=0", "schedule.steps must be positive, got 0"),
     ("schedule.beta_start=0", "schedule.beta_start must lie in (0, schedule.beta_end], got 0.0"),
     ("schedule.beta_end=2", "schedule.beta_end must be < 1, got 2.0"),
-    ("vae.epochs=0", "vae.epochs must be positive"),
-    ("diffusion.peak_lr=-1", "diffusion has invalid learning-rate settings"),
+    ("vae.epochs=0", "vae.epochs must be positive, got 0"),
+    ("diffusion.peak_lr=-1", "diffusion.peak_lr must be >= 0, got -1.0"),
+    ("diffusion.warmup_epochs=-3", "diffusion.warmup_epochs must be >= 0, got -3"),
+    ("classifier.decay_window_epochs=-2", "classifier.decay_window_epochs must be >= 0, got -2"),
+    ("diffusion.decay_factor=-1", "diffusion.decay_factor must be >= 0, got -1.0"),
+    ("vae.weight_decay=-1", "vae.weight_decay must be >= 0, got -1.0"),
     ("data=1", "'data' is a section, not a value"),
     ("file:seed 3", "line 1: expected 'key = value', got 'seed 3'"),
 ]

@@ -381,7 +381,7 @@ class TestSamplingProcesses:
         monkeypatch.setattr(denoiser, "BLAS_PINNED", pinned)
         monkeypatch.setattr(denoiser.sys, "platform", "linux")
         monkeypatch.setattr(denoiser, "usable_cores", lambda: 3)
-        assert denoiser.sampling_processes() == (3 if pinned else 1)
+        assert denoiser.can_fork() is pinned
 
     def test_variables_set_after_import_change_nothing(self, monkeypatch):
         # BLAS read its thread count when numpy loaded; setting the
@@ -390,20 +390,21 @@ class TestSamplingProcesses:
         for var in denoiser.BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "1")
         monkeypatch.setattr(denoiser, "usable_cores", lambda: 2)
-        assert denoiser.sampling_processes() == 1
+        assert denoiser.can_fork() is False
 
     def test_not_linux_stays_in_process(self, monkeypatch):
         monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
         monkeypatch.setattr(denoiser.sys, "platform", "darwin")
-        assert denoiser.sampling_processes() == 1
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 2)
+        assert denoiser.can_fork() is False
 
     def test_other_threads_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
         monkeypatch.setattr(denoiser.sys, "platform", "linux")
         monkeypatch.setattr(denoiser, "usable_cores", lambda: 2)
-        assert denoiser.sampling_processes() == 2
+        assert denoiser.can_fork() is True
         monkeypatch.setattr(denoiser.threading, "active_count", lambda: 2)
-        assert denoiser.sampling_processes() == 1
+        assert denoiser.can_fork() is False
 
     @pytest.mark.parametrize("files,cores", [
         ({}, 3),
@@ -425,9 +426,19 @@ class TestSamplingProcesses:
         monkeypatch.setattr(denoiser.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert denoiser.usable_cores() == cores
 
+    def test_one_chunk_forks_nothing(self, net, monkeypatch):
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
+        monkeypatch.setattr(denoiser.sys, "platform", "linux")
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 4)
+        monkeypatch.setattr(denoiser.os, "fork", lambda: pytest.fail("forked"))
+        net.params.freeze()
+        assert denoiser.chunk_bounds(1, 3) == [0, 1]
+        with net.item_workers(1, 3):
+            assert net._helper is None
+
     def test_unpinned_sampling_forks_nothing(self, net, monkeypatch):
         monkeypatch.setattr(denoiser, "BLAS_PINNED", False)
         monkeypatch.setattr(denoiser.os, "fork", lambda: pytest.fail("forked"))
         net.params.freeze()
         with net.item_workers(8, 3):
-            assert net._workers is None
+            assert net._helper is None

@@ -508,8 +508,8 @@ def _no_child_left():
 
 @pytest.fixture()
 def forks(monkeypatch):
-    """Treat BLAS as pinned to one thread, so sampling forks a worker, and
-    record the worker pids."""
+    """Treat BLAS as pinned to one thread, so sampling forks a helper, and
+    record the helper pids."""
     monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
     pids = []
     fork = os.fork
@@ -543,10 +543,10 @@ def parent_chunks(monkeypatch):
 
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or denoiser.usable_cores() < 2,
-    reason="the worker path needs Linux and two usable cores",
+    reason="the helper path needs Linux and two usable cores",
 )
 class TestWorkerSampling:
-    """With BLAS pinned, a forked worker computes the second half of each
+    """With BLAS pinned, one forked helper computes the second half of each
     sampler forward's item chunks; the in-process path is forced by
     reporting one usable core."""
 
@@ -567,7 +567,7 @@ class TestWorkerSampling:
     def test_plans_identical_across_paths(self, frozen_vae, forks, parent_chunks, monkeypatch):
         forked = self._plan(frozen_vae)
         assert len(forks) == 1
-        assert set(parent_chunks) == {(0, self.ITEMS // 2)}  # the worker did the rest
+        assert set(parent_chunks) == {(0, self.ITEMS // 2)}  # the helper did the rest
         _no_child_left()
         _one_core(monkeypatch)
         in_process = self._plan(frozen_vae)
@@ -602,24 +602,45 @@ class TestWorkerSampling:
         forked, in_process = self._non_finite_weight_messages(frozen_vae, forks, monkeypatch, name)
         assert forked == in_process == f"sampling step 6: {op}: produced non-finite values"
 
-    def test_more_workers_than_cores(self, frozen_vae, forks, monkeypatch):
-        # 400 items at T=3 are four chunks, one per process on however many
-        # cores there are.
+    def test_one_helper_for_four_chunks(self, frozen_vae, forks, parent_chunks, monkeypatch):
+        # 400 items at T=3 are four chunks; on four cores one helper
+        # computes the second two and this process the first two.
         monkeypatch.setattr(denoiser, "usable_cores", lambda: 4)
         forked = self._plan(frozen_vae, items=400)
-        assert len(forks) == 3
+        assert len(forks) == 1
+        assert set(parent_chunks) == {(0, 100), (100, 200)}
         _no_child_left()
         _one_core(monkeypatch)
         assert np.array_equal(forked, self._plan(frozen_vae, items=400))
 
+    def test_failed_fork_samples_in_process(self, frozen_vae, monkeypatch):
+        # When the helper's fork fails, sampling gives the one-process
+        # bytes and leaves no child and no pipe behind.
+        _one_core(monkeypatch)
+        in_process = self._plan(frozen_vae)
+        monkeypatch.setattr(denoiser, "BLAS_PINNED", True)
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 2)
+        forks = []
+
+        def failing_fork():
+            forks.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert np.array_equal(self._plan(frozen_vae), in_process)
+        assert len(forks) == 1
+        _no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
     def test_error_in_worker_chunk_recomputed_in_parent(
         self, frozen_vae, forks, parent_chunks, monkeypatch
     ):
-        # Only the last item overflows; the worker reports its share failed
+        # Only the last item overflows; the helper reports its half failed
         # and the parent recomputes it, raising the in-process error.
         samples = _batch(np.random.default_rng(21), self.ITEMS)
         samples.o_s[-1] = 1e300
-        with np.errstate(over="ignore"):  # the worker inherits it at fork
+        with np.errstate(over="ignore"):  # the helper inherits it at fork
             forked = self._numeric_message(frozen_vae, samples=samples)
             assert len(forks) == 1
             assert (self.ITEMS // 2, self.ITEMS) in parent_chunks
@@ -628,15 +649,15 @@ class TestWorkerSampling:
             assert self._numeric_message(frozen_vae, samples=samples) == forked
 
     def _state_entry_messages(self, forks, parent_chunks, monkeypatch, value):
-        """The error of a finite state entry ``value`` in the worker's
-        share, forked and in one process, with no RuntimeWarning."""
+        """The error of a finite state entry ``value`` in the helper's
+        half, forked and in one process, with no RuntimeWarning."""
         net = _net(6, seed=3)
         net.params.freeze()
         x = np.random.default_rng(25).normal(size=(self.ITEMS, 3, LAYOUT.feature_dim))
         x[-1, 1, 0] = value
 
         def message():
-            with warnings.catch_warnings():  # the worker inherits it at fork
+            with warnings.catch_warnings():  # the helper inherits it at fork
                 warnings.simplefilter("error", RuntimeWarning)
                 with net.item_workers(self.ITEMS, 3), pytest.raises(NumericError) as exc:
                     net.forward(Tensor(x), [6] * self.ITEMS, net.zero_constraint(self.ITEMS))
