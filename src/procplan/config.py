@@ -96,9 +96,9 @@ class RunConfig:
     diffusion: StageParams = field(
         default_factory=lambda: StageParams(
             epochs=40,
-            steps_per_epoch=50,
-            batch_size=32,
-            peak_lr=5e-4,
+            steps_per_epoch=25,
+            batch_size=64,
+            peak_lr=1e-3,
             warmup_epochs=5,
             decay_window_epochs=10,
             decay_every=5,

@@ -152,17 +152,14 @@ def diffusion_loss(
 
     ``codes`` holds the frozen autoencoder's (mu, logvar) of each plan's
     (start, goal) states, each [B, 2, LATENT_DIM]; ``None`` trains against
-    the zero constraint.  The generator gives each item its step and [T, A]
-    noise in turn, then the constraint noise of the whole batch.
+    the zero constraint.  The generator gives the batch's steps in one
+    call, then its [B, T, A] action noise in one call, then the constraint
+    noise of the whole batch.
     """
     a0 = np.eye(layout.num_actions)[plans.actions]
     batch = len(a0)
-    steps = np.empty(batch, dtype=np.int64)
-    noise = np.empty_like(a0)
-    for i in range(batch):
-        steps[i] = rng.integers(1, schedule.n_steps + 1)
-        rng.standard_normal(out=noise[i])
-    an = q_forward(a0, steps, schedule, noise)
+    steps = rng.integers(1, schedule.n_steps + 1, batch)
+    an = q_forward(a0, steps, schedule, rng.standard_normal(a0.shape))
     xn = conditioned_states(an, plans.task, plans.o_s, plans.o_g, layout)
     if codes is None:
         z_c = denoiser.zero_constraint(batch)

@@ -250,11 +250,11 @@ class TestDiffusionLoss:
         assert np.isfinite(loss.item()) and loss.item() > 0.0
 
     def test_one_step_draws_in_per_sample_order(self, frozen_vae):
-        """A training step draws its batch indices, then each item's step
-        and [T, A] action noise in turn, then each item's (start, goal)
-        eps.  Built from per-sample encodes and forwards in that order, on
-        noised action blocks with clean condition blocks, a reference loss
-        matches and leaves the generator in the same state."""
+        """A training step draws its batch indices, then the batch's steps,
+        then its [B, T, A] action noise, then each item's (start, goal)
+        eps.  Built from per-sample encodes and forwards on draws in that
+        order, on noised action blocks with clean condition blocks, a
+        reference loss matches and leaves the generator in the same state."""
         rng = np.random.default_rng(22)
         samples = Samples.concat([
             _sample(rng, actions=rng.integers(0, 4, 3), task=int(rng.integers(0, 3)))
@@ -272,14 +272,14 @@ class TestDiffusionLoss:
         )
 
         ref = np.random.default_rng(7)
-        drawn = []
-        for i in ref.integers(0, len(samples), 4):
-            a0 = _a0(samples.take([i]))
-            n = int(ref.integers(1, sched.n_steps + 1))
-            drawn.append((i, a0, n, q_forward(a0, [n], sched, ref.standard_normal(a0.shape))))
+        indices = ref.integers(0, len(samples), 4)
+        steps = ref.integers(1, sched.n_steps + 1, 4)
+        noise = ref.standard_normal((4, 3, LAYOUT.num_actions))
         per_sample = []
-        for i, a0, n, an in drawn:
+        for i, n, item_noise in zip(indices, steps, noise):
             one = samples.take([i])
+            a0 = _a0(one)
+            an = q_forward(a0, [n], sched, item_noise[None])
             xn = conditioned_states(an, one.task, one.o_s, one.o_g, LAYOUT)
             code = frozen_vae.encode_constraints_batch(one, use_eps=True, rngs=[ref])
             pred = net.forward(Tensor(xn), [n], net.fuse_batch(code.z, code.eps))

@@ -89,6 +89,17 @@ class TestLRSchedule:
         )
         assert sched.lr_at(0) == 1e-3
 
+    def test_desk_diffusion_profile(self):
+        """1,000 steps of 64 at peak 1e-3: the same 64,000 samples as the
+        2,000 steps of 32 before it, with warmup and decay in epochs."""
+        sched = RunConfig().diffusion
+        assert sched.epochs * sched.steps_per_epoch * sched.batch_size == 64_000
+        assert sched.lr_at(0) == 0.0
+        assert sched.lr_at(124) < 1e-3
+        assert sched.lr_at(125) == sched.lr_at(749) == 1e-3
+        assert sched.lr_at(750) == 5e-4
+        assert sched.lr_at(875) == sched.lr_at(999) == 2.5e-4
+
 
 class TestStageSeeds:
     def test_distinct_per_tag_and_index(self):
