@@ -112,8 +112,13 @@ def split(samples: Samples, ratio: float = 0.7, seed: int = 0) -> tuple[Samples,
         raise CurationError("cannot split an empty sample set")
     if not 0.0 < ratio < 1.0:
         raise CurationError(f"split ratio must lie in (0, 1), got {ratio}")
-    order = np.random.default_rng(seed).permutation(len(samples))
     n_train = int(round(len(samples) * ratio))
+    if not 0 < n_train < len(samples):
+        raise CurationError(
+            f"split ratio {ratio} leaves {n_train} train / {len(samples) - n_train} test "
+            f"samples of {len(samples)}; each side needs one or more"
+        )
+    order = np.random.default_rng(seed).permutation(len(samples))
     return samples.take(order[:n_train]), samples.take(order[n_train:])
 
 

@@ -27,8 +27,8 @@ import numpy as np
 from . import BLAS_THREAD_VARS
 from .optim import ParamStore
 from .tensor import (
-    GELU_C, GELU_K, NumericError, Tensor, check_finite, concat, conv1d_same, gelu,
-    im2col, layer_norm, matmul, reshape, tap_spans,
+    NumericError, Tensor, check_finite, concat, conv1d_same, conv_step, gelu, gelu_tanh,
+    im2col, layer_norm, matmul, reshape, standardize, tap_spans,
 )
 from .vae import LATENT_DIM
 
@@ -329,26 +329,14 @@ def _float32_weights(params: ParamStore) -> dict[str, np.ndarray]:
         }
 
 
-def _gelu_(x: np.ndarray) -> None:
-    """Tanh-form GELU of ``x`` in place, with the arithmetic of
-    ``tensor.gelu`` in the same order."""
-    t = np.multiply(x, x)
-    t *= x
-    t *= GELU_K
-    t += x
-    t *= GELU_C
-    np.tanh(t, out=t)
+def _gelu_(x: np.ndarray) -> np.ndarray:
+    """Tanh-form GELU of ``x`` in place, returned: ``tensor.gelu``'s
+    arithmetic on its tanh term (``gelu_tanh``)."""
+    t = gelu_tanh(x)
     t += 1.0
     x *= 0.5
     x *= t
-
-
-def conv_step(cols: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One conv of the float32 body: the [rows, T, K, C_in] im2col buffer
-    as a [rows * T, K * C_in] @ [K * C_in, C_out] gemm, plus the bias."""
-    flat = cols.reshape(-1, w.shape[0]) @ w
-    flat += b
-    return flat
+    return x
 
 
 def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
@@ -359,65 +347,40 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     ``x`` is the chunk's [n, T, D] float64 state, ``z_c`` its [n, C]
     constraints and ``emb`` its [n, E] timestep features, or one row that
     every item shares; ``w`` holds the float32 weights
-    (``_float32_weights``).  It does the arithmetic of ``_forward_rows``
-    op for op, in the same order, except that a shared ``emb`` row runs the
-    time MLP once.  ``mid|h2`` and ``d1|h1`` go straight into the im2col
+    (``_float32_weights``).  It is ``_forward_rows`` line for line, through
+    the engine's own kernels (``im2col``, ``conv_step``, ``gelu_tanh``,
+    ``standardize``) on float32 arrays, except that a shared ``emb`` row
+    runs the time MLP once, gelu and the layer norm's affine map run in
+    place, and ``mid|h2`` and ``d1|h1`` go straight into the im2col
     buffers of dec1 and out, with no separate concatenation.  Only the
     layer-norm variance is checked, since an overflowed variance gives a
     finite output; the caller checks the output.  Returns the
     [n, T, num_actions] float32 output.
     """
-    n, t_len, d = x.shape
-    c1, c2 = BASE_CHANNELS, BOTTLENECK_CHANNELS
+    n, t_len, _ = x.shape
     spans = tap_spans(KERNEL, t_len)
 
-    def conv(cols, name):
-        flat = conv_step(cols, w[name + ".w"], w[name + ".b"])
-        _gelu_(flat)
-        return flat.reshape(n, t_len, -1)
+    def linear(v: np.ndarray, name: str) -> np.ndarray:
+        out = v @ w[name + ".w"]
+        out += w[name + ".b"]
+        return out
 
-    cols = np.empty((n, t_len, KERNEL, d), dtype=np.float32)
-    im2col(x, cols, spans)  # casts the state to float32
-    emb = emb.astype(np.float32)
-    cond = z_c.astype(np.float32)
-    t_h = emb @ w["time1.w"]
-    t_h += w["time1.b"]
-    _gelu_(t_h)
-    t_emb = t_h @ w["time2.w"]
-    t_emb += w["time2.b"]
+    def conv(blocks: list[np.ndarray], name: str) -> np.ndarray:
+        cols = im2col(blocks, spans, np.float32)  # enc1 casts the float64 state
+        return conv_step(cols, w[name + ".w"], w[name + ".b"]).reshape(n, t_len, -1)
 
-    h1 = conv(cols, "enc1")
-    cols = np.empty((n, t_len, KERNEL, c1), dtype=np.float32)
-    im2col(h1, cols, spans)
-    h2 = conv(cols, "enc2")
-    cond += t_emb
-    # Layer norm over h2 + cond, in place, with tensor.layer_norm's
-    # arithmetic in the same order.
-    x_hat = h2 + cond[:, None, :]
-    mu = x_hat.sum(axis=-1, keepdims=True)
-    mu *= 1.0 / c2
-    x_hat -= mu
-    sq = np.multiply(x_hat, x_hat)
-    var = sq.sum(axis=-1, keepdims=True)
-    var *= 1.0 / c2
-    check_finite("layer_norm", var)
-    var += 1e-5
-    x_hat *= var ** -0.5
-    x_hat *= w["bottleneck.ln_gain"]
-    x_hat += w["bottleneck.ln_bias"]
-
-    cols = np.empty((n, t_len, KERNEL, c2), dtype=np.float32)
-    im2col(x_hat, cols, spans)
-    mid = conv(cols, "bottleneck")
-    cols = np.empty((n, t_len, KERNEL, c2 + c2), dtype=np.float32)
-    im2col(mid, cols[..., :c2], spans)
-    im2col(h2, cols[..., c2:], spans)
-    d1 = conv(cols, "dec1")
-    cols = np.empty((n, t_len, KERNEL, c1 + c1), dtype=np.float32)
-    im2col(d1, cols[..., :c1], spans)
-    im2col(h1, cols[..., c1:], spans)
-    out = conv_step(cols, w["out.w"], w["out.b"])
-    return out.reshape(n, t_len, -1)
+    t_h = _gelu_(linear(emb.astype(np.float32), "time1"))
+    t_emb = linear(t_h, "time2")
+    h1 = _gelu_(conv([x], "enc1"))
+    h2 = _gelu_(conv([h1], "enc2"))
+    cond = t_emb + z_c.astype(np.float32)
+    mid_in = h2 + cond[:, None, :]
+    standardize(mid_in, 1e-5, out=mid_in)
+    mid_in *= w["bottleneck.ln_gain"]
+    mid_in += w["bottleneck.ln_bias"]
+    mid = _gelu_(conv([mid_in], "bottleneck"))
+    d1 = _gelu_(conv([mid, h2], "dec1"))
+    return conv([d1, h1], "out")
 
 
 class _Helper:

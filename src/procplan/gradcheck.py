@@ -23,43 +23,15 @@ def grad_check(
 ) -> float:
     """Compare backward() against central differences at ``point``.
 
-    ``fn`` must be deterministic and scalar-valued; it is evaluated twice
-    up front and a mismatch is an error.  Returns the maximum relative
+    ``model_grad_check`` with ``point`` as the only parameter: ``fn``
+    must be deterministic and scalar-valued.  Returns the maximum relative
     error max|analytic - numeric| / max(1, |analytic|) over the checked
     coordinates (all of them unless ``max_coords`` subsamples, seeded by
     ``rng``).
     """
-    if not 0.0 < eps <= 1e-2:
-        raise ValueError(f"grad_check: eps must lie in (0, 1e-2], got {eps}")
-    base = np.array(point.data if isinstance(point, Tensor) else point, dtype=np.float64)
-
-    leaf = Tensor(base, requires_grad=True)
-    out_a = fn(leaf)
-    out_b = fn(leaf)
-    if not isinstance(out_a, Tensor) or out_a.size != 1:
-        raise GraphError("grad_check: fn must return a scalar Tensor")
-    if not np.array_equal(out_a.data, out_b.data):
-        raise ValueError("grad_check: fn is not deterministic across probe calls")
-    out_a.backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(base)
-
-    coords = np.arange(base.size)
-    if max_coords is not None and max_coords < base.size:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        coords = gen.choice(base.size, size=max_coords, replace=False)
-
-    flat = base.reshape(-1)
-    worst = 0.0
-    for i in coords:
-        probe = flat.copy()
-        probe[i] += eps
-        f_plus = fn(Tensor(probe.reshape(base.shape))).item()
-        probe[i] -= 2.0 * eps
-        f_minus = fn(Tensor(probe.reshape(base.shape))).item()
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = analytic.reshape(-1)[i]
-        worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
-    return worst
+    store = ParamStore()
+    leaf = store.add("point", point.data if isinstance(point, Tensor) else point)  # a copy
+    return model_grad_check(lambda: fn(leaf), store, eps, max_coords, rng)
 
 
 def model_grad_check(
@@ -81,10 +53,12 @@ def model_grad_check(
         raise ValueError(f"model_grad_check: eps must lie in (0, 1e-2], got {eps}")
     ref_a = loss_fn()
     ref_b = loss_fn()
+    if not isinstance(ref_a, Tensor) or ref_a.size != 1:
+        raise GraphError("model_grad_check: loss_fn must return a scalar Tensor")
     if not np.array_equal(ref_a.data, ref_b.data):
         raise ValueError("model_grad_check: loss_fn is not deterministic")
     store.zero_grads()
-    loss_fn().backward()
+    ref_a.backward()
     analytic = {
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in store.items()

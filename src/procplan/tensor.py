@@ -11,11 +11,17 @@ calls until explicitly zeroed (see ``ParamStore.zero_grads``).
 
 Any operation that would produce a NaN or Inf raises ``NumericError``
 immediately: non-finite values are treated as an error state, never data.
+
+The forwards of ``gelu``, ``layer_norm`` and ``conv1d_same`` run through
+plain-array kernels (``gelu_tanh``, ``standardize``, ``im2col``,
+``conv_step``) that keep their inputs' dtype; the denoiser's float32
+sampling body runs the same kernels.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import sys
 from typing import Callable, Sequence
@@ -282,6 +288,18 @@ GELU_C = math.sqrt(2.0 / math.pi)
 GELU_K = 0.044715
 
 
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The term tanh(C * (x + K * x**3)) of tanh-form GELU, in a new array
+    of ``x``'s dtype, computed in the order ``gelu`` documents."""
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= GELU_K
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form GELU; the backward differentiates the same approximation.
 
@@ -292,12 +310,7 @@ def gelu(a: Tensor) -> Tensor:
     """
     a = _ensure_tensor(a)
     x = a.data
-    t = np.multiply(x, x, out=np.empty_like(x))
-    t *= x
-    t *= GELU_K
-    t += x
-    t *= GELU_C
-    np.tanh(t, out=t)
+    t = gelu_tanh(x)
     data = np.multiply(x, 0.5, out=np.empty_like(x))
     data *= 1.0 + t
 
@@ -450,18 +463,34 @@ def tap_spans(k: int, t_len: int) -> list[tuple[int, int, int]]:
     return spans
 
 
-def im2col(seqs: np.ndarray, cols: np.ndarray, spans: list[tuple[int, int, int]]) -> None:
-    """Write the taps of [rows, T, C] ``seqs`` into ``cols``, a
-    [rows, T, K, C] array or a channel slice of a wider one: row (r, t)
-    holds x[r, t - K//2 .. t + K//2], zero off either end, in the
-    tap-major order of a flattened [K, C_in, C_out] weight."""
-    t_len = seqs.shape[1]
+def im2col(blocks: Sequence[np.ndarray], spans: list[tuple[int, int, int]],
+           dtype: type) -> np.ndarray:
+    """The [rows, T, K, C] ``dtype`` im2col buffer of the [rows, T, C_i]
+    channel blocks joined along C (C = sum of C_i), without a separate
+    concatenation: row (r, t) holds x[r, t - K//2 .. t + K//2], zero off
+    either end, in the tap-major order of a flattened [K, C, C_out]
+    weight.  ``spans`` is ``tap_spans(K, T)``."""
+    rows, t_len = blocks[0].shape[:2]
+    edges = [0, *itertools.accumulate(b.shape[-1] for b in blocks)]
+    cols = np.empty((rows, t_len, len(spans), edges[-1]), dtype=dtype)
     for tap, (shift, lo, hi) in enumerate(spans):
         if lo:
             cols[:, :lo, tap] = 0.0
-        cols[:, lo:hi, tap] = seqs[:, lo + shift:hi + shift]
         if hi < t_len:
             cols[:, hi:, tap] = 0.0
+        for block, c_lo, c_hi in zip(blocks, edges, edges[1:]):
+            cols[:, lo:hi, tap, c_lo:c_hi] = block[:, lo + shift:hi + shift]
+    return cols
+
+
+def conv_step(cols: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """The forward of a conv on its im2col buffer: ``cols`` viewed as
+    [rows * T, K * C_in] @ the [K * C_in, C_out] flattened weight ``w``,
+    plus the bias ``b`` if given, as a new [rows * T, C_out] array."""
+    flat = cols.reshape(-1, w.shape[0]) @ w
+    if b is not None:
+        flat += b
+    return flat
 
 
 def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -470,8 +499,8 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     ``x`` is [..., T, C_in], ``weight`` is [K, C_in, C_out] with odd K,
     ``bias`` is an optional [C_out], and the time axis is zero-padded so the
     output is [..., T, C_out].  The forward is one im2col gemm,
-    [rows*T, K*C_in] @ [K*C_in, C_out] (``im2col``); the backward is
-    analytic.
+    [rows*T, K*C_in] @ [K*C_in, C_out] (``im2col``, ``conv_step``); the
+    backward is analytic.
     """
     x, weight = _ensure_tensor(x), _ensure_tensor(weight)
     if weight.ndim != 3:
@@ -493,13 +522,9 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     seqs = x.data.reshape(-1, t_len, c_in)
     rows = seqs.shape[0]
     spans = tap_spans(k, t_len)
-    cols = np.empty((rows, t_len, k, c_in))
-    im2col(seqs, cols, spans)
-    cols = cols.reshape(rows * t_len, k * c_in)
+    cols = im2col([seqs], spans, np.float64).reshape(rows * t_len, k * c_in)
     w_flat = weight.data.reshape(k * c_in, c_out)
-    flat = cols @ w_flat
-    if bias is not None:
-        flat += bias.data
+    flat = conv_step(cols, w_flat, None if bias is None else bias.data)
     data = flat.reshape(x.shape[:-1] + (c_out,))
 
     def grad_x(g: np.ndarray) -> np.ndarray:
@@ -520,11 +545,33 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     return _make("conv1d_same", data, parents, (grad_x, grad_weight, grad_bias)[:len(parents)])
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply a learned affine map.
+def standardize(x: np.ndarray, eps: float,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / sqrt(var + eps) over the last axis, into ``out`` (which
+    may be ``x``) or a new array, in ``x``'s dtype.
 
-    The forward does the arithmetic of the composed mean, centre, variance
-    and scale steps in the same order; the backward is analytic.
+    Returns it with the inverse std.  The arithmetic is that of the
+    composed mean, centre, variance and scale steps, in that order.  The
+    variance is checked, since an overflowed one gives inv = 0 and a
+    finite output.
+    """
+    scale = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True)
+    mu *= scale
+    x_hat = np.subtract(x, mu, out=out)
+    sq = np.multiply(x_hat, x_hat)
+    var = sq.sum(axis=-1, keepdims=True)
+    var *= scale
+    check_finite("layer_norm", var)
+    var += eps
+    inv = var ** -0.5
+    x_hat *= inv
+    return x_hat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis (``standardize``), then apply a learned
+    affine map; the backward is analytic.
     """
     x = _ensure_tensor(x)
     gain, bias = _ensure_tensor(gain), _ensure_tensor(bias)
@@ -532,21 +579,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last dim of {x.shape}"
         )
-    scale = 1.0 / x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True)
-    mu *= scale
-    # x_hat holds the centred input until it is scaled below; the squares'
-    # buffer is reused for the output.
-    x_hat = np.subtract(x.data, mu)
-    data = np.multiply(x_hat, x_hat)
-    var = data.sum(axis=-1, keepdims=True)
-    var *= scale
-    # An overflowed variance would give inv = 0 and a finite output.
-    check_finite("layer_norm", var)
-    var += eps
-    inv = var ** -0.5
-    x_hat *= inv
-    np.multiply(x_hat, gain.data, out=data)
+    x_hat, inv = standardize(x.data, eps)
+    data = np.multiply(x_hat, gain.data)
     data += bias.data
 
     def grad_x(g: np.ndarray) -> np.ndarray:

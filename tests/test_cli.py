@@ -306,6 +306,14 @@ class TestErrorPaths:
         assert code == EXIT_FORMAT
         assert "disjoint-start" in capsys.readouterr().err
 
+    def test_split_with_an_empty_side_exits_format(self, tmp_path, capsys):
+        workdir = tmp_path / "work"
+        code = main(["gen-data", "--workdir", str(workdir), "--set", "data.videos_per_task=2",
+                     "--set", "data.split_ratio=0.999"])
+        assert code == EXIT_FORMAT
+        assert "split ratio 0.999 leaves 54 train / 0 test" in capsys.readouterr().err
+        assert not workdir.exists()
+
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("data.videos_per_task = 4\ndata.obs_dim = 8\ndata.text_dim = 4\n")

@@ -177,6 +177,13 @@ class TestSplit:
         with pytest.raises(CurationError):
             split(_dummy_samples(5), 1.0)
 
+    @pytest.mark.parametrize("ratio, counts", [(0.999, "54 train / 0 test"),
+                                               (0.001, "0 train / 54 test")],
+                             ids=["no-test", "no-train"])
+    def test_empty_side_refused(self, ratio, counts):
+        with pytest.raises(CurationError, match=f"split ratio {ratio} leaves {counts} samples of 54"):
+            split(_dummy_samples(54), ratio)
+
 
 class TestNormalization:
     def test_outputs_in_unit_interval(self):

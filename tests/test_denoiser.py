@@ -360,6 +360,25 @@ class TestForward:
             ConditionedUNet(FEATURE_DIM, TIME_STEPS)
 
 
+class TestSharedKernels:
+    """The float32 body's in-place gelu and layer norm give the engine ops'
+    bytes on float64 inputs, so neither side's arithmetic can drift."""
+
+    def test_in_place_gelu_is_engine_gelu(self):
+        x = np.random.default_rng(20).normal(size=(5, 3, 16)) * 3.0
+        assert np.array_equal(denoiser._gelu_(x.copy()), T.gelu(Tensor(x)).data)
+
+    def test_standardize_and_affine_is_engine_layer_norm(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(5, 3, 16)) * 3.0 + 1.0
+        gain, bias = rng.normal(size=16) + 1.5, rng.normal(size=16)
+        out = x.copy()
+        T.standardize(out, 1e-5, out=out)
+        out *= gain
+        out += bias
+        assert np.array_equal(out, T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data)
+
+
 class TestSamplingProcesses:
     """Sampling forks only where BLAS was pinned to one thread at import."""
 

@@ -351,6 +351,22 @@ class TestFusedOps:
             T.conv1d_same(Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2, 2))), Tensor(np.ones(3)))
 
 
+class TestKernels:
+    """The plain-array kernels that the engine ops and the denoiser's
+    float32 sampling body share."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_len", [3, 6])
+    def test_im2col_of_blocks_is_im2col_of_their_concatenation(self, t_len, dtype):
+        rng = np.random.default_rng(t_len)
+        a, b = rng.normal(size=(4, t_len, 5)), rng.normal(size=(4, t_len, 3))
+        spans = T.tap_spans(3, t_len)
+        blocks = T.im2col([a, b], spans, dtype)
+        joined = T.im2col([np.concatenate([a, b], -1)], spans, dtype)
+        assert blocks.shape == (4, t_len, 3, 8) and blocks.dtype == dtype
+        assert np.array_equal(blocks, joined)
+
+
 GRAD_OWNERSHIP_CASES = {
     "add_equal_shapes": lambda x, w: T.sum(T.add(x, w)),
     "add_self": lambda x, w: T.sum(T.mul(T.add(x, x), w)),
