@@ -213,15 +213,20 @@ def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of a config file; a key may be set once."""
     pairs: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        pairs[key] = value
     return pairs
 
 

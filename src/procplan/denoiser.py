@@ -182,8 +182,9 @@ class ConditionedUNet:
     def fuse_batch(self, z: np.ndarray, eps: np.ndarray) -> Tensor:
         """Fusion net over the packed [z_s | eps_s | z_g | eps_g] batch.
 
-        ``z`` and ``eps`` are the [B, 2, LATENT_DIM] (start, goal) codes of
-        a ``LatentCode``; the output is the [B, C] constraint batch.
+        ``z`` and ``eps`` are the [B, 2, LATENT_DIM] (start, goal)
+        reparameterized codes and their noise; the output is the [B, C]
+        constraint batch.
         """
         if z.shape[1:] != (2, LATENT_DIM) or eps.shape != z.shape:
             raise ValueError(

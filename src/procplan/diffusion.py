@@ -23,7 +23,7 @@ from .corpus import Samples
 from .denoiser import ConditionedUNet
 from .losses import mse
 from .tensor import NumericError, Tensor
-from .vae import StateAutoencoder, reparameterize
+from .vae import StateAutoencoder
 
 
 # The sampler draws each item's noise for up to NOISE_BLOCK_STEPS reverse
@@ -132,6 +132,11 @@ def q_forward(
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
 
 
+def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """z = mu + exp(logvar/2) * eps, elementwise."""
+    return mu + np.exp(0.5 * logvar) * eps
+
+
 def decode_plans(x: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """[B, T] per-row argmax over the action block; ties go to the lowest label."""
     return np.argmax(x[:, :, layout.action_cols], axis=-1)
@@ -187,10 +192,14 @@ def generate_plans(
     ``states()`` feed the constraint encoder.  Of ``conditions.actions``
     only the width, the horizon, is read: ground-truth actions are never
     consulted.  Returns the final [B, T, D] states, whose condition blocks
-    were written once.  Each row owns its seeded noise stream, so every
-    row draws the same noise however rows are batched; the encoder and
-    network outputs agree across batchings only to rounding, since BLAS
-    may sum a row differently at another batch size.
+    were written once.  Each row owns its seeded noise stream, which gives
+    in order the row's (start, goal) constraint eps (drawn only when
+    ``use_eps`` and ``inject_constraints`` are both on), its initial [T, A]
+    action block, and its noise for steps N..2.  So every row draws the
+    same noise however rows are batched; the encoder and network outputs
+    agree across batchings only to rounding, since BLAS may sum a row
+    differently at another batch size.  The constraint is built as in
+    ``diffusion_loss``, ``fuse_batch(reparameterize(mu, logvar, eps), eps)``.
 
     Each reverse step is one ``denoiser.forward`` over all B items at
     step n, predicting the clean action blocks, and updates only the
@@ -214,8 +223,10 @@ def generate_plans(
         raise ValueError("generate_plans: conditions, labels and seeds must align")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if inject_constraints:
-        code = vae.encode_constraints_batch(conditions, use_eps=use_eps, rngs=rngs)
-        z_c = denoiser.fuse_batch(code.z, code.eps)
+        mu, logvar = vae.encode_constraints_batch(conditions)
+        eps = (np.stack([rng.standard_normal(mu.shape[1:]) for rng in rngs])
+               if use_eps else np.zeros_like(mu))
+        z_c = denoiser.fuse_batch(reparameterize(mu, logvar, eps), eps)
     else:
         z_c = denoiser.zero_constraint(batch)
 

@@ -32,6 +32,11 @@ class ManifestError(Exception):
     """Manifest or feature file is malformed."""
 
 
+def _json_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: int() would read 1.9 and true as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _record_floats(obs_dim: int, text_dim: int) -> int:
     return 2 * (obs_dim + text_dim)
 
@@ -71,7 +76,8 @@ def write_manifest(
 def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
     """Load samples; returns (samples, meta) with dims and label counts.
 
-    ``samples`` must be a list.  Every sample's task, action labels and
+    The four header counts must be JSON integers of at least 1 and
+    ``samples`` a list.  Every sample's task, action labels and
     offset must be JSON integers and its feature file a string; it must
     hold as many actions as the first sample, and its task and action
     labels must lie below the manifest's ``num_tasks`` and ``num_actions``.
@@ -84,19 +90,14 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{manifest_path}: malformed JSON ({exc})") from exc
     try:
-        obs_dim = int(manifest["obs_dim"])
-        text_dim = int(manifest["text_dim"])
         entries = manifest["samples"]
-        meta = {
-            "obs_dim": obs_dim,
-            "text_dim": text_dim,
-            "num_tasks": int(manifest["num_tasks"]),
-            "num_actions": int(manifest["num_actions"]),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        meta = {key: manifest[key] for key in ("obs_dim", "text_dim", "num_tasks", "num_actions")}
+    except (KeyError, TypeError) as exc:
         raise ManifestError(f"{manifest_path}: missing or invalid field ({exc})") from exc
-    if obs_dim < 1 or text_dim < 1:
-        raise ManifestError(f"{manifest_path}: dims must be positive")
+    for key, value in meta.items():
+        if not _json_int(value) or value < 1:
+            raise ManifestError(f"{manifest_path}: {key} is {value!r}, not an integer >= 1")
+    obs_dim, text_dim = meta["obs_dim"], meta["text_dim"]
     if not isinstance(entries, list):
         raise ManifestError(f"{manifest_path}: samples must be a list, got {entries!r}")
 
@@ -119,8 +120,7 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
                 f"{manifest_path}: sample {i} has feature_file {feature_file!r}, not a string"
             )
         for field, value in (("task", task), ("offset", offset), *(("action", a) for a in plan)):
-            # JSON integers only: int() would read 1.9 and true as 1.
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _json_int(value):
                 raise ManifestError(
                     f"{manifest_path}: sample {i} has {field} {value!r}, not an integer"
                 )

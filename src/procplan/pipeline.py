@@ -231,16 +231,14 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
         )
         # The frozen autoencoder's codes of the split are constants of this
         # stage: encode them once, then gather per step.
-        codes = None
-        if config.flags.inject_constraints:
-            codes = vae.encode_constraints_batch(train)
+        codes = vae.encode_constraints_batch(train) if config.flags.inject_constraints else None
         size = len(train)
         header = ["step", "lr", "loss"]
 
         def train_step(idx: np.ndarray, lr: float) -> list[float]:
             loss = diffusion_loss(
                 train.take(idx),
-                None if codes is None else (codes.mu[idx], codes.logvar[idx]),
+                None if codes is None else tuple(c[idx] for c in codes),
                 noise_schedule,
                 model,
                 layout,

@@ -4,14 +4,13 @@ Start and goal states are the concatenation of an observation vector and
 a language embedding, observation first.  The encoder maps a state to a
 2-dimensional Gaussian (mu, log sigma^2); training optimizes BCE
 reconstruction plus the KL divergence to a standard normal.  After its
-training phase the model is frozen and acts purely as the constraint
-provider for the diffusion stage; encoding constraints on an unfrozen
-model is an error so the two phases cannot be mixed by accident.
+training phase the model is frozen and only encodes: it gives the
+diffusion stage the (mu, logvar) constraint codes, whose noise that stage
+draws.  Encoding constraints on an unfrozen model is an error so the two
+phases cannot be mixed by accident.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +26,6 @@ LOGVAR_CLAMP = 10.0
 
 class PhaseError(RuntimeError):
     """Constraint encoding was requested in the wrong training phase."""
-
-
-@dataclass(frozen=True)
-class LatentCode:
-    """Reparameterized (start, goal) codes of a batch, each [B, 2, LATENT_DIM]:
-    z = mu + exp(logvar/2) * eps, with index 0 the start and 1 the goal."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
-    z: np.ndarray
-    eps: np.ndarray
-
-
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """z = mu + exp(logvar/2) * eps, elementwise."""
-    return mu + np.exp(0.5 * logvar) * eps
 
 
 class StateAutoencoder:
@@ -109,39 +92,20 @@ class StateAutoencoder:
         adamw_step(self.params, lr=lr, weight_decay=weight_decay)
         return recon.item(), kl.item()
 
-    def encode_constraints_batch(
-        self,
-        samples: Samples,
-        use_eps: bool = False,
-        rngs: list[np.random.Generator] | None = None,
-    ) -> LatentCode:
-        """(start, goal) latent codes of every sample's ``states()``, with one
+    def encode_constraints_batch(self, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, logvar) of every sample's (start, goal) ``states()``, each
+        [B, 2, LATENT_DIM] with index 0 the start and 1 the goal, from one
         encoder pass.
 
-        Only valid once the model is frozen (phase two).  With ``use_eps``
-        row i draws its noise from ``rngs[i]``, start then goal, so a
-        sample's eps is the same however samples are batched.  mu and
-        logvar agree across batchings only to rounding: BLAS may sum a row
-        differently at another batch size.  Without ``use_eps`` the noise is
-        zero and no generator is drawn from, so z is exactly mu.
+        Only valid once the model is frozen (phase two).  The codes agree
+        across batchings only to rounding: BLAS may sum a row differently
+        at another batch size.
         """
         if not self.frozen:
             raise PhaseError(
                 "encode_constraints_batch: autoencoder must be frozen before it can "
                 "serve as the constraint provider"
             )
-        if use_eps and len(rngs or ()) != len(samples):
-            raise ValueError(
-                f"encode_constraints_batch: {len(samples)} samples but "
-                f"{len(rngs or ())} generators"
-            )
-        mu_t, logvar_t = self.encode(samples.states().reshape(2 * len(samples), self.input_dim))
-        mu = mu_t.data.reshape(len(samples), 2, LATENT_DIM)
-        logvar = logvar_t.data.reshape(len(samples), 2, LATENT_DIM)
-        if use_eps:
-            eps = np.empty_like(mu)
-            for i, rng in enumerate(rngs):
-                rng.standard_normal(out=eps[i])
-        else:
-            eps = np.zeros_like(mu)
-        return LatentCode(mu=mu, logvar=logvar, z=reparameterize(mu, logvar, eps), eps=eps)
+        mu, logvar = self.encode(samples.states().reshape(2 * len(samples), self.input_dim))
+        shape = (len(samples), 2, LATENT_DIM)
+        return mu.data.reshape(shape), logvar.data.reshape(shape)

@@ -19,7 +19,7 @@ from procplan.corpus import Samples
 from procplan.curation import window_bounds
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.denoiser import ConditionedUNet
-from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule
+from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule, reparameterize
 from procplan.gradcheck import grad_check, model_grad_check
 from procplan.losses import bce_with_logits, cross_entropy, gaussian_kl_to_std_normal, mse
 from procplan.manifest import read_manifest
@@ -155,11 +155,11 @@ class TestCriterion1GradientIntegrity:
             for _ in range(2)
         ]
         plans = Samples(*(np.array(column) for column in zip(*rows)))
-        code = frozen.encode_constraints_batch(plans)
+        codes = frozen.encode_constraints_batch(plans)
 
         def diffusion_loss_fn():
             return diffusion_loss(
-                plans, (code.mu, code.logvar), schedule, denoiser, layout,
+                plans, codes, schedule, denoiser, layout,
                 rng=np.random.default_rng(5),
             )
 
@@ -287,20 +287,15 @@ class TestCriterion6EpsilonAblation:
         vae = load_stage("vae", config, seed_dir)
         vae.freeze()
         samples, _ = read_manifest(os.path.join(seed_dir, "test.json"))
-        exact = True
-        for i in range(25):
-            sample = samples.take([i])
-            rng = np.random.default_rng(i)
-            on = vae.encode_constraints_batch(sample, use_eps=True, rngs=[rng])
-            off = vae.encode_constraints_batch(
-                sample, use_eps=False, rngs=[np.random.default_rng(i)]
-            )
-            # Clamping sigma to zero in the eps-bearing encoding must
-            # reproduce the no-eps path down to the bit: mu + 0 * eps.
-            sigma_zero = on.mu + 0.0 * on.eps
-            exact &= np.array_equal(off.z, sigma_zero)
-            exact &= np.array_equal(off.z, off.mu)
-            exact &= np.array_equal(on.mu, off.mu)
+        mu, logvar = vae.encode_constraints_batch(samples.take(slice(0, 25)))
+        eps = np.stack([np.random.default_rng(i).standard_normal(mu.shape[1:]) for i in range(25)])
+        off = reparameterize(mu, logvar, np.zeros_like(mu))
+        # Clamping sigma to zero in the eps-bearing encoding must
+        # reproduce the no-eps path down to the bit: mu + 0 * eps.
+        sigma_zero = reparameterize(mu, np.full_like(logvar, -np.inf), eps)
+        exact = np.array_equal(off, sigma_zero)
+        exact &= np.array_equal(off, mu)
+        exact &= np.array_equal(sigma_zero, mu + 0.0 * eps)
         _verdict(6, exact, "use_eps=false equals mu-only (sigma=0) encoding bit-exactly")
 
 

@@ -53,6 +53,7 @@ BAD_SETTINGS = [
     ("vae.weight_decay=-1", "vae.weight_decay must be >= 0, got -1.0"),
     ("data=1", "'data' is a section, not a value"),
     ("file:seed 3", "line 1: expected 'key = value', got 'seed 3'"),
+    ("file:seed = 1\n# again\nseed = 2", "line 3: seed is already set on line 1"),
 ]
 
 

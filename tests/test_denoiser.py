@@ -17,7 +17,8 @@ from procplan.denoiser import (
 )
 from procplan.corpus import Samples
 from procplan.tensor import Tensor
-from procplan.vae import LatentCode, StateAutoencoder
+from procplan.diffusion import reparameterize
+from procplan.vae import StateAutoencoder
 
 FEATURE_DIM = 20
 NUM_ACTIONS = 7
@@ -30,14 +31,10 @@ def net():
 
 
 def _code(rng, batch=1):
-    """A batch of (start, goal) codes with unit sigma."""
+    """(z, eps) of a batch of (start, goal) codes with unit sigma."""
     mu = rng.normal(size=(batch, 2, 2))
     eps = rng.normal(size=(batch, 2, 2))
-    return LatentCode(mu=mu, logvar=np.zeros_like(mu), z=mu + eps, eps=eps)
-
-
-def _fuse(net, code):
-    return net.fuse_batch(code.z, code.eps)
+    return mu + eps, eps
 
 
 def _assert_layout(items, t_len, chunks):
@@ -87,10 +84,10 @@ class TestFusion:
         net.fuse_b.data[:] = 0.0
         for i in range(FUSION_INPUT_DIM):
             net.fuse_w.data[i, i] = 1.0
-        code = _code(np.random.default_rng(0), batch=3)
-        out = _fuse(net, code).data
+        z, eps = _code(np.random.default_rng(0), batch=3)
+        out = net.fuse_batch(z, eps).data
         for i in range(3):
-            packed = np.concatenate([code.z[i, 0], code.eps[i, 0], code.z[i, 1], code.eps[i, 1]])
+            packed = np.concatenate([z[i, 0], eps[i, 0], z[i, 1], eps[i, 1]])
             assert packed.shape == (FUSION_INPUT_DIM,)
             assert np.allclose(out[i, :FUSION_INPUT_DIM], packed, atol=1e-12)
             assert np.allclose(out[i, FUSION_INPUT_DIM:], 0.0)
@@ -106,15 +103,16 @@ class TestFusion:
             o_s=rng.random((1, 3)), o_g=rng.random((1, 3)),
             n_es=rng.random((1, 3)), n_eg=rng.random((1, 3)),
         )
-        code = vae.encode_constraints_batch(sample, use_eps=False, rngs=[rng])
-        a = _fuse(net, code).data
-        b = net.fuse_batch(code.mu, np.zeros((1, 2, 2))).data
+        mu, logvar = vae.encode_constraints_batch(sample)
+        zeros = np.zeros_like(mu)
+        a = net.fuse_batch(reparameterize(mu, logvar, zeros), zeros).data
+        b = net.fuse_batch(mu, np.zeros((1, 2, 2))).data
         assert np.array_equal(a, b)
 
     def test_zero_weight_fusion_gives_bias(self, net):
         net.fuse_w.data[:] = 0.0
         net.fuse_b.data[:] = np.arange(BOTTLENECK_CHANNELS) * 0.01
-        out = _fuse(net, _code(np.random.default_rng(2))).data[0]
+        out = net.fuse_batch(*_code(np.random.default_rng(2))).data[0]
         assert np.allclose(out, np.arange(BOTTLENECK_CHANNELS) * 0.01)
 
     def test_latent_dim_validated(self, net):
@@ -148,7 +146,7 @@ class TestForward:
     def test_constraint_changes_output(self, net):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
-        with_c = net.forward(x, [2], _fuse(net, _code(rng))).data
+        with_c = net.forward(x, [2], net.fuse_batch(*_code(rng))).data
         without = net.forward(x, [2], net.zero_constraint(1)).data
         assert not np.array_equal(with_c, without)
 
@@ -162,7 +160,7 @@ class TestForward:
     def test_gradient_reaches_fusion_weights(self, net):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(1, 4, FEATURE_DIM)))
-        z_c = _fuse(net, _code(rng))
+        z_c = net.fuse_batch(*_code(rng))
         net.params.zero_grads()
         out = net.forward(x, [3], z_c)
         T.sum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
@@ -189,7 +187,7 @@ class TestForward:
         items = CHUNK_ROWS // 3 + 16
         x = rng.normal(size=(items, 3, FEATURE_DIM))
         steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
-        z_c = _fuse(net, _code(rng, batch=items)).data
+        z_c = net.fuse_batch(*_code(rng, batch=items)).data
         whole = net.forward(Tensor(x), steps, Tensor(z_c)).data
         cut = items // 2
         parts = [
@@ -209,7 +207,7 @@ class TestForward:
         for t_len, items in ((3, 1), (3, 9), (6, 1), (6, 9)):
             x = rng.normal(size=(items, t_len, FEATURE_DIM))
             steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
-            z_c = _fuse(net, _code(rng, batch=items))
+            z_c = net.fuse_batch(*_code(rng, batch=items))
             graph = net.forward(Tensor(x, requires_grad=True), steps, z_c)
             free = net.forward(Tensor(x), steps, z_c)
             assert graph.requires_grad and graph.data.dtype == np.float64
@@ -225,7 +223,7 @@ class TestForward:
         net.params.freeze()
         rng = np.random.default_rng(13)
         x = rng.normal(size=(items, t_len, FEATURE_DIM))
-        z_c = _fuse(net, _code(rng, batch=items)).data
+        z_c = net.fuse_batch(*_code(rng, batch=items)).data
         emb = np.stack([timestep_embedding(17, TIME_STEPS)] * items)
         weights = denoiser._float32_weights(net.params)
         shared = denoiser.sample_chunk(x, emb[:1], z_c, weights)

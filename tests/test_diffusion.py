@@ -21,10 +21,11 @@ from procplan.diffusion import (
     generate_plans,
     make_schedule,
     q_forward,
+    reparameterize,
 )
 from procplan.losses import mse
 from procplan.tensor import NumericError, Tensor
-from procplan.vae import StateAutoencoder
+from procplan.vae import LATENT_DIM, StateAutoencoder
 
 LAYOUT = BlockLayout(num_tasks=3, num_actions=4, obs_dim=5)
 
@@ -241,10 +242,10 @@ class TestDiffusionLoss:
     def test_finite_positive_at_init(self, frozen_vae):
         rng = np.random.default_rng(12)
         samples = _batch(rng, 4)
-        code = frozen_vae.encode_constraints_batch(samples)
+        codes = frozen_vae.encode_constraints_batch(samples)
         net = _net(10, seed=0)
         loss = diffusion_loss(
-            samples, (code.mu, code.logvar), make_schedule(10), net,
+            samples, codes, make_schedule(10), net,
             LAYOUT, rng=np.random.default_rng(0),
         )
         assert np.isfinite(loss.item()) and loss.item() > 0.0
@@ -262,12 +263,12 @@ class TestDiffusionLoss:
         ])
         net = _net(10, seed=4)
         sched = make_schedule(10)
-        code = frozen_vae.encode_constraints_batch(samples)
+        mu, logvar = frozen_vae.encode_constraints_batch(samples)
 
         ours = np.random.default_rng(7)
         idx = ours.integers(0, len(samples), 4)
         loss = diffusion_loss(
-            samples.take(idx), (code.mu[idx], code.logvar[idx]),
+            samples.take(idx), (mu[idx], logvar[idx]),
             sched, net, LAYOUT, rng=ours,
         )
 
@@ -281,8 +282,9 @@ class TestDiffusionLoss:
             a0 = _a0(one)
             an = q_forward(a0, [n], sched, item_noise[None])
             xn = conditioned_states(an, one.task, one.o_s, one.o_g, LAYOUT)
-            code = frozen_vae.encode_constraints_batch(one, use_eps=True, rngs=[ref])
-            pred = net.forward(Tensor(xn), [n], net.fuse_batch(code.z, code.eps))
+            mu, logvar = frozen_vae.encode_constraints_batch(one)
+            eps = ref.standard_normal(mu.shape)
+            pred = net.forward(Tensor(xn), [n], net.fuse_batch(reparameterize(mu, logvar, eps), eps))
             per_sample.append(mse(pred, Tensor(a0)).item())
 
         assert abs(loss.item() - np.mean(per_sample)) <= 1e-12 * np.mean(per_sample)
@@ -291,10 +293,10 @@ class TestDiffusionLoss:
     def test_without_eps_draws_no_constraint_noise(self, frozen_vae):
         rng = np.random.default_rng(24)
         plans = _batch(rng, 3)
-        code = frozen_vae.encode_constraints_batch(plans)
+        codes = frozen_vae.encode_constraints_batch(plans)
         net = _net(10, seed=4)
         with_codes, without = np.random.default_rng(1), np.random.default_rng(1)
-        diffusion_loss(plans, (code.mu, code.logvar), make_schedule(10), net, LAYOUT,
+        diffusion_loss(plans, codes, make_schedule(10), net, LAYOUT,
                        rng=with_codes, use_eps=False)
         diffusion_loss(plans, None, make_schedule(10), net, LAYOUT, rng=without)
         assert with_codes.bit_generator.state == without.bit_generator.state
@@ -390,6 +392,52 @@ class TestSampling:
             )
 
 
+class TestConstraintEps:
+    """``generate_plans`` draws each plan's (start, goal) eps as the first
+    draw of that plan's own stream, and fuses it with its reparameterized
+    code."""
+
+    @pytest.fixture()
+    def fused(self, monkeypatch):
+        seen, fuse = [], ConditionedUNet.fuse_batch
+
+        def spy_fuse(self, z, eps):
+            seen.append((z, eps))
+            return fuse(self, z, eps)
+
+        monkeypatch.setattr(ConditionedUNet, "fuse_batch", spy_fuse)
+        return seen
+
+    @staticmethod
+    def _plan(vae, samples, seeds):
+        net = _net(2, seed=1)
+        net.params.freeze()
+        labels = np.arange(len(samples)) % LAYOUT.num_tasks
+        generate_plans(samples, labels, make_schedule(2), net, vae, LAYOUT, seeds=seeds)
+
+    def test_standard_normal_passthrough(self, fused):
+        # With mu = 0 and logvar = 0 the fused code is the eps itself.
+        vae = StateAutoencoder(input_dim=LAYOUT.obs_dim + 2, seed=0)
+        for name in ("vae.enc.w_mu", "vae.enc.w_logvar"):
+            vae.params[name].data[:] = 0.0
+        vae.freeze()
+        self._plan(vae, _batch(np.random.default_rng(28), 3), seeds=[5, 6, 7])
+        [(z, eps)] = fused
+        for i in range(3):
+            draws = np.random.default_rng(5 + i).standard_normal((2, LATENT_DIM))
+            assert np.array_equal(eps[i], draws)
+            assert np.array_equal(z[i], draws)
+
+    def test_batching_leaves_each_plans_eps(self, frozen_vae, fused):
+        samples = _batch(np.random.default_rng(29), 8)
+        spans = ((0, 8), (0, 1), (1, 3), (3, 8))
+        for lo, hi in spans:
+            self._plan(frozen_vae, samples.take(slice(lo, hi)), seeds=list(range(lo, hi)))
+        (_, whole), *parts = fused
+        for (lo, hi), (_, eps) in zip(spans[1:], parts):
+            assert np.array_equal(eps, whole[lo:hi])
+
+
 class TestCleanConditions:
     """Every forward, in training and in sampling, reads clean condition
     blocks and predicts only the action block."""
@@ -421,8 +469,8 @@ class TestCleanConditions:
     def test_training_forward(self, frozen_vae, forwards):
         rng = np.random.default_rng(26)
         plans = Samples.concat([_sample(rng, task=t) for t in (0, 2, 1, 2)])
-        code = frozen_vae.encode_constraints_batch(plans)
-        diffusion_loss(plans, (code.mu, code.logvar), make_schedule(10), _net(10, seed=0),
+        codes = frozen_vae.encode_constraints_batch(plans)
+        diffusion_loss(plans, codes, make_schedule(10), _net(10, seed=0),
                        LAYOUT, rng=np.random.default_rng(0))
         self._assert_clean(forwards, plans.task, plans, 1)
         [(x, _)] = forwards
@@ -439,15 +487,24 @@ class TestCleanConditions:
         self._assert_clean(forwards, labels, samples, 6)
 
 
-def _per_step_reference(samples, labels, schedule, net, vae, seeds):
+def _per_step_reference(samples, labels, schedule, net, vae, seeds,
+                        use_eps=True, inject_constraints=True):
     """``generate_plans`` as one [T, A] noise draw per item and one
     posterior expression on the action block per reverse step, with the
     clean condition blocks put around the action block before each
-    forward."""
+    forward.  Each item's stream gives its (start, goal) eps only when
+    eps and injection are both on, then its initial block, then one
+    [T, A] draw per step."""
     batch, horizon = samples.actions.shape
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    code = vae.encode_constraints_batch(samples, use_eps=True, rngs=rngs)
-    z_c = net.fuse_batch(code.z, code.eps)
+    z_c = net.zero_constraint(batch)
+    if inject_constraints:
+        mu, logvar = vae.encode_constraints_batch(samples)
+        eps = np.zeros_like(mu)
+        if use_eps:
+            for i, rng in enumerate(rngs):
+                eps[i] = rng.standard_normal((2, LATENT_DIM))
+        z_c = net.fuse_batch(reparameterize(mu, logvar, eps), eps)
 
     def state(a):
         return conditioned_states(a, labels, samples.o_s, samples.o_g, LAYOUT)
@@ -472,9 +529,8 @@ class TestNoiseBlocks:
 
     K = diffusion.NOISE_BLOCK_STEPS
 
-    @pytest.mark.parametrize("n_steps", [1, 2, K, K + 1, 2 * K + 1])
-    @pytest.mark.parametrize("block_steps", [None, 1, 3])
-    def test_states_equal_per_step_reference(self, frozen_vae, monkeypatch, n_steps, block_steps):
+    @staticmethod
+    def _assert_reference(frozen_vae, monkeypatch, n_steps, block_steps, **flags):
         items = 4
         samples = _batch(np.random.default_rng(23), items)
         if block_steps is not None:  # a byte budget that holds this many steps
@@ -485,9 +541,29 @@ class TestNoiseBlocks:
         labels = np.arange(items) % LAYOUT.num_tasks
         seeds = list(range(40, 40 + items))
         schedule = make_schedule(n_steps)
-        got = generate_plans(samples, labels, schedule, net, frozen_vae, LAYOUT, seeds=seeds)
-        want = _per_step_reference(samples, labels, schedule, net, frozen_vae, seeds)
+        got = generate_plans(
+            samples, labels, schedule, net, frozen_vae, LAYOUT, seeds=seeds, **flags
+        )
+        want = _per_step_reference(samples, labels, schedule, net, frozen_vae, seeds, **flags)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, K, K + 1, 2 * K + 1])
+    @pytest.mark.parametrize("block_steps", [None, 1, 3])
+    def test_states_equal_per_step_reference(self, frozen_vae, monkeypatch, n_steps, block_steps):
+        self._assert_reference(frozen_vae, monkeypatch, n_steps, block_steps)
+
+    @pytest.mark.parametrize("n_steps", [1, K + 1])
+    @pytest.mark.parametrize("use_eps", [True, False])
+    @pytest.mark.parametrize("inject_constraints", [True, False])
+    def test_flag_streams_equal_per_step_reference(
+        self, frozen_vae, monkeypatch, n_steps, use_eps, inject_constraints
+    ):
+        """Without eps or without injection no item draws constraint
+        noise, and its stream starts at the initial block."""
+        self._assert_reference(
+            frozen_vae, monkeypatch, n_steps, 3,
+            use_eps=use_eps, inject_constraints=inject_constraints,
+        )
 
     @pytest.mark.parametrize("items,horizon,dim,steps", [
         (243, 3, 33, K),  # desk

@@ -83,6 +83,37 @@ def test_missing_fields(tmp_path):
         read_manifest(str(bad))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("obs_dim", 8.9),
+    ("obs_dim", 16.0),
+    ("text_dim", "8"),
+    ("num_tasks", True),
+    ("num_tasks", None),
+    ("num_actions", 0),
+    ("num_actions", -12),
+])
+def test_header_counts_must_be_positive_integers(tmp_path, samples, key, value):
+    # int() would read 8.9 as 8 and true as 1.
+    path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+    doc = json.loads((tmp_path / "train.json").read_text())
+    doc[key] = value
+    (tmp_path / "train.json").write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=f"{key} is {re.escape(repr(value))}, not an integer"):
+        read_manifest(path)
+
+
+def test_train_refuses_non_integer_header(tmp_path, capsys):
+    workdir = str(tmp_path)
+    assert main(["gen-data", "--workdir", workdir, *TINY_ARGS]) == 0
+    doc = json.loads((tmp_path / "train.json").read_text())
+    doc["obs_dim"] = 8.5
+    (tmp_path / "train.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--stage", "vae", "--workdir", workdir, *TINY_ARGS]) == EXIT_FORMAT
+    assert "obs_dim is 8.5, not an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "vae.ckpt").exists()
+
+
 def test_samples_not_a_list(tmp_path, samples):
     path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
     doc = json.loads((tmp_path / "train.json").read_text())

@@ -160,9 +160,9 @@ class TestStageOrdering:
         calls = []
         encode = StateAutoencoder.encode_constraints_batch
 
-        def counted(self, samples, *args, **kwargs):
+        def counted(self, samples):
             calls.append(len(samples))
-            return encode(self, samples, *args, **kwargs)
+            return encode(self, samples)
 
         monkeypatch.setattr(StateAutoencoder, "encode_constraints_batch", counted)
         summary = train_stage("diffusion", tiny_config, workdir)
@@ -421,7 +421,7 @@ class TestTrainingStepMemory:
         cfg, train = tiny_train
         vae = StateAutoencoder(input_dim=cfg.data.obs_dim + cfg.data.text_dim, seed=0)
         vae.freeze()
-        codes = vae.encode_constraints_batch(train)
+        mu, logvar = vae.encode_constraints_batch(train)
         layout = BlockLayout(cfg.data.num_tasks, cfg.data.num_actions, cfg.data.obs_dim)
         model = denoiser.ConditionedUNet(
             layout.feature_dim, cfg.schedule.steps, num_actions=layout.num_actions, seed=0
@@ -432,7 +432,7 @@ class TestTrainingStepMemory:
         def steps():
             for i in range(3):
                 idx = np.arange(4 * i, 4 * i + 4)
-                code = (codes.mu[idx], codes.logvar[idx])
+                code = (mu[idx], logvar[idx])
                 loss = diffusion_loss(train.take(idx), code, schedule, model, layout, rng=rng)
                 model.params.zero_grads()
                 loss.backward()

@@ -6,6 +6,7 @@ import pytest
 from procplan.config import DataParams
 from procplan.corpus import generate_corpus
 from procplan.curation import curate_corpus, normalize_splits, split
+from procplan.diffusion import reparameterize
 from procplan.tensor import _sigmoid_array
 from procplan.vae import (
     LATENT_DIM,
@@ -76,56 +77,41 @@ class TestEncode:
         assert logvar.data.max() <= 10.0
 
 
-def _biased_codes(model, samples, mu, logvar, use_eps=True, seed=0):
-    """Codes from a frozen encoder whose mu/logvar heads output only their biases."""
+def _biased_codes(model, samples, mu, logvar):
+    """(mu, logvar) from a frozen encoder whose heads output only their biases."""
     for name in ("vae.enc.w_mu", "vae.enc.w_logvar"):
         model.params[name].data[:] = 0.0
     model.params["vae.enc.b_mu"].data[:] = mu
     model.params["vae.enc.b_logvar"].data[:] = logvar
     model.freeze()
-    rngs = [np.random.default_rng(seed + i) for i in range(len(samples))]
-    return model.encode_constraints_batch(samples, use_eps=use_eps, rngs=rngs)
+    return model.encode_constraints_batch(samples)
 
 
 class TestReparameterize:
+    """The diffusion stage's reparameterization of the frozen encoder's codes."""
+
     def test_elementwise_formula(self, model, trained_setup):
         _, train, _ = trained_setup
-        code = _biased_codes(model, train.take(slice(0, 1)), [1.0, 2.0], [0.0, 0.0])
-        eps = np.random.default_rng(0).standard_normal((2, LATENT_DIM))
-        assert np.array_equal(code.z[0], np.array([1.0, 2.0]) + eps)
-
-    def test_standard_normal_passthrough(self, model, trained_setup):
-        # Each sample's generator supplies (start, goal) noise as one draw.
-        _, train, _ = trained_setup
-        code = _biased_codes(model, train.take(slice(0, 3)), [0.0, 0.0], [0.0, 0.0], seed=5)
-        for i in range(3):
-            draws = np.random.default_rng(5 + i).standard_normal((2, LATENT_DIM))
-            assert np.array_equal(code.eps[i], draws)
-            assert np.array_equal(code.z[i], draws)
+        mu, logvar = _biased_codes(model, train.take(slice(0, 1)), [1.0, 2.0], [0.0, 0.0])
+        eps = np.random.default_rng(0).standard_normal((1, 2, LATENT_DIM))
+        assert np.array_equal(reparameterize(mu, logvar, eps)[0], np.array([1.0, 2.0]) + eps[0])
 
     def test_degenerate_sigma_collapses_to_mu(self, model, trained_setup):
         # At the clamp floor sigma = exp(-5); with zero noise z is exactly mu.
         _, train, _ = trained_setup
-        code = _biased_codes(
-            model, train.take(slice(0, 2)), [0.7, -0.1], [-100.0, -100.0], use_eps=False
-        )
-        assert np.array_equal(code.logvar, np.full((2, 2, LATENT_DIM), -10.0))
-        assert np.array_equal(code.z, code.mu)
+        mu, logvar = _biased_codes(model, train.take(slice(0, 2)), [0.7, -0.1], [-100.0, -100.0])
+        assert np.array_equal(logvar, np.full((2, 2, LATENT_DIM), -10.0))
+        assert np.array_equal(reparameterize(mu, logvar, np.zeros_like(mu)), mu)
 
     def test_identity_invariant_holds(self, model, trained_setup):
         _, train, _ = trained_setup
         rng = np.random.default_rng(4)
         first = train.take(slice(0, 25))
-        code = _biased_codes(model, first, rng.normal(size=2), rng.normal(size=2))
-        assert code.z.shape == (25, 2, LATENT_DIM)
-        assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
-
-    def test_requires_noise_source(self, trained_setup):
-        model, train, _ = trained_setup
-        with pytest.raises(ValueError, match="generators"):
-            model.encode_constraints_batch(
-                train.take(slice(0, 2)), use_eps=True, rngs=[np.random.default_rng(0)]
-            )
+        mu, logvar = _biased_codes(model, first, rng.normal(size=2), rng.normal(size=2))
+        eps = rng.standard_normal(mu.shape)
+        z = reparameterize(mu, logvar, eps)
+        assert z.shape == (25, 2, LATENT_DIM)
+        assert np.array_equal(z, mu + np.exp(0.5 * logvar) * eps)
 
 
 class TestDecode:
@@ -192,56 +178,43 @@ class TestEncodeConstraints:
     def test_requires_frozen_model(self, model, trained_setup):
         _, train, _ = trained_setup
         with pytest.raises(PhaseError):
-            model.encode_constraints_batch(
-                train.take([0]), use_eps=True, rngs=[np.random.default_rng(0)]
-            )
+            model.encode_constraints_batch(train.take([0]))
 
     def test_no_eps_returns_mu_exactly(self, trained_setup):
         model, train, _ = trained_setup
-        code = model.encode_constraints_batch(
-            train.take([0]), use_eps=False, rngs=[np.random.default_rng(0)]
-        )
-        assert np.array_equal(code.z, code.mu)
-        assert np.array_equal(code.eps, np.zeros((1, 2, LATENT_DIM)))
+        mu, logvar = model.encode_constraints_batch(train.take([0]))
+        assert mu.shape == logvar.shape == (1, 2, LATENT_DIM)
+        assert np.array_equal(reparameterize(mu, logvar, np.zeros_like(mu)), mu)
 
     def test_same_seed_reproduces_codes(self, trained_setup):
         model, train, _ = trained_setup
-        a = model.encode_constraints_batch(train.take([1]), True, [np.random.default_rng(9)])
-        b = model.encode_constraints_batch(train.take([1]), True, [np.random.default_rng(9)])
-        assert np.array_equal(a.z, b.z) and np.array_equal(a.eps, b.eps)
+        a = model.encode_constraints_batch(train.take([1]))
+        b = model.encode_constraints_batch(train.take([1]))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_reparameterization_identity_machine_precision(self, trained_setup):
         model, train, _ = trained_setup
-        rngs = [np.random.default_rng(i) for i in range(20)]
-        code = model.encode_constraints_batch(train.take(slice(0, 20)), use_eps=True, rngs=rngs)
-        assert np.array_equal(code.z, code.mu + np.exp(0.5 * code.logvar) * code.eps)
+        mu, logvar = model.encode_constraints_batch(train.take(slice(0, 20)))
+        eps = np.random.default_rng(9).standard_normal(mu.shape)
+        assert np.array_equal(reparameterize(mu, logvar, eps), mu + np.exp(0.5 * logvar) * eps)
 
     def test_batching_moves_codes_only_by_rounding(self, trained_setup):
-        """Each sample's eps comes from its own generator, so it is the same
-        in any batching; mu and logvar may differ in the last bits, since
+        """mu and logvar may differ in the last bits across batchings, since
         BLAS can sum a row differently at another batch size."""
         model, train, _ = trained_setup
-
-        def codes(lo, hi):
-            rngs = [np.random.default_rng(i) for i in range(lo, hi)]
-            return model.encode_constraints_batch(train.take(slice(lo, hi)), True, rngs)
-
-        whole = codes(0, 64)
+        whole_mu, whole_logvar = model.encode_constraints_batch(train.take(slice(0, 64)))
         for lo, hi in ((0, 1), (1, 3), (3, 20), (20, 64)):
-            part = codes(lo, hi)
-            assert np.array_equal(part.eps, whole.eps[lo:hi])
-            np.testing.assert_allclose(part.mu, whole.mu[lo:hi], rtol=1e-12)
-            np.testing.assert_allclose(part.logvar, whole.logvar[lo:hi], rtol=1e-12)
+            mu, logvar = model.encode_constraints_batch(train.take(slice(lo, hi)))
+            np.testing.assert_allclose(mu, whole_mu[lo:hi], rtol=1e-12)
+            np.testing.assert_allclose(logvar, whole_logvar[lo:hi], rtol=1e-12)
 
     def test_distinct_tasks_get_distinct_code_pairs(self, trained_setup):
         model, train, _ = trained_setup
-        by_task: dict[int, tuple] = {}
+        by_task: dict[int, np.ndarray] = {}
         for i, task in enumerate(train.task.tolist()):
             if task not in by_task:
-                code = model.encode_constraints_batch(
-                    train.take([i]), use_eps=False, rngs=[np.random.default_rng(0)]
-                )
-                by_task[task] = code.z.ravel()
+                mu, _ = model.encode_constraints_batch(train.take([i]))
+                by_task[task] = mu.ravel()
         tasks = sorted(by_task)
         for i in tasks:
             for j in tasks:
