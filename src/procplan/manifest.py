@@ -81,6 +81,8 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
     offset must be JSON integers and its feature file a string; it must
     hold as many actions as the first sample, and its task and action
     labels must lie below the manifest's ``num_tasks`` and ``num_actions``.
+    Every feature must be finite: a NaN or infinity from an external
+    extractor is refused here, not left to fail a later training step.
     """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -155,6 +157,10 @@ def read_manifest(manifest_path: str) -> tuple[Samples, dict]:
         tasks.append(task)
         actions.append(plan)
         features[i] = blob[offset : offset + record]
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ManifestError(f"{entries[i]['feature_file']}: sample {i} holds a non-finite feature")
     o_s, o_g, n_es, n_eg = np.split(features, np.cumsum([obs_dim, obs_dim, text_dim]), axis=1)
     horizon = len(actions[0]) if actions else 0
     plans = np.array(actions, dtype=np.int64).reshape(len(entries), horizon)

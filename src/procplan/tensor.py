@@ -7,7 +7,11 @@ finite-difference checks in :mod:`procplan.gradcheck` need the precision.
 A ``Tensor`` wraps a numpy array; operations record a graph whenever any
 input has ``requires_grad`` set, and ``Tensor.backward`` accumulates
 gradients into the leaves.  Gradients accumulate across repeated backward
-calls until explicitly zeroed (see ``ParamStore.zero_grads``).
+calls until explicitly zeroed (see ``ParamStore.zero_grads``).  An op
+output's ``.grad`` stays ``None``: its gradient lives on its graph vertex
+only while backward needs it.  The graph holds only the arrays its
+backward formulas read, never an op output's ``Tensor``, so an
+intermediate nothing else references is freed as soon as it is consumed.
 
 Any operation that would produce a NaN or Inf raises ``NumericError``
 immediately: non-finite values are treated as an error state, never data.
@@ -71,7 +75,7 @@ class Tensor:
     tensor with no graph attached is safe to share between threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -79,8 +83,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -107,39 +110,40 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
         Only valid on scalar outputs of a recorded graph.  Grads add onto
-        whatever is already present; callers zero between steps.  Each node
-        gets its upstream gradient as an argument, so the graph has no cycle.
+        whatever is already present; callers zero between steps.  Each
+        vertex gets its upstream gradient as an argument, so the graph has
+        no cycle, and an interior vertex drops its gradient once used.
         """
         if self.data.size != 1:
             raise GraphError(f"backward: output must be scalar, got shape {self.shape}")
-        if self._backward is None:
+        if self._node is None:
             raise GraphError("backward: tensor is detached from any recorded graph")
 
-        topo: list[Tensor] = []
+        topo: list[_Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(self._node, False)]
         while stack:
-            node, expanded = stack.pop()
+            vertex, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(vertex)
                 continue
-            if id(node) in seen:
+            if id(vertex) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
+            seen.add(id(vertex))
+            stack.append((vertex, True))
+            for parent in vertex.parents if isinstance(vertex, _Node) else ():
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        # Interior grads are per-pass scratch; only leaves accumulate across
-        # repeated backward calls.
-        for node in topo:
-            if node._backward is not None:
-                node.grad = None
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        # Interior grads are per-pass scratch (a failed pass may leave some);
+        # only leaves accumulate across repeated backward calls.
+        interior = [v for v in reversed(topo) if isinstance(v, _Node)]
+        for node in interior:
+            node.grad = None
+        self._node.grad = np.ones_like(self.data)
+        for node in interior:
+            node.backward(node.grad)
+            node.grad = None
 
     # Operator sugar; all defer to the module-level ops below.
     def __add__(self, other):
@@ -183,6 +187,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """The graph vertex of a recorded op output: its gradient during
+    backward, its parents' vertices (a leaf ``Tensor`` is its own vertex)
+    and the closure that hands the gradient on to them."""
+
+    __slots__ = ("grad", "parents", "backward")
+
+
 def _make(
     op: str,
     data: np.ndarray,
@@ -192,32 +204,33 @@ def _make(
     """Build an op output, checking finiteness and recording the graph.
 
     ``grad_fns[i]`` maps the upstream gradient to the gradient of parent i;
-    it is only invoked for parents that require grad.  ``_backward(g)`` is
-    handed ``out``'s gradient: a closure over ``out`` stored on ``out``
-    would make every output a reference cycle, freed only by the cyclic GC.
+    only parents that require grad are recorded.  A grad fn captures
+    arrays and shapes, never a ``Tensor``, so the graph does not pin the
+    data of the op outputs it passes through.  ``backward(g)`` is handed
+    the vertex's gradient: a closure over the vertex would make it a
+    reference cycle, freed only by the cyclic GC.
     """
     check_finite(op, data)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out._parents = parents if out.requires_grad else ()
-    out._backward = None
-    if out.requires_grad:
-        def _backward(g: np.ndarray) -> None:
-            for parent, fn in zip(parents, grad_fns):
-                if parent.requires_grad:
-                    pg = fn(g)
-                    if parent.grad is None:
-                        # The first gradient becomes the parent's buffer.  A
-                        # grad fn may return ``g`` or a view of it (reshape,
-                        # concat, an unbroadcast no-op), so copy those: else a
-                        # later ``+=`` writes into another node's buffer.
-                        parent.grad = pg.copy() if np.may_share_memory(pg, g) else pg
-                    else:
-                        parent.grad += pg
+    out.grad = out._node = None
+    links = [(p._node or p, fn) for p, fn in zip(parents, grad_fns) if p.requires_grad]
+    out.requires_grad = bool(links)
+    if links:
+        def backward(g: np.ndarray) -> None:
+            for parent, fn in links:
+                pg = fn(g)
+                if parent.grad is None:
+                    # The first gradient becomes the parent's buffer.  A
+                    # grad fn may return ``g`` or a view of it (reshape,
+                    # concat, an unbroadcast no-op), so copy those: else a
+                    # later ``+=`` writes into another vertex's buffer.
+                    parent.grad = pg.copy() if np.may_share_memory(pg, g) else pg
+                else:
+                    parent.grad += pg
 
-        out._backward = _backward
+        node = out._node = _Node()
+        node.grad, node.parents, node.backward = None, tuple(p for p, _ in links), backward
     return out
 
 
@@ -231,10 +244,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    return _make(
-        "add", data, (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _make("add", data, (a, b),
+                 (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -243,22 +255,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    return _make(
-        "mul", data, (a, b),
-        (
-            lambda g: _unbroadcast(g * b.data, a.shape),
-            lambda g: _unbroadcast(g * a.data, b.shape),
-        ),
-    )
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+    return _make("mul", data, (a, b),
+                 (lambda g: _unbroadcast(g * y, sa), lambda g: _unbroadcast(g * x, sb)))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     a = _ensure_tensor(a)
-    data = a.data ** exponent
-    return _make(
-        "power", data, (a,),
-        (lambda g: g * exponent * a.data ** (exponent - 1.0),),
-    )
+    x = a.data
+    data = x ** exponent
+    return _make("power", data, (a,), (lambda g: g * exponent * x ** (exponent - 1.0),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -280,8 +286,9 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
 
 def relu(a: Tensor) -> Tensor:
     a = _ensure_tensor(a)
-    data = np.maximum(a.data, 0.0)
-    return _make("relu", data, (a,), (lambda g: g * (a.data > 0.0),))
+    x = a.data
+    data = np.maximum(x, 0.0)
+    return _make("relu", data, (a,), (lambda g: g * (x > 0.0),))
 
 
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -358,15 +365,16 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - op name
     a = _ensure_tensor(a)
     data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims), dtype=np.float64)
+    shape = a.shape
 
     def grad(g: np.ndarray) -> np.ndarray:
-        if keepdims or axis is None and g.ndim == a.data.ndim:
+        if keepdims or axis is None and g.ndim == len(shape):
             g_kept = g
         elif axis is None:
-            g_kept = g.reshape((1,) * a.data.ndim)
+            g_kept = g.reshape((1,) * len(shape))
         else:
             g_kept = np.expand_dims(g, axis=axis)
-        return np.broadcast_to(g_kept, a.shape).copy()
+        return np.broadcast_to(g_kept, shape).copy()
 
     return _make("sum", data, (a,), (grad,))
 
@@ -416,10 +424,11 @@ def getitem(a: Tensor, index) -> Tensor:
     data = a.data[index]
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=np.float64)
+    shape = a.shape
 
     def grad(g: np.ndarray) -> np.ndarray:
-        full = np.zeros_like(a.data)
-        full[index] += g
+        full = np.zeros(shape)
+        np.add.at(full, index, g)  # a repeated fancy index adds each time
         return full
 
     return _make("getitem", np.ascontiguousarray(data), (a,), (grad,))
@@ -431,7 +440,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from exc
-    return _make("reshape", data, (a,), (lambda g: g.reshape(a.shape),))
+    a_shape = a.shape
+    return _make("reshape", data, (a,), (lambda g: g.reshape(a_shape),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -440,13 +450,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    x, y, sa, sb = a.data, b.data, a.shape, b.shape
+    data = np.matmul(x, y)
 
     def grad_a(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        return _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), sa)
 
     def grad_b(g: np.ndarray) -> np.ndarray:
-        return _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), sb)
 
     return _make("matmul", data, (a, b), (grad_a, grad_b))
 
@@ -526,6 +537,7 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     w_flat = weight.data.reshape(k * c_in, c_out)
     flat = conv_step(cols, w_flat, None if bias is None else bias.data)
     data = flat.reshape(x.shape[:-1] + (c_out,))
+    x_shape = x.shape
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         # Overlap-add each tap's gradient onto the input times it read, in
@@ -534,10 +546,10 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
         gx = np.zeros((rows, t_len, c_in))
         for tap, (shift, lo, hi) in enumerate(spans):
             gx[:, lo + shift:hi + shift] += g_cols[:, lo:hi, tap]
-        return gx.reshape(x.shape)
+        return gx.reshape(x_shape)
 
     def grad_weight(g: np.ndarray) -> np.ndarray:
-        return (cols.T @ g.reshape(-1, c_out)).reshape(weight.shape)
+        return (cols.T @ g.reshape(-1, c_out)).reshape(k, c_in, c_out)
 
     def grad_bias(g: np.ndarray) -> np.ndarray:
         return _unbroadcast(g, (c_out,))
@@ -580,11 +592,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} must match last dim of {x.shape}"
         )
     x_hat, inv = standardize(x.data, eps)
-    data = np.multiply(x_hat, gain.data)
+    gamma, dim = gain.data, gain.shape
+    data = np.multiply(x_hat, gamma)
     data += bias.data
 
     def grad_x(g: np.ndarray) -> np.ndarray:
-        g_hat = g * gain.data
+        g_hat = g * gamma
         return inv * (
             g_hat
             - g_hat.mean(axis=-1, keepdims=True)
@@ -593,5 +606,5 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     return _make(
         "layer_norm", data, (x, gain, bias),
-        (grad_x, lambda g: _unbroadcast(g * x_hat, gain.shape), lambda g: _unbroadcast(g, bias.shape)),
+        (grad_x, lambda g: _unbroadcast(g * x_hat, dim), lambda g: _unbroadcast(g, dim)),
     )

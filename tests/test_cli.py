@@ -170,6 +170,25 @@ class TestTrainEvalFlow:
         err = capsys.readouterr().err
         assert re.search(r"numeric: sampling step \d+: \w+: produced non-finite", err), err
 
+    @pytest.mark.parametrize("split,command,value", [
+        ("test", ["eval"], np.nan),
+        ("train", ["train", "--stage", "classifier"], np.inf),
+    ])
+    def test_non_finite_feature_exits_format_naming_file_and_sample(self, tmp_path, capsys,
+                                                                    split, command, value):
+        # Features can come from an external extractor; a bad one is a
+        # format error at load, not a numeric error at some later step.
+        assert _gen(tmp_path) == 0
+        if split == "test":
+            assert main(["train", "--stage", "all", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
+        blob = np.fromfile(tmp_path / f"{split}.f32", dtype="<f4")
+        blob[-1] = value
+        blob.tofile(tmp_path / f"{split}.f32")
+        capsys.readouterr()
+        assert main([*command, "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert re.search(rf"{split}\.f32: sample \d+ holds a non-finite feature", err), err
+
     def test_diffusion_without_vae_exits_prereq(self, tmp_path, capsys):
         _gen(tmp_path)
         code = main(["train", "--stage", "diffusion", "--workdir", str(tmp_path), *TINY_ARGS])

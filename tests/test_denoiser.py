@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from procplan.denoiser import (
 from procplan.corpus import Samples
 from procplan.tensor import Tensor
 from procplan.diffusion import reparameterize
+from procplan.losses import mse
 from procplan.vae import StateAutoencoder
 
 FEATURE_DIM = 20
@@ -166,6 +168,33 @@ class TestForward:
         T.sum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
         assert net.fuse_w.grad is not None
         assert np.abs(net.fuse_w.grad).max() > 0.0
+
+    def test_training_graph_holds_only_what_backward_reads(self):
+        # The arrays backward reads: each conv's im2col columns, each gelu's
+        # input and tanh term, and the layer norm's x_hat.  The rest (small
+        # matmul and mse operands, the graph's objects) fits in the 10%.
+        items, t_len, dim = 16, 6, 33
+        net = ConditionedUNet(dim, TIME_STEPS, num_actions=12, seed=0)
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(items, t_len, dim)))
+        steps = rng.integers(1, TIME_STEPS + 1, items)
+        z, eps = _code(rng, items)
+        target = Tensor(rng.normal(size=(items, t_len, 12)))
+        rows = items * t_len
+        read = 2 * items * net.params["denoiser.time1.w"].shape[1] + rows * BOTTLENECK_CHANNELS
+        for name in ("enc1", "enc2", "bottleneck", "dec1", "out"):
+            k, c_in, c_out = net.params[f"denoiser.{name}.w"].shape
+            read += rows * k * c_in + (2 * rows * c_out if name != "out" else 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = mse(net.forward(x, steps, net.fuse_batch(z, eps)), target)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * 8 * read, (held, 8 * read)
+        loss.backward()
+        assert net.params["denoiser.enc1.w"].grad is not None
 
     def test_shape_validation(self, net):
         rng = np.random.default_rng(9)

@@ -114,6 +114,16 @@ def test_train_refuses_non_integer_header(tmp_path, capsys):
     assert not (tmp_path / "vae.ckpt").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_rejected(tmp_path, samples, value):
+    path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
+    blob = np.fromfile(tmp_path / "train.f32", dtype="<f4")
+    blob[3 * 48 + 20] = value  # sample 3 of 48-float records
+    blob.tofile(tmp_path / "train.f32")
+    with pytest.raises(ManifestError, match=r"train\.f32: sample 3 holds a non-finite feature"):
+        read_manifest(path)
+
+
 def test_samples_not_a_list(tmp_path, samples):
     path = write_manifest(str(tmp_path), "train", samples, 16, 8, 5, 12)
     doc = json.loads((tmp_path / "train.json").read_text())

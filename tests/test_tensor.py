@@ -1,6 +1,7 @@
 """Autodiff engine: forward values, analytic gradients, error contracts."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -204,6 +205,56 @@ class TestBackward:
         assert x.grad.shape == x.shape and gain.grad.shape == gain.shape
 
 
+class TestGraphMemory:
+    """A recorded graph holds the arrays its backward formulas read, not the
+    op outputs it passes through, and keeps no gradient but the leaves'."""
+
+    @staticmethod
+    def _leaves():
+        rng = np.random.default_rng(16)
+        return [Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((2, 5, 3), (3, 3, 4), (3, 7, 2))]
+
+    @staticmethod
+    def _loss(leaves, outputs):
+        """conv -> gelu -> concat -> conv, appending each op output."""
+        x, w1, w2 = leaves
+        outputs.append(T.conv1d_same(x, w1))
+        outputs.append(T.gelu(outputs[-1]))
+        outputs.append(T.concat([outputs[-1], x], axis=-1))
+        outputs.append(T.conv1d_same(outputs[-1], w2))
+        return T.sum(outputs[-1])
+
+    def test_dropped_intermediates_are_freed_and_grads_unchanged(self):
+        held, held_outputs = self._leaves(), []
+        self._loss(held, held_outputs).backward()
+        leaves, outputs = self._leaves(), []
+        loss = self._loss(leaves, outputs)
+        # gelu's and concat's outputs: conv reads its own im2col columns.
+        freed = [weakref.ref(outputs[i].data) for i in (1, 2)]
+        outputs.clear()
+        assert [ref() for ref in freed] == [None, None]
+        loss.backward()
+        for a, b in zip(held, leaves):
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_backward_keeps_no_interior_grad(self):
+        leaves, outputs = self._leaves(), []
+        loss = self._loss(leaves, outputs)
+        for _ in range(2):
+            loss.backward()
+            stack, interior = [loss._node], 0
+            while stack:
+                vertex = stack.pop()
+                if isinstance(vertex, T._Node):
+                    assert vertex.grad is None
+                    interior += 1
+                    stack.extend(vertex.parents)
+            assert interior == 5
+            assert all(out.grad is None for out in outputs)
+            assert all(leaf.grad is not None for leaf in leaves)
+
+
 def _random_case(rng, shape):
     return rng.normal(size=shape)
 
@@ -221,6 +272,9 @@ PRIMITIVE_CASES = {
     ),
     "mean": lambda t, aux: T.mean(T.mul(t, aux)),
     "sum": lambda t, aux: T.sum(T.mul(t, aux)),
+    "getitem": lambda t, aux: T.sum(  # a repeated index adds its gradient twice
+        T.mul(T.getitem(t, ([0, 0, 2], slice(1, None))), T.getitem(aux, (..., slice(1, None))))
+    ),
     "conv1d_same": None,  # aux is the kernel; handled below
 }
 
