@@ -8,7 +8,10 @@ whose averaged frame features become the start/goal observation:
 
 with t_first / t_last the start times of the window's first and last
 action.  Windows clamp to the video bounds rather than rejecting the
-sample, and frames land at one feature per second.
+sample, and frames land at one feature per second.  Because the goal
+window is anchored at the last action's start, it shows the penultimate
+action for 2 of its 3 s under pdpp and for 1 of 3 s under kepp; at T=3
+that action is the plan's only intermediate action.
 """
 
 from __future__ import annotations

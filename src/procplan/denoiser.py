@@ -37,22 +37,19 @@ BASE_CHANNELS = 64
 BOTTLENECK_CHANNELS = 128
 FUSION_INPUT_DIM = 4 * LATENT_DIM
 KERNEL = 3
-# A forward that records no graph splits a batch of B items into an even
-# number of chunks of whole items, 2 * ceil(B * T / (2 * CHUNK_ROWS)) capped
-# at B, so that this process and one forked helper (``item_workers``) can
-# split them in halves, and the layout, hence every output byte, never
-# depends on whether the helper runs.  At 512 rows the 648 rows of a
-# horizon-6 batch of 108 plans and the 729 of a desk batch of 243 plans
-# (T=3) each form two chunks, one per process; at 256 rows they formed
-# four, and one process ran the body over four chunks in 4.8 and 5.3 ms
-# against 3.6 and 3.7 ms over two (one BLAS thread, 2-CPU Xeon VM with
-# 4 MB L2 per core).  384 rows gives the same two chunks for both.  A
-# batch of more than two chunks still runs in two processes, however many
-# cores are free; that case is unmeasured.  The size still suits the
-# cache: with desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1 is
-# the widest conv, reading 2 * BOTTLENECK_CHANNELS channels over KERNEL
-# taps, so its float32 im2col buffer at 512 rows is 512 * 768 * 4 B =
-# 1.5 MB, inside one core's L2.  Wider features make enc1's im2col the
+# A forward that records no graph runs its batch of B items in chunks of
+# whole items, an even number 2 * ceil(B * T / (2 * CHUNK_ROWS)) capped at
+# B, so that its sampler (``_Sampler``) can split them in halves between
+# this process and an optional forked helper, and the layout, hence every
+# output byte, never depends on whether the helper runs.  At 512 rows the
+# 648 rows of a horizon-6 batch of 108 plans and the 729 of a desk batch of
+# 243 plans (T=3) each form two chunks; at 256 rows they formed four, and
+# one process ran the body over four chunks in 4.8 and 5.3 ms against 3.6
+# and 3.7 ms over two (one BLAS thread, 2-CPU Xeon VM with 4 MB L2 per
+# core).  More chunks still run in at most two processes; that case is
+# unmeasured.  With desk-sized features (D <= 2 * BOTTLENECK_CHANNELS) dec1
+# is the widest conv, and its float32 im2col buffer at 512 rows (512 * 768
+# * 4 B = 1.5 MB) fits one core's L2; wider features make enc1's im2col the
 # widest (9.6-15.3 MB at 512 rows for the D = 1,559-2,494 presets), which
 # no chunk this size keeps in L2.
 CHUNK_ROWS = 512
@@ -144,8 +141,7 @@ class ConditionedUNet:
         self.num_actions = num_actions
         self.time_steps = time_steps
         self.params = ParamStore()
-        self._helper: _Helper | None = None
-        self._float32: dict[str, np.ndarray] | None = None  # set inside item_workers
+        self._sampler: _Sampler | None = None  # set inside item_workers
         rng = np.random.default_rng(seed)
 
         def conv(name: str, c_in: int, c_out: int):
@@ -203,18 +199,15 @@ class ConditionedUNet:
         """Predict the clean [B, T, num_actions] action blocks from a
         [B, T, D] batch of states.
 
-        ``steps`` is one 1-based diffusion step per batch item; ``z_c`` is
-        the [B, C] constraint batch (use ``zero_constraint`` to disable).
-        A forward that records a graph (training) runs the whole batch
-        through the float64 engine (``_forward_rows``).  One that records
-        no graph (a frozen network on plain inputs, as in sampling) runs
-        in chunks of whole items (``chunk_bounds``), each through the
-        float32 plain-numpy body ``sample_chunk`` (``_chunks``), and
-        returns float64.  Either way each item's step is embedded once
-        (``timestep_embedding``).  Inside ``item_workers`` a forked helper
-        may run half of the chunks.  Each chunk runs the same code on the
-        same bytes wherever it runs, so the output does not depend on
-        whether the helper shares the batch.
+        ``steps`` is one 1-based diffusion step per batch item, each
+        embedded once (``timestep_embedding``); ``z_c`` is the [B, C]
+        constraint batch (use ``zero_constraint`` to disable).  A forward
+        that records a graph (training) runs the float64 engine
+        (``_forward_rows``).  One that records no graph (a frozen network on
+        plain inputs, as in sampling) runs the sampler ``item_workers``
+        opened for this shape, or else a one-off sampler without a helper
+        (``_Sampler``): float32 chunks of whole items, returned as float64,
+        whose bytes do not depend on whether a helper shares them.
         """
         if x.ndim != 3 or x.shape[-1] != self.feature_dim:
             raise ValueError(
@@ -231,74 +224,30 @@ class ConditionedUNet:
             )
         if not self.params.frozen or x.requires_grad or z_c.requires_grad:
             return self._forward_rows(x, Tensor(emb), z_c)
-        if self._helper is not None and self._helper.shape == x.shape:
-            return Tensor(self._helper.forward(x.data, emb, z_c.data))
-        bounds = chunk_bounds(items, t_len)
-        out = np.empty((items, t_len, self.num_actions))
-        self._chunks(x.data, emb, z_c.data, list(zip(bounds, bounds[1:])), out)
-        return Tensor(out)
+        sampler = self._sampler
+        if sampler is None or sampler.shape != x.shape:
+            sampler = _Sampler(self, items, t_len)
+        return Tensor(sampler.forward(x.data, emb, z_c.data))
 
     @contextlib.contextmanager
     def item_workers(self, items: int, t_len: int):
-        """Share the chunks of graph-free [items, t_len, D] forwards with
-        a forked helper while the block runs.
+        """Run the block's graph-free [items, t_len, D] forwards through one
+        sampler (``_Sampler``), opened on entry and closed, with any helper
+        reaped, when the block ends by return or by exception.
 
-        A frozen network casts its float32 weights once on entry, for every
-        forward in the block; a parameter written in place inside the block
-        is not seen until the next one.  For a batch of two or more chunks
-        where ``can_fork`` allows it, one helper (``_Helper``) copies the
-        frozen network and its float32 weights at fork and computes the
-        second half of every forward's chunks while this process computes
-        the first; rows go both ways through anonymous shared memory.  If
-        ``os.fork`` fails, the block samples in this process.  None forks
-        for a network that is not frozen.  When the block ends, by return
-        or by exception, the helper's pipe reaches EOF and the helper is
-        reaped with ``waitpid``.
+        The sampler casts the float32 weights once for the whole block, so a
+        parameter written in place inside it is not seen until the next
+        block.  A network that is not frozen opens none.
         """
         if not self.params.frozen:
             yield
             return
-        bounds = chunk_bounds(items, t_len)
-        self._float32 = _float32_weights(self.params)
-        helper = None
+        self._sampler = sampler = _Sampler(self, items, t_len, fork=True)
         try:
-            if len(bounds) > 2 and can_fork():
-                with contextlib.suppress(OSError):  # no helper: sample here
-                    self._helper = helper = _Helper(self, (items, t_len, self.feature_dim), bounds)
             yield
         finally:
-            self._float32 = self._helper = None
-            if helper is not None:
-                helper.close()
-
-    def _chunks(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
-                spans: list[tuple[int, int]], out: np.ndarray) -> None:
-        """The float32 body (``sample_chunk``) over items [lo, hi) of a
-        graph-free batch, for each (lo, hi) in ``spans``, written to
-        ``out[lo:hi]`` in float64.
-
-        The weights are the float32 copies cast on entering
-        ``item_workers``, or cast for this call outside a block.  When every
-        item has the same timestep features, as in sampling, the time MLP
-        runs on one row.  A chunk whose output, or whose layer-norm
-        variance, is not finite runs once more through the float64 engine
-        (``_forward_rows``), whose first non-finite op raises
-        ``NumericError`` naming itself; if that run is finite, the float32
-        body alone went non-finite (a value beyond float32's range) and the
-        error names "float32".
-        """
-        weights = self._float32 if self._float32 is not None else _float32_weights(self.params)
-        one_row = bool((emb == emb[0]).all())
-        with np.errstate(all="ignore"):  # non-finite values raise NumericError
-            for lo, hi in spans:
-                try:
-                    y = sample_chunk(x[lo:hi], emb[:1] if one_row else emb[lo:hi],
-                                     z_c[lo:hi], weights)
-                    check_finite("float32", y)
-                except NumericError:
-                    self._forward_rows(Tensor(x[lo:hi]), Tensor(emb[lo:hi]), Tensor(z_c[lo:hi]))
-                    raise NumericError("float32: produced non-finite values") from None
-                out[lo:hi] = y
+            self._sampler = None
+            sampler.close()
 
     def _forward_rows(self, x: Tensor, emb: Tensor, z_c: Tensor) -> Tensor:
         """The network body as engine ops over a whole batch, recording a
@@ -321,7 +270,7 @@ def _float32_weights(params: ParamStore) -> dict[str, np.ndarray]:
     """float32 copies of the denoiser's parameters by short name, each conv
     kernel flattened to its [K * C_in, C_out] gemm operand.  A value beyond
     float32's range becomes infinite, which the output check of
-    ``ConditionedUNet._chunks`` catches."""
+    ``_Sampler._run`` catches."""
     with np.errstate(over="ignore"):
         return {
             name.removeprefix("denoiser."): t.data.reshape(-1, t.shape[-1]).astype(np.float32)
@@ -384,41 +333,50 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
     return conv([d1, h1], "out")
 
 
-class _Helper:
-    """One forked process that computes the second half of the chunks of
-    one batch shape's graph-free forwards, while the parent computes the
-    first half.
+class _Sampler:
+    """The graph-free forwards of one [items, t_len, D] batch shape: the
+    float32 weights (``_float32_weights``), cast once, and the chunk layout
+    (``chunk_bounds``), whose first half this process computes.
 
-    Per forward the parent copies the batch to anonymous shared memory and
-    wakes the helper with one request byte; the helper writes its half's
-    outputs next to the inputs and replies ``1``, or ``0`` if a chunk
-    raised.  If the helper failed or died, the parent computes its half
-    itself, after its own and in item order, which raises the error a
-    one-process forward would.  ``os.fork`` raising ``OSError`` leaves no
-    pipe open and propagates.
+    With ``fork``, two or more chunks and ``can_fork()``, one forked helper
+    computes the second half; per forward this process copies the batch to
+    anonymous shared memory, wakes the helper with one request byte and,
+    after its own half, reads ``1``, or ``0`` if a helper chunk raised.
+    Unless a live helper replied ``1``, this process computes the second
+    half itself, in item order, which raises the error a one-process
+    forward would.  A helper that missed a reply is never woken again, and
+    a failed ``os.fork`` leaves no pipe and no helper.
     """
 
-    def __init__(self, net: ConditionedUNet, shape: tuple[int, int, int], bounds: list[int]):
-        self.net, self.shape = net, shape
+    def __init__(self, net: ConditionedUNet, items: int, t_len: int, fork: bool = False):
+        self.net, self.shape = net, (items, t_len, net.feature_dim)
+        self.weights = _float32_weights(net.params)
+        bounds = chunk_bounds(items, t_len)
         chunks = list(zip(bounds, bounds[1:]))
         self.own, self.share = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
-        items = shape[0]
-        shapes = [shape, (items, TIME_EMBED_DIM), (items, BOTTLENECK_CHANNELS),
-                  shape[:2] + (net.num_actions,)]
+        self.out = np.empty((items, t_len, net.num_actions))
+        self.pid, self.alive = None, False
+        if fork and self.own and can_fork():
+            with contextlib.suppress(OSError):  # no helper: sample here
+                self._fork()
+
+    def _fork(self) -> None:
+        items = self.shape[0]
+        shapes = [self.shape, (items, TIME_EMBED_DIM), (items, BOTTLENECK_CHANNELS),
+                  self.out.shape]
         sizes = [math.prod(s) for s in shapes]
         shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))  # float64, MAP_SHARED
-        self.x, self.emb, self.z_c, self.out = (
-            part.reshape(s) for part, s in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)
-        )
-        request_r, self.request = os.pipe()
-        self.reply, reply_w = os.pipe()
+        parts = [part.reshape(s) for part, s in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
+        request_r, request = os.pipe()
+        reply, reply_w = os.pipe()
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:
-            for fd in (request_r, self.request, self.reply, reply_w):
+            for fd in (request_r, request, reply, reply_w):
                 os.close(fd)
             raise
-        if self.pid == 0:
+        self.x, self.emb, self.z_c, self.out = parts
+        if pid == 0:
             status = 1
             try:
                 # The helper's collections skip every object it inherited,
@@ -426,11 +384,11 @@ class _Helper:
                 gc.freeze()
                 # Drop the parent's ends, so EOF reaches the helper as soon
                 # as the parent closes its request end.
-                os.close(self.request)
-                os.close(self.reply)
+                os.close(request)
+                os.close(reply)
                 while os.read(request_r, 1):
                     try:
-                        net._chunks(self.x, self.emb, self.z_c, self.share, self.out)
+                        self._run(self.x, self.emb, self.z_c, self.share)
                     except Exception:  # left for the parent to recompute
                         os.write(reply_w, b"0")
                         continue
@@ -440,31 +398,57 @@ class _Helper:
                 os._exit(status)
         os.close(request_r)
         os.close(reply_w)
-        self.alive = True
+        self.pid, self.request, self.reply, self.alive = pid, request, reply, True
 
     def forward(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray) -> np.ndarray:
-        """The network body over the whole batch, in the shared output
-        array, which the next forward overwrites."""
-        self.x[...], self.emb[...], self.z_c[...] = x, emb, z_c
+        """The network body over the whole batch, in ``self.out``, which
+        the next forward overwrites."""
         posted = self.alive
         if posted:
+            self.x[...], self.emb[...], self.z_c[...] = x, emb, z_c
             try:
                 os.write(self.request, b"\0")
             except OSError:
                 posted = self.alive = False
         reply = b""
         try:
-            self.net._chunks(x, emb, z_c, self.own, self.out)
+            self._run(x, emb, z_c, self.own)
         finally:
             if posted:
                 with contextlib.suppress(OSError):
                     reply = os.read(self.reply, 1)
                 self.alive = bool(reply)
         if reply != b"1":
-            self.net._chunks(x, emb, z_c, self.share, self.out)
+            self._run(x, emb, z_c, self.share)
         return self.out
 
+    def _run(self, x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
+             spans: list[tuple[int, int]]) -> None:
+        """``sample_chunk`` over items [lo, hi) for each (lo, hi) in
+        ``spans``, into ``out[lo:hi]`` as float64; the time MLP runs on one
+        row when every item shares its step.  A chunk whose output or
+        layer-norm variance is not finite reruns through the float64 engine
+        (``_forward_rows``), whose first non-finite op raises
+        ``NumericError`` naming itself; if that run is finite, the error
+        names "float32", as only the cast went beyond range.
+        """
+        one_row = bool((emb == emb[0]).all())
+        with np.errstate(all="ignore"):  # non-finite values raise NumericError
+            for lo, hi in spans:
+                try:
+                    y = sample_chunk(x[lo:hi], emb[:1] if one_row else emb[lo:hi],
+                                     z_c[lo:hi], self.weights)
+                    check_finite("float32", y)
+                except NumericError:
+                    self.net._forward_rows(Tensor(x[lo:hi]), Tensor(emb[lo:hi]),
+                                           Tensor(z_c[lo:hi]))
+                    raise NumericError("float32: produced non-finite values") from None
+                self.out[lo:hi] = y
+
     def close(self) -> None:
+        """Reap the helper, if one was forked."""
+        if self.pid is None:
+            return
         os.close(self.request)
         with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
             os.waitpid(self.pid, 0)

@@ -205,13 +205,13 @@ def generate_plans(
     step n, predicting the clean action blocks, and updates only the
     action block; a frozen network runs it through its float32 body, with
     the time MLP on one row since every item shares n.  The reverse loop runs
-    inside ``denoiser.item_workers``, which casts the float32 weights once
-    for the whole chain; with BLAS pinned to one thread on a multi-core
-    Linux machine, one forked helper computes half of each step's item
-    chunks, with the same bytes as this process would, and is reaped when
-    the loop returns or raises.  The sampler state stays float64.  Each
-    item's stream gives its noise for a block of steps at a time
-    (``NOISE_BLOCK_STEPS``), the same numbers in the same order as one
+    inside ``denoiser.item_workers``, whose one sampler casts the float32
+    weights once for the whole chain; with BLAS pinned to one thread on a
+    multi-core Linux machine, that sampler's forked helper computes half of
+    each step's item chunks, with the same bytes as this process would, and
+    is reaped when the loop returns or raises.  The sampler state stays
+    float64.  Each item's stream gives its noise for a block of steps at a
+    time (``NOISE_BLOCK_STEPS``), the same numbers in the same order as one
     draw per step.  A non-finite value raises ``NumericError`` naming the
     step and the op, as ``sampling step {n}: {op}: ...``.
     """

@@ -133,13 +133,15 @@ def _load_split(config: RunConfig, workdir: str, name: str) -> Samples:
             f"{name} manifest not found in {workdir!r}; run gen-data first"
         )
     samples, meta = read_manifest(path)
+    if not samples:
+        raise ManifestError(f"{path}: holds no samples")
     expected = _manifest_meta(config)
     if meta != expected:
         raise PipelineError(
             f"{name} manifest metadata {meta} does not match config {expected}"
         )
     horizon = samples.actions.shape[1]
-    if samples and horizon != config.horizon:
+    if horizon != config.horizon:
         raise PipelineError(
             f"{name} manifest holds plans of {horizon} actions, "
             f"config horizon is {config.horizon}"
@@ -318,8 +320,6 @@ def evaluate(config: RunConfig, workdir: str, tag: str = "", report_name: str = 
     """
     config.validate()
     test = _load_split(config, workdir, "test")
-    if not test:
-        raise PipelineError("test split is empty")
     vae = load_stage("vae", config, workdir)
     clf = load_stage("classifier", config, workdir)
     den = load_stage("diffusion", config, workdir, tag)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, diagnostics."""
 
+import json
 import os
 import re
 import subprocess
@@ -188,6 +189,22 @@ class TestTrainEvalFlow:
         assert main([*command, "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert re.search(rf"{split}\.f32: sample \d+ holds a non-finite feature", err), err
+
+    @pytest.mark.parametrize("split,command", [
+        ("train", ["train", "--stage", "vae"]),
+        ("test", ["eval"]),
+    ])
+    def test_empty_split_exits_format_naming_the_manifest(self, tmp_path, capsys, split, command):
+        # An edited or external manifest may list no samples; that is a
+        # format error at load, before any stage draws from it.
+        assert _gen(tmp_path) == 0
+        path = tmp_path / f"{split}.json"
+        doc = json.loads(path.read_text())
+        doc["samples"] = []
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([*command, "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: format: {path}: holds no samples\n"
 
     def test_diffusion_without_vae_exits_prereq(self, tmp_path, capsys):
         _gen(tmp_path)

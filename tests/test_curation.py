@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from procplan.config import DataParams
-from procplan.corpus import Samples, Step, Video, generate_corpus, render_frames
+from procplan.corpus import (
+    Samples, Step, Video, _chain_window_signature, generate_corpus, render_frames,
+)
 from procplan.curation import (
     CurationError,
     MinMaxNormalizer,
@@ -45,6 +47,14 @@ class TestWindowBounds:
     def test_unknown_mode(self):
         with pytest.raises(CurationError, match="mode"):
             window_bounds("other", 0.0, 1.0)
+
+    @pytest.mark.parametrize("mode,goal", [("pdpp", (11, 11, 12)), ("kepp", (11, 12, 12))])
+    def test_goal_window_shows_the_penultimate_action(self, mode, goal):
+        # Windows anchor at the last action's start, so at T=3 the goal
+        # window's three seconds show the plan's only intermediate action
+        # (11) for two seconds under pdpp and one under kepp.
+        start, seen = _chain_window_signature(list(range(10, 16)), 0, 2, mode)
+        assert start == (10, 10, 10) and seen == goal
 
     def test_frame_selection_half_open(self):
         assert list(frame_indices(10.0, 13.0, 100)) == [10, 11, 12]

@@ -329,7 +329,7 @@ class TestForward:
         with net.item_workers(2, 3):
             for _ in range(3):
                 net.forward(x, [4, 4], net.zero_constraint(2))
-        assert len(casts) == 1 and net._float32 is None
+        assert len(casts) == 1 and net._sampler is None
         net.forward(x, [4, 4], net.zero_constraint(2))
         assert len(casts) == 2
 
@@ -480,11 +480,11 @@ class TestSamplingProcesses:
         net.params.freeze()
         assert denoiser.chunk_bounds(1, 3) == [0, 1]
         with net.item_workers(1, 3):
-            assert net._helper is None
+            assert net._sampler.pid is None
 
     def test_unpinned_sampling_forks_nothing(self, net, monkeypatch):
         monkeypatch.setattr(denoiser, "BLAS_PINNED", False)
         monkeypatch.setattr(denoiser.os, "fork", lambda: pytest.fail("forked"))
         net.params.freeze()
         with net.item_workers(8, 3):
-            assert net._helper is None
+            assert net._sampler.pid is None

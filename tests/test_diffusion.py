@@ -607,13 +607,13 @@ def _one_core(monkeypatch):
 @pytest.fixture()
 def parent_chunks(monkeypatch):
     """The item ranges whose chunks this process computes."""
-    ranges, chunks = [], ConditionedUNet._chunks
+    ranges, run = [], denoiser._Sampler._run
 
-    def recording_chunks(self, x, emb, z_c, spans, out):
+    def recording_run(self, x, emb, z_c, spans):
         ranges.extend(spans)
-        chunks(self, x, emb, z_c, spans, out)
+        run(self, x, emb, z_c, spans)
 
-    monkeypatch.setattr(ConditionedUNet, "_chunks", recording_chunks)
+    monkeypatch.setattr(denoiser._Sampler, "_run", recording_run)
     return ranges
 
 
@@ -688,6 +688,28 @@ class TestWorkerSampling:
         _no_child_left()
         _one_core(monkeypatch)
         assert np.array_equal(forked, self._plan(frozen_vae, items=400))
+
+    def test_other_shape_bypasses_the_block_helper(self, forks, parent_chunks):
+        # Inside a 12-item block, a 10-item forward runs a one-off sampler
+        # here, with the one-process bytes; the block's later 12-item
+        # forwards still leave their second half to its helper.
+        net = _net(6, seed=3)
+        net.params.freeze()
+        rng = np.random.default_rng(26)
+        x, other = (rng.normal(size=(n, 3, LAYOUT.feature_dim)) for n in (self.ITEMS, 10))
+
+        def run(batch):
+            return net.forward(Tensor(batch), [6] * len(batch), net.zero_constraint(len(batch))).data
+
+        expected = [run(x), run(other), run(x)]
+        assert not forks
+        parent_chunks.clear()
+        with net.item_workers(self.ITEMS, 3):
+            inside = [run(x), run(other), run(x)]
+        assert len(forks) == 1
+        assert parent_chunks == [(0, 6), (0, 5), (5, 10), (0, 6)]
+        assert all(np.array_equal(a, b) for a, b in zip(inside, expected))
+        _no_child_left()
 
     def test_failed_fork_samples_in_process(self, frozen_vae, monkeypatch):
         # When the helper's fork fails, sampling gives the one-process
