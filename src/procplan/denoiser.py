@@ -180,18 +180,19 @@ class ConditionedUNet:
 
         ``z`` and ``eps`` are the [B, 2, LATENT_DIM] (start, goal)
         reparameterized codes and their noise; the output is the [B, C]
-        constraint batch.
+        constraint batch, in the parameters' dtype.
         """
         if z.shape[1:] != (2, LATENT_DIM) or eps.shape != z.shape:
             raise ValueError(
                 f"fuse: latent codes must be [B, 2, {LATENT_DIM}], got {z.shape} and {eps.shape}"
             )
         packed = np.concatenate([z, eps], axis=-1).reshape(len(z), FUSION_INPUT_DIM)
-        return matmul(Tensor(packed), self.fuse_w) + self.fuse_b
+        return matmul(Tensor(packed, dtype=self.params.dtype), self.fuse_w) + self.fuse_b
 
     def zero_constraint(self, batch: int) -> Tensor:
-        """The disabled-injection constraint: an exact zero vector."""
-        return Tensor(np.zeros((batch, BOTTLENECK_CHANNELS)))
+        """The disabled-injection constraint: an exact zero vector in the
+        parameters' dtype."""
+        return Tensor(np.zeros((batch, BOTTLENECK_CHANNELS)), dtype=self.params.dtype)
 
     # -- forward ---------------------------------------------------------------
 
@@ -202,8 +203,9 @@ class ConditionedUNet:
         ``steps`` is one 1-based diffusion step per batch item, each
         embedded once (``timestep_embedding``); ``z_c`` is the [B, C]
         constraint batch (use ``zero_constraint`` to disable).  A forward
-        that records a graph (training) runs the float64 engine
-        (``_forward_rows``).  One that records no graph (a frozen network on
+        that records a graph (training) runs the engine (``_forward_rows``)
+        in the parameters' dtype, float32 once the diffusion stage has cast
+        them.  One that records no graph (a frozen network on
         plain inputs, as in sampling) runs the sampler ``item_workers``
         opened for this shape, or else a one-off sampler without a helper
         (``_Sampler``): float32 chunks of whole items, returned as float64,
@@ -223,7 +225,7 @@ class ConditionedUNet:
                 f"forward: constraint batch must be {(items, BOTTLENECK_CHANNELS)}, got {z_c.shape}"
             )
         if not self.params.frozen or x.requires_grad or z_c.requires_grad:
-            return self._forward_rows(x, Tensor(emb), z_c)
+            return self._forward_rows(x, Tensor(emb, dtype=self.params.dtype), z_c)
         sampler = self._sampler
         if sampler is None or sampler.shape != x.shape:
             sampler = _Sampler(self, items, t_len)
@@ -268,9 +270,10 @@ class ConditionedUNet:
 
 def _float32_weights(params: ParamStore) -> dict[str, np.ndarray]:
     """float32 copies of the denoiser's parameters by short name, each conv
-    kernel flattened to its [K * C_in, C_out] gemm operand.  A value beyond
-    float32's range becomes infinite, which the output check of
-    ``_Sampler._run`` catches."""
+    kernel flattened to its [K * C_in, C_out] gemm operand.  The diffusion
+    stage trains in float32, so the cast of its checkpoint is exact; a
+    value beyond float32's range, which only an edited checkpoint holds,
+    becomes infinite, which the output check of ``_Sampler._run`` catches."""
     with np.errstate(over="ignore"):
         return {
             name.removeprefix("denoiser."): t.data.reshape(-1, t.shape[-1]).astype(np.float32)

@@ -159,7 +159,9 @@ def diffusion_loss(
     (start, goal) states, each [B, 2, LATENT_DIM]; ``None`` trains against
     the zero constraint.  The generator gives the batch's steps in one
     call, then its [B, T, A] action noise in one call, then the constraint
-    noise of the whole batch.
+    noise of the whole batch.  The states, targets and constraint codes are
+    computed in float64 and enter the graph in the dtype of the denoiser's
+    parameters, which its constraint vectors carry.
     """
     a0 = np.eye(layout.num_actions)[plans.actions]
     batch = len(a0)
@@ -172,7 +174,8 @@ def diffusion_loss(
         mu, logvar = codes
         eps = rng.standard_normal(mu.shape) if use_eps else np.zeros_like(mu)
         z_c = denoiser.fuse_batch(reparameterize(mu, logvar, eps), eps)
-    return mse(denoiser.forward(Tensor(xn), steps, z_c), Tensor(a0))
+    dtype = z_c.data.dtype  # the denoiser parameters' dtype
+    return mse(denoiser.forward(Tensor(xn, dtype=dtype), steps, z_c), Tensor(a0, dtype=dtype))
 
 
 def generate_plans(

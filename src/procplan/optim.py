@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, check_finite
 
 
 class MissingGradError(TensorError):
@@ -23,7 +23,8 @@ class ParamStore:
     Also owns the optimizer state (first/second moments plus a step
     counter) so a model and its training state travel together.  Gradient
     accumulation is explicit: ``zero_grads`` must be called between steps,
-    otherwise backward passes keep adding up.
+    otherwise backward passes keep adding up.  Parameters and moments are
+    float64 until ``cast`` gives the store another ``dtype``.
     """
 
     def __init__(self) -> None:
@@ -32,11 +33,12 @@ class ParamStore:
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
         self.frozen = False
+        self.dtype = np.dtype(np.float64)
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already registered")
-        t = data if isinstance(data, Tensor) else Tensor(data)
+        t = data if isinstance(data, Tensor) else Tensor(data, dtype=self.dtype)
         t.requires_grad = True
         self._params[name] = t
         self._m[name] = np.zeros_like(t.data)
@@ -48,6 +50,15 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
+
+    def cast(self, dtype) -> None:
+        """Move every parameter and both moments to ``dtype``, rounding
+        each value once; the gradients are dropped."""
+        self.dtype = np.dtype(dtype)
+        for name, t in self._params.items():
+            t.data, t.grad = t.data.astype(self.dtype), None
+            self._m[name] = self._m[name].astype(self.dtype)
+            self._v[name] = self._v[name].astype(self.dtype)
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -79,7 +90,7 @@ class ParamStore:
                 f"parameter name mismatch, missing={missing} unexpected={extra}"
             )
         for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name], dtype=self.dtype)
             if arr.shape != t.data.shape:
                 raise ValueError(
                     f"parameter {name!r} has shape {t.data.shape}, checkpoint has {arr.shape}"
@@ -99,6 +110,11 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.0) -> None:
     All gradients must be populated; they are left untouched so the caller
     controls zeroing.  ``lr`` may be zero (the update becomes a no-op on
     the parameter values while moments and the step counter still advance).
+    The update runs in the store's dtype.  A second moment or a parameter
+    that goes non-finite raises ``NumericError`` naming ``adamw_step``: in
+    float32 a gradient past about 5.8e20 overflows (1 - beta2) g^2, which
+    would otherwise leave an infinite moment that silently stops the
+    parameter.
     """
     if store.frozen:
         raise FrozenStoreError("adamw_step: parameter store is frozen")
@@ -125,3 +141,5 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.0) -> None:
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
         p.data -= (lr / bias1) * (m / denom)
+        check_finite("adamw_step", v)
+        check_finite("adamw_step", p.data)

@@ -192,8 +192,13 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     """Train one stage; writes its checkpoint and loss curve.
 
     The diffusion stage refuses to run without a vae checkpoint and
-    verifies that the frozen autoencoder is bit-identical afterwards.
-    A non-finite value raises ``NumericError`` naming the stage and step.
+    verifies that the frozen autoencoder is bit-identical afterwards.  It
+    trains the denoiser in float32: its parameters and AdamW moments are
+    cast once, before the first step, and the float64 checkpoint holds
+    their exact values.  Every other stage, and everything around the
+    denoiser, stays float64.  A non-finite value raises ``NumericError``
+    naming the stage, step and op; numpy's floating-point warnings are off
+    during the steps, since the op's own check reports the value.
     """
     config.validate()
     model = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
@@ -225,6 +230,7 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
             return [model.train_step(o_s, o_g, task, lr=lr, weight_decay=params.weight_decay)]
 
     else:
+        model.params.cast(np.float32)
         vae = load_stage("vae", config, workdir)
         frozen_checksum = vae.params.checksum()
         layout = _layout(config)
@@ -258,14 +264,15 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
             adamw_step(model.params, lr=lr, weight_decay=params.weight_decay)
             return [loss.item()]
 
-    for step in range(total_steps):
-        idx = rng.integers(0, size, params.batch_size)
-        lr = params.lr_at(step)
-        try:
-            losses = train_step(idx, lr)
-        except NumericError as exc:
-            raise NumericError(f"{stage} step {step}: {exc}") from exc
-        rows.append([step, lr, *losses])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(total_steps):
+            idx = rng.integers(0, size, params.batch_size)
+            lr = params.lr_at(step)
+            try:
+                losses = train_step(idx, lr)
+            except NumericError as exc:
+                raise NumericError(f"{stage} step {step}: {exc}") from exc
+            rows.append([step, lr, *losses])
 
     if stage == "diffusion" and vae.params.checksum() != frozen_checksum:
         raise PipelineError("frozen autoencoder changed during diffusion training")

@@ -1,8 +1,11 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays, on CPU.
 
-The engine is 64-bit and CPU-only: the models here are desk-scale and the
-finite-difference checks in :mod:`procplan.gradcheck` need the precision.
-``Tensor(...)`` always casts to float64, and every op works in float64.
+``Tensor(...)`` casts to float64 unless given a ``dtype``, and every op
+keeps its operands' dtype in its output and in the gradients it hands
+back; a plain number operand takes the other operand's dtype, as NumPy's
+Python scalars do.  So the VAE, the classifier and the finite-difference
+checks of :mod:`procplan.gradcheck`, which need the precision, run in
+float64, while the denoiser trains in float32 (``ParamStore.cast``).
 
 A ``Tensor`` wraps a numpy array; operations record a graph whenever any
 input has ``requires_grad`` set, and ``Tensor.backward`` accumulates
@@ -15,6 +18,7 @@ intermediate nothing else references is freed as soon as it is consumed.
 
 Any operation that would produce a NaN or Inf raises ``NumericError``
 immediately: non-finite values are treated as an error state, never data.
+In float32 that includes an overflow past about 3.4e38.
 
 The forwards of ``gelu``, ``layer_norm`` and ``conv1d_same`` run through
 plain-array kernels (``gelu_tanh``, ``standardize``, ``im2col``,
@@ -69,7 +73,8 @@ def check_finite(op: str, data: np.ndarray) -> None:
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient buffer.
+    """Dense float array, float64 unless ``dtype`` says otherwise, with an
+    optional gradient buffer.
 
     Tensors are value-semantic: the constructor copies its input, and a
     tensor with no graph attached is safe to share between threads.
@@ -77,8 +82,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
+        arr = np.array(data, dtype=dtype)
         check_finite("tensor", arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -147,32 +152,41 @@ class Tensor:
 
     # Operator sugar; all defer to the module-level ops below.
     def __add__(self, other):
-        return add(self, _ensure_tensor(other))
+        return add(self, _operand(other, self))
 
     def __radd__(self, other):
-        return add(_ensure_tensor(other), self)
+        return add(_operand(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _ensure_tensor(other))
+        return mul(self, _operand(other, self))
 
     def __rmul__(self, other):
-        return mul(_ensure_tensor(other), self)
+        return mul(_operand(other, self), self)
 
     def __neg__(self):
-        return mul(self, _ensure_tensor(-1.0))
+        return mul(self, _operand(-1.0, self))
 
     def __sub__(self, other):
-        return add(self, -_ensure_tensor(other))
+        return add(self, -_operand(other, self))
 
     def __rsub__(self, other):
-        return add(_ensure_tensor(other), -self)
+        return add(_operand(other, self), -self)
 
     def __truediv__(self, other: float):
-        return mul(self, _ensure_tensor(1.0 / other))
+        return mul(self, _operand(1.0 / other, self))
 
 
 def _ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _operand(value, like: Tensor) -> Tensor:
+    """``value`` as the other operand of an op on ``like``: a plain Python
+    number in ``like``'s dtype, anything else as ``_ensure_tensor`` has it.
+    A float64 0-d operand would promote a float32 ``like`` under NumPy 2."""
+    if type(value) in (int, float):
+        return Tensor(value, dtype=like.data.dtype)
+    return _ensure_tensor(value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -364,7 +378,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - op name
     a = _ensure_tensor(a)
-    data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims), dtype=np.float64)
+    data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims), dtype=a.data.dtype)
     shape = a.shape
 
     def grad(g: np.ndarray) -> np.ndarray:
@@ -385,7 +399,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = a.data.size
     else:
         count = a.data.shape[axis]
-    return mul(sum(a, axis=axis, keepdims=keepdims), _ensure_tensor(1.0 / count))
+    return mul(sum(a, axis=axis, keepdims=keepdims), _operand(1.0 / count, a))
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +437,11 @@ def getitem(a: Tensor, index) -> Tensor:
     a = _ensure_tensor(a)
     data = a.data[index]
     if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data, dtype=np.float64)
-    shape = a.shape
+        data = np.asarray(data, dtype=a.data.dtype)
+    shape, dtype = a.shape, a.data.dtype
 
     def grad(g: np.ndarray) -> np.ndarray:
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=dtype)
         np.add.at(full, index, g)  # a repeated fancy index adds each time
         return full
 
@@ -533,7 +547,8 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     seqs = x.data.reshape(-1, t_len, c_in)
     rows = seqs.shape[0]
     spans = tap_spans(k, t_len)
-    cols = im2col([seqs], spans, np.float64).reshape(rows * t_len, k * c_in)
+    dtype = np.result_type(x.data, weight.data)
+    cols = im2col([seqs], spans, dtype).reshape(rows * t_len, k * c_in)
     w_flat = weight.data.reshape(k * c_in, c_out)
     flat = conv_step(cols, w_flat, None if bias is None else bias.data)
     data = flat.reshape(x.shape[:-1] + (c_out,))
@@ -543,7 +558,7 @@ def conv1d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
         # Overlap-add each tap's gradient onto the input times it read, in
         # tap order, so every input time sums its taps from 0 up.
         g_cols = (g.reshape(-1, c_out) @ w_flat.T).reshape(rows, t_len, k, c_in)
-        gx = np.zeros((rows, t_len, c_in))
+        gx = np.zeros((rows, t_len, c_in), dtype=g_cols.dtype)
         for tap, (shift, lo, hi) in enumerate(spans):
             gx[:, lo + shift:hi + shift] += g_cols[:, lo:hi, tap]
         return gx.reshape(x_shape)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from procplan import pipeline
 from procplan.config import RunConfig, StageParams
 
 
@@ -21,6 +22,20 @@ def make_tiny_config(**top_level) -> RunConfig:
         setattr(cfg, key, value)
     cfg.validate()
     return cfg
+
+
+def plant_denoiser_weight(monkeypatch, name: str, value: float) -> None:
+    """Make the diffusion stage's fresh denoiser hold ``value`` at the
+    first entry of parameter ``name``."""
+    make = pipeline._stage_model
+
+    def stage_model(stage, config, seed):
+        model = make(stage, config, seed)
+        if stage == "diffusion":
+            model.params[name].data.flat[0] = value
+        return model
+
+    monkeypatch.setattr(pipeline, "_stage_model", stage_model)
 
 
 @pytest.fixture()

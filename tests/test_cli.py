@@ -13,6 +13,7 @@ import procplan
 from procplan import BLAS_THREAD_VARS
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_PREREQ, main
+from tests.conftest import plant_denoiser_weight
 
 TINY_ARGS = [
     "--set", "data.videos_per_task=4",
@@ -224,6 +225,19 @@ class TestTrainEvalFlow:
         assert main([*args, "--set", "classifier.peak_lr=1e200"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert re.search(r"numeric: classifier step \d+: \w+: produced non-finite", err), err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float32_overflow_in_diffusion_exits_numeric(self, tmp_path, capsys, monkeypatch):
+        # 1e18 in the fresh denoiser's out conv trains finite in float64; in
+        # float32 a second moment overflows at the first step.
+        _gen(tmp_path)
+        assert main(["train", "--stage", "vae", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
+        plant_denoiser_weight(monkeypatch, "denoiser.out.w", 1e18)
+        capsys.readouterr()
+        args = ["train", "--stage", "diffusion", "--workdir", str(tmp_path), *TINY_ARGS]
+        assert main(args) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: numeric: diffusion step 0: adamw_step: produced non-finite values\n")
 
 
 class TestDatasetRecord:

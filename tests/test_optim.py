@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from procplan.optim import FrozenStoreError, MissingGradError, ParamStore, adamw_step
+from procplan.tensor import NumericError
 
 
 def _store_with(name="w", value=(1.0, 2.0)):
@@ -132,3 +133,59 @@ class TestAdamW:
         store["w"].grad = g
         adamw_step(store, lr=0.1)
         assert store["w"].grad is g
+
+
+class TestFloat32Store:
+    def test_cast_rounds_parameters_and_moments_once(self):
+        store = _store_with(value=(0.1, 2.0))
+        store["w"].grad = np.ones(2)
+        adamw_step(store, lr=0.1)
+        m, v = store._m["w"].copy(), store._v["w"].copy()
+        before = store["w"].data.copy()
+        store.cast(np.float32)
+        assert store.dtype == np.float32 and store["w"].grad is None
+        assert np.array_equal(store["w"].data, before.astype(np.float32))
+        assert np.array_equal(store._m["w"], m.astype(np.float32))
+        assert np.array_equal(store._v["w"], v.astype(np.float32))
+        store.add("b", np.ones(3))
+        assert store["b"].data.dtype == np.float32
+
+    def test_adamw_stays_float32_and_matches_float64(self):
+        rng = np.random.default_rng(5)
+        stores = [_store_with(value=rng.normal(size=6)) for _ in range(2)]
+        stores[1].load_state(stores[0].state_arrays())
+        stores[0].cast(np.float32)
+        stores[1].load_state({"w": stores[0]["w"].data.astype(np.float64)})
+        for _ in range(20):
+            g = rng.normal(size=6)
+            stores[0]["w"].grad = g.astype(np.float32)
+            stores[1]["w"].grad = g.astype(np.float32).astype(np.float64)
+            for store in stores:
+                adamw_step(store, lr=1e-2, weight_decay=1e-2)
+        w32, w64 = stores[0]["w"].data, stores[1]["w"].data
+        assert w32.dtype == stores[0]._m["w"].dtype == stores[0]._v["w"].dtype == np.float32
+        assert np.allclose(w32, w64, rtol=0.0, atol=64 * np.finfo(np.float32).eps)
+
+    def test_load_state_keeps_the_store_dtype(self):
+        store = _store_with()
+        store.cast(np.float32)
+        store.load_state({"w": np.array([0.1, 0.2])})
+        assert store["w"].data.dtype == np.float32
+
+    def test_overflowing_second_moment_raises(self):
+        # (1 - beta2) g^2 of a gradient of 1e21 is infinite in float32: the
+        # moment would stop the parameter for good, so the step names itself.
+        store = _store_with()
+        store.cast(np.float32)
+        store["w"].grad = np.array([1e21, 1.0], dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^adamw_step: produced non-finite values$"):
+            adamw_step(store, lr=1e-3)
+
+    def test_overflowing_update_raises(self):
+        store = _store_with()
+        store.cast(np.float32)
+        store["w"].grad = np.ones(2, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="^adamw_step: "):
+            adamw_step(store, lr=1e39)

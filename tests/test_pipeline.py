@@ -14,11 +14,12 @@ import pytest
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.classifier import TaskClassifier
 from procplan.config import ConfigError, RunConfig, StageParams, apply_overrides, load_config
-from procplan import denoiser, pipeline
+from procplan import classifier, denoiser, pipeline
 from procplan.diffusion import BlockLayout, diffusion_loss, make_schedule
 from procplan.manifest import read_manifest
 from procplan.optim import adamw_step
 from procplan.pipeline import (
+    ABLATION_VARIANTS,
     STAGES,
     PipelineError,
     PrerequisiteError,
@@ -29,8 +30,9 @@ from procplan.pipeline import (
     stage_seed,
     train_stage,
 )
+from procplan.tensor import NumericError
 from procplan.vae import PhaseError, StateAutoencoder
-from tests.conftest import make_tiny_config
+from tests.conftest import make_tiny_config, plant_denoiser_weight
 
 
 def _crosstask_like_schedule():
@@ -456,6 +458,109 @@ class TestTrainingStepMemory:
             model.train_step(batch, lr=1e-3, rng=rng)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 100 * 50, faults / 50
+
+
+@pytest.fixture(scope="module")
+def vae_workdir(tmp_path_factory):
+    """A tiny workdir with data and a trained vae, ready for diffusion."""
+    workdir = str(tmp_path_factory.mktemp("vae"))
+    cfg = make_tiny_config()
+    generate_dataset(cfg, workdir)
+    train_stage("vae", cfg, workdir)
+    return workdir, cfg
+
+
+class TestFloat32Diffusion:
+    """The diffusion stage trains the denoiser in float32; every other
+    stage and every artifact format stays float64."""
+
+    def test_one_step_gradients_match_float64(self, vae_workdir):
+        workdir, cfg = vae_workdir
+        # Fixed before the first run: float32 keeps about half its digits
+        # through a forward and backward, sqrt(eps) = 3.5e-4, relative to
+        # each parameter's largest gradient entry.
+        tol = np.sqrt(np.finfo(np.float32).eps)
+        train = pipeline._load_split(cfg, workdir, "train")
+        codes = load_stage("vae", cfg, workdir).encode_constraints_batch(train)
+        schedule = make_schedule(cfg.schedule.steps, cfg.schedule.beta_start, cfg.schedule.beta_end)
+        nets = [pipeline._stage_model("diffusion", cfg, seed=3) for _ in range(2)]
+        nets[0].params.cast(np.float32)
+        nets[1].params.load_state(nets[0].params.state_arrays())  # the same values, widened
+        idx = np.arange(len(train))
+        losses = []
+        for net in nets:
+            loss = diffusion_loss(train.take(idx), codes, schedule, net, pipeline._layout(cfg),
+                                  rng=np.random.default_rng(0))
+            loss.backward()
+            losses.append(loss)
+        assert losses[0].data.dtype == np.float32 and losses[1].data.dtype == np.float64
+        assert abs(losses[0].item() - losses[1].item()) <= tol * losses[1].item()
+        for (name, t32), (_, t64) in zip(nets[0].params.items(), nets[1].params.items()):
+            assert t32.grad.dtype == np.float32 and t64.grad.dtype == np.float64, name
+            assert np.abs(t32.grad - t64.grad).max() <= tol * np.abs(t64.grad).max(), name
+
+    def test_same_seed_gives_identical_bytes_and_float32_exact_weights(self, vae_workdir, tmp_path):
+        workdir, cfg = vae_workdir
+        runs = []
+        for run in ("a", "b"):
+            clone = str(tmp_path / run)
+            shutil.copytree(workdir, clone)
+            train_stage("diffusion", cfg, clone)
+            runs.append([(tmp_path / run / name).read_bytes()
+                         for name in ("diffusion.ckpt", "diffusion_loss.csv")])
+        assert runs[0] == runs[1]
+        arrays = load_checkpoint(str(tmp_path / "a" / "diffusion.ckpt"))
+        weights = {k: a for k, a in arrays.items() if k.startswith("denoiser.")}
+        assert weights and all(a.dtype == np.float64 for a in weights.values())
+        for name, a in weights.items():
+            assert np.array_equal(a.astype(np.float32), a), name
+        # The frozen denoiser loads as float64, and its sampler's cast is exact.
+        den = load_stage("diffusion", cfg, str(tmp_path / "a"))
+        assert den.params.dtype == np.float64
+        for name, a in denoiser._float32_weights(den.params).items():
+            assert np.array_equal(a.reshape(den.params["denoiser." + name].shape),
+                                  weights["denoiser." + name]), name
+
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_every_variant_trains_in_float32(self, vae_workdir, tmp_path, monkeypatch, variant):
+        workdir, cfg = vae_workdir
+        clone = str(tmp_path / "clone")
+        shutil.copytree(workdir, clone)
+        dtypes = {}
+
+        def spy(store, lr, weight_decay=0.0):
+            for name, p in store.items():
+                dtypes.setdefault(name, set()).update(
+                    {p.data.dtype, p.grad.dtype, store._m[name].dtype, store._v[name].dtype})
+            adamw_step(store, lr, weight_decay)
+
+        for module in (pipeline, classifier):
+            monkeypatch.setattr(module, "adamw_step", spy)
+        var_cfg = apply_overrides(cfg, ABLATION_VARIANTS[variant])
+        train_stage("diffusion", var_cfg, clone, tag=variant)
+        assert dtypes and all(d == {np.dtype(np.float32)} for d in dtypes.values()), dtypes
+        arrays = load_checkpoint(os.path.join(clone, f"diffusion_{variant}.ckpt"))
+        assert all(np.array_equal(a.astype(np.float32), a) for a in arrays.values())
+        # The classifier stage, like the vae, still trains in float64.
+        dtypes.clear()
+        train_stage("classifier", cfg, clone)
+        assert dtypes and all(d == {np.dtype(np.float64)} for d in dtypes.values()), dtypes
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value, op", [(1e20, "sum"), (1e18, "adamw_step")])
+    def test_float32_overflow_names_stage_step_and_op(self, vae_workdir, tmp_path, monkeypatch,
+                                                      value, op):
+        # Both weights train finite in float64.  With 1e20 the loss's sum
+        # overflows; with 1e18 the forward stays finite and a second moment
+        # overflows, which without its check would stop those weights silently.
+        workdir, cfg = vae_workdir
+        clone = str(tmp_path / "clone")
+        shutil.copytree(workdir, clone)
+        plant_denoiser_weight(monkeypatch, "denoiser.out.w", value)
+        with pytest.raises(NumericError) as exc:
+            train_stage("diffusion", cfg, clone)
+        assert str(exc.value) == f"diffusion step 0: {op}: produced non-finite values"
+        assert not os.path.exists(os.path.join(clone, "diffusion.ckpt"))
 
 
 class TestAblationSuite:

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from procplan import tensor as T
+from procplan.denoiser import ConditionedUNet
 from procplan.gradcheck import grad_check
+from procplan.losses import mse
 from procplan.tensor import GraphError, NumericError, ShapeError, Tensor
+from procplan.vae import LATENT_DIM
 
 
 class TestForwardValues:
@@ -146,7 +149,6 @@ class TestBackward:
         X = rng.normal(size=(6, 3))
         y = rng.normal(size=(6, 1))
         w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-        from procplan.losses import mse
 
         mse(T.matmul(Tensor(X), w), Tensor(y)).backward()
         expected = 2.0 / 6.0 * X.T @ (X @ w.data - y)
@@ -453,3 +455,94 @@ class TestGradOwnership:
         assert np.array_equal(w.grad, 2.0 * first[1])
         assert grad_check(lambda t: GRAD_OWNERSHIP_CASES[name](t, Tensor(w.data)), x.data) < 1e-6
         assert grad_check(lambda t: GRAD_OWNERSHIP_CASES[name](Tensor(x.data), t), w.data) < 1e-6
+
+
+# Each case maps float leaves (x and y [2, 3, 4], w [4, 5], k [3, 4, 5],
+# g and b [4], c [5]) to an op's output; the ops on the denoiser's training path.
+F32_CASES = {
+    "add": lambda v: T.add(v["x"], v["y"]),
+    "add_broadcast": lambda v: T.add(v["x"], v["b"]),
+    "add_scalar": lambda v: 1 + v["x"],
+    "mul": lambda v: T.mul(v["x"], v["y"]),
+    "mul_scalar": lambda v: v["x"] * 0.5,
+    "neg": lambda v: -v["x"],
+    "sub": lambda v: v["x"] - v["y"],
+    "sub_scalar": lambda v: v["x"] - 0.25,
+    "rsub_scalar": lambda v: 0.25 - v["x"],
+    "div_scalar": lambda v: v["x"] / 3,
+    "matmul": lambda v: T.matmul(v["x"], v["w"]),
+    "gelu": lambda v: T.gelu(v["x"]),
+    "layer_norm": lambda v: T.layer_norm(v["x"], v["g"], v["b"]),
+    "conv1d_same": lambda v: T.conv1d_same(v["x"], v["k"], v["c"]),
+    "concat": lambda v: T.concat([v["x"], v["y"]], axis=-1),
+    "reshape": lambda v: T.reshape(v["x"], (6, 4)),
+    "getitem": lambda v: T.getitem(v["x"], ([0, 0, 1], slice(1, None))),
+    "sum": lambda v: T.sum(v["x"]),
+    "sum_axis": lambda v: T.sum(v["x"], axis=1),
+    "mean": lambda v: T.mean(v["x"]),
+    "mean_axis": lambda v: T.mean(v["x"], axis=-1, keepdims=True),
+    "mse": lambda v: mse(v["x"], v["y"]),
+}
+F32_SHAPES = {"x": (2, 3, 4), "y": (2, 3, 4), "w": (4, 5), "k": (3, 4, 5),
+              "g": (4,), "b": (4,), "c": (5,)}
+
+
+class TestFloat32:
+    """Every op on the denoiser's training path keeps float32 operands
+    float32, in its output and in the gradient it hands back; ``Tensor(...)``
+    itself still casts to float64."""
+
+    def _run(self, name, dtype):
+        rng = np.random.default_rng(29)
+        arrays = {k: rng.normal(size=s).astype(np.float32) for k, s in F32_SHAPES.items()}
+        leaves = {k: Tensor(a, requires_grad=True, dtype=dtype) for k, a in arrays.items()}
+        out = F32_CASES[name](leaves)
+        up = rng.normal(size=out.shape).astype(np.float32)
+        T.sum(T.mul(out, Tensor(up, dtype=dtype))).backward()
+        return out.data, {k: t.grad for k, t in leaves.items() if t.grad is not None}
+
+    @pytest.mark.parametrize("name", sorted(F32_CASES))
+    def test_op_keeps_float32(self, name):
+        out, grads = self._run(name, np.float32)
+        assert out.dtype == np.float32
+        assert grads and all(g.dtype == np.float32 for g in grads.values()), {
+            k: g.dtype for k, g in grads.items()}
+        # The same op in float64 at the same values agrees to float32 rounding.
+        out64, grads64 = self._run(name, np.float64)
+        assert out64.dtype == np.float64
+        tol = 64 * np.finfo(np.float32).eps
+        assert np.allclose(out, out64, rtol=tol, atol=tol)
+        for k, g in grads.items():
+            assert np.allclose(g, grads64[k], rtol=tol, atol=tol), k
+
+    def test_constructor_casts_to_float64_by_default(self):
+        assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float64
+        assert Tensor(np.ones(3), dtype=np.float32).data.dtype == np.float32
+
+    def test_mixed_operands_promote_as_numpy_does(self):
+        x = Tensor(np.ones(3), requires_grad=True, dtype=np.float32)
+        y = Tensor(np.ones(3), requires_grad=True)
+        out = T.mul(x, y)
+        T.sum(out).backward()
+        assert out.data.dtype == np.float64 and y.grad.dtype == np.float64
+
+    def test_scalar_beyond_float32_range_raises(self):
+        x = Tensor(np.ones(3), dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^tensor"):
+            x * 1e39
+
+    def test_float32_overflow_names_the_op(self):
+        # 1e20 squared is finite in float64 and infinite in float32.
+        x = Tensor(np.full(3, 1e20), dtype=np.float32)
+        assert np.isfinite(T.mul(Tensor(x.data), Tensor(x.data)).data).all()
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="^mul: produced non-finite"):
+            T.mul(x, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constraint_vectors_take_the_parameters_dtype(self, dtype):
+        net = ConditionedUNet(10, 20, num_actions=4, seed=0)
+        net.params.cast(dtype)
+        assert net.zero_constraint(3).data.dtype == dtype
+        assert not net.zero_constraint(3).data.any()
+        z = np.random.default_rng(0).normal(size=(3, 2, LATENT_DIM))
+        assert net.fuse_batch(z, z).data.dtype == dtype
