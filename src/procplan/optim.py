@@ -21,10 +21,12 @@ class ParamStore:
     """Ordered map from dotted names to trainable tensors.
 
     Also owns the optimizer state (first/second moments plus a step
-    counter) so a model and its training state travel together.  Gradient
-    accumulation is explicit: ``zero_grads`` must be called between steps,
-    otherwise backward passes keep adding up.  Parameters and moments are
-    float64 until ``cast`` gives the store another ``dtype``.
+    counter) so a model and its training state travel together.  The
+    moments appear at the first ``adamw_step``, so a loaded, frozen or
+    not-yet-stepped store holds only its weights.  Gradient accumulation
+    is explicit: ``zero_grads`` must be called between steps, otherwise
+    backward passes keep adding up.  Parameters and moments are float64
+    until ``cast`` gives the store another ``dtype``.
     """
 
     def __init__(self) -> None:
@@ -41,8 +43,6 @@ class ParamStore:
         t = data if isinstance(data, Tensor) else Tensor(data, dtype=self.dtype)
         t.requires_grad = True
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -52,13 +52,14 @@ class ParamStore:
         return self._params.items()
 
     def cast(self, dtype) -> None:
-        """Move every parameter and both moments to ``dtype``, rounding
-        each value once; the gradients are dropped."""
+        """Move every parameter, and the moments that exist, to ``dtype``,
+        rounding each value once; the gradients are dropped."""
         self.dtype = np.dtype(dtype)
-        for name, t in self._params.items():
+        for t in self._params.values():
             t.data, t.grad = t.data.astype(self.dtype), None
-            self._m[name] = self._m[name].astype(self.dtype)
-            self._v[name] = self._v[name].astype(self.dtype)
+        for moments in (self._m, self._v):
+            for name, a in moments.items():
+                moments[name] = a.astype(self.dtype)
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -110,6 +111,7 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.0) -> None:
     All gradients must be populated; they are left untouched so the caller
     controls zeroing.  ``lr`` may be zero (the update becomes a no-op on
     the parameter values while moments and the step counter still advance).
+    The first step creates each parameter's zero moments in its dtype.
     The update runs in the store's dtype.  A second moment or a parameter
     that goes non-finite raises ``NumericError`` naming ``adamw_step``: in
     float32 a gradient past about 5.8e20 overflows (1 - beta2) g^2, which
@@ -130,8 +132,9 @@ def adamw_step(store: ParamStore, lr: float, weight_decay: float = 0.0) -> None:
     bias2 = 1.0 - b2**t
     for name, p in store.items():
         g = p.grad
-        m = store._m[name]
-        v = store._v[name]
+        if name not in store._m:
+            store._m[name], store._v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = store._m[name], store._v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

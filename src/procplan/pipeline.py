@@ -193,9 +193,9 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 
     The diffusion stage refuses to run without a vae checkpoint and
     verifies that the frozen autoencoder is bit-identical afterwards.  It
-    trains the denoiser in float32: its parameters and AdamW moments are
-    cast once, before the first step, and the float64 checkpoint holds
-    their exact values.  Every other stage, and everything around the
+    trains the denoiser in float32: its parameters are cast once, before
+    the first step, which makes the AdamW moments in float32, and the
+    float64 checkpoint holds the parameters' exact values.  Every other stage, and everything around the
     denoiser, stays float64.  A non-finite value raises ``NumericError``
     naming the stage, step and op; numpy's floating-point warnings are off
     during the steps, since the op's own check reports the value.

@@ -345,7 +345,9 @@ def gelu(a: Tensor) -> Tensor:
         np.subtract(1.0, slope, out=slope)
         tail = np.multiply(x, 0.5, out=np.empty_like(x))
         tail *= slope
-        tail *= d_inner
+        # Where x * 3K * x overflows, tanh has saturated and the slope is 0:
+        # skip 0 * inf there, so a finite forward keeps a finite gradient.
+        np.multiply(tail, d_inner, out=tail, where=slope != 0)
         np.add(t, 1.0, out=slope)
         slope *= 0.5
         slope += tail

@@ -22,6 +22,9 @@ from .tensor import Tensor, clip, exp, matmul, mul, relu
 LATENT_DIM = 2
 HIDDEN_DIM = 512
 LOGVAR_CLAMP = 10.0
+# States per encoder pass in ``encode_constraints_batch``: a pass's two live
+# [rows, HIDDEN_DIM] float64 hidden arrays are 1 MB each, whatever the split.
+ENCODE_CHUNK_ROWS = 256
 
 
 class PhaseError(RuntimeError):
@@ -94,8 +97,9 @@ class StateAutoencoder:
 
     def encode_constraints_batch(self, samples: Samples) -> tuple[np.ndarray, np.ndarray]:
         """(mu, logvar) of every sample's (start, goal) ``states()``, each
-        [B, 2, LATENT_DIM] with index 0 the start and 1 the goal, from one
-        encoder pass.
+        [B, 2, LATENT_DIM] with index 0 the start and 1 the goal, encoded
+        ``ENCODE_CHUNK_ROWS`` states at a time, so the peak memory does not
+        grow with the split.
 
         Only valid once the model is frozen (phase two).  The codes agree
         across batchings only to rounding: BLAS may sum a row differently
@@ -106,6 +110,9 @@ class StateAutoencoder:
                 "encode_constraints_batch: autoencoder must be frozen before it can "
                 "serve as the constraint provider"
             )
-        mu, logvar = self.encode(samples.states().reshape(2 * len(samples), self.input_dim))
+        states = samples.states().reshape(2 * len(samples), self.input_dim)
+        chunks = np.split(states, range(ENCODE_CHUNK_ROWS, len(states), ENCODE_CHUNK_ROWS))
+        mus, logvars = zip(*(self.encode(chunk) for chunk in chunks))
         shape = (len(samples), 2, LATENT_DIM)
-        return mu.data.reshape(shape), logvar.data.reshape(shape)
+        return (np.concatenate([mu.data for mu in mus]).reshape(shape),
+                np.concatenate([logvar.data for logvar in logvars]).reshape(shape))

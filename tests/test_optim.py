@@ -41,6 +41,13 @@ class TestParamStore:
         with pytest.raises(ValueError, match="'w' holds non-finite values"):
             store.load_state({"w": np.array([0.0, np.nan])})
 
+    def test_fresh_frozen_and_cast_stores_hold_no_moments(self):
+        store = _store_with()
+        assert store._m == {} and store._v == {}
+        store.cast(np.float32)
+        store.freeze()
+        assert store._m == {} and store._v == {}
+
     def test_freeze_blocks_updates(self):
         store = _store_with()
         store.freeze()
@@ -126,6 +133,32 @@ class TestAdamW:
             return store.checksum()
 
         assert run() == run()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_moments_made_at_the_first_step_match_preset_zeros(self, dtype):
+        rng = np.random.default_rng(31)
+        init = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}
+        stores = []
+        for preset in (False, True):
+            store = ParamStore()
+            for name, value in init.items():
+                store.add(name, value)
+            store.cast(dtype)
+            if preset:
+                for name, t in store.items():
+                    store._m[name], store._v[name] = np.zeros_like(t.data), np.zeros_like(t.data)
+            stores.append(store)
+        for _ in range(12):
+            grads = {name: rng.normal(size=a.shape).astype(dtype) for name, a in init.items()}
+            for store in stores:
+                for name, t in store.items():
+                    t.grad = grads[name]
+                adamw_step(store, lr=3e-2, weight_decay=1e-2)
+        lazy, preset = stores
+        assert lazy.checksum() == preset.checksum()
+        for name in init:
+            for a, b in ((lazy._m[name], preset._m[name]), (lazy._v[name], preset._v[name])):
+                assert a.dtype == dtype and a.tobytes() == b.tobytes(), name
 
     def test_grads_left_untouched(self):
         store = _store_with()

@@ -261,6 +261,8 @@ class TestTrainedPipeline:
             model = load_stage(stage, cfg, workdir)
             assert model.params.frozen, stage
             assert not any(t.requires_grad for _, t in model.params.items()), stage
+            # A model that never steps holds only its weights, no AdamW moments.
+            assert model.params._m == {} and model.params._v == {}, stage
 
     def test_horizon_mismatch_detected(self, trained_workdir):
         workdir, cfg, _ = trained_workdir
@@ -529,10 +531,11 @@ class TestFloat32Diffusion:
         dtypes = {}
 
         def spy(store, lr, weight_decay=0.0):
+            # The moments appear at the first step, so they are read after it.
+            adamw_step(store, lr, weight_decay)
             for name, p in store.items():
                 dtypes.setdefault(name, set()).update(
                     {p.data.dtype, p.grad.dtype, store._m[name].dtype, store._v[name].dtype})
-            adamw_step(store, lr, weight_decay)
 
         for module in (pipeline, classifier):
             monkeypatch.setattr(module, "adamw_step", spy)

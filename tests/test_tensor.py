@@ -423,6 +423,61 @@ class TestKernels:
         assert np.array_equal(blocks, joined)
 
 
+def _gelu_grad_before_overflow_fix(x, g):
+    """``gelu``'s backward as it was written before the overflow fix, op
+    for op: finite wherever x * 3K * x is, and NaN past that."""
+    t = T.gelu_tanh(x)
+    d_inner = x * (3.0 * T.GELU_K)
+    d_inner *= x
+    d_inner += 1.0
+    d_inner *= T.GELU_C
+    slope = 1.0 - t * t
+    tail = x * 0.5
+    tail *= slope
+    tail *= d_inner
+    out = (t + 1.0) * 0.5
+    out += tail
+    out *= g
+    return out
+
+
+def _gelu_grad(x, g):
+    leaf = Tensor(x, requires_grad=True, dtype=x.dtype)
+    T.sum(T.mul(T.gelu(leaf), Tensor(g, dtype=x.dtype))).backward()
+    return leaf.grad
+
+
+class TestGeluBackward:
+    """gelu's gradient is finite wherever its forward is, and keeps its bits
+    wherever it was finite before."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_wherever_the_old_gradient_is_finite(self, dtype):
+        rng = np.random.default_rng(13)
+        grid = np.linspace(-10.0, 10.0, 20_001)
+        acts = rng.normal(scale=3.0, size=50_000)  # pre-activations of a training step
+        huge = np.geomspace(1e3, np.finfo(dtype).max / 2, 200)  # past the overflow too
+        x = np.concatenate([grid, acts, huge, -huge]).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = _gelu_grad_before_overflow_fix(x, g)
+            new = _gelu_grad(x, g)
+        finite = np.isfinite(old)
+        assert new.dtype == dtype and finite[:-400].all() and not finite.all()
+        assert np.array_equal(new[finite], old[finite])
+        assert np.isfinite(new).all()
+
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e155)])
+    @pytest.mark.parametrize("sign, out, grad", [(1.0, 1.0, 1.0), (-1.0, 0.0, 0.0)])
+    def test_saturated_input_has_a_finite_gradient(self, dtype, big, sign, out, grad):
+        x = np.array([sign * big], dtype=dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_gelu_grad_before_overflow_fix(x, np.ones_like(x))).all()
+            y = T.gelu(Tensor(x, dtype=dtype)).data
+            assert y[0] == (x[0] if out else 0.0)
+            assert _gelu_grad(x, np.ones_like(x)).tolist() == [grad]
+
+
 GRAD_OWNERSHIP_CASES = {
     "add_equal_shapes": lambda x, w: T.sum(T.add(x, w)),
     "add_self": lambda x, w: T.sum(T.mul(T.add(x, x), w)),

@@ -1,5 +1,7 @@
 """State autoencoder: encoding, reparameterization, training, constraints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from procplan.curation import curate_corpus, normalize_splits, split
 from procplan.diffusion import reparameterize
 from procplan.tensor import _sigmoid_array
 from procplan.vae import (
+    ENCODE_CHUNK_ROWS,
     LATENT_DIM,
     PhaseError,
     StateAutoencoder,
@@ -207,6 +210,38 @@ class TestEncodeConstraints:
             mu, logvar = model.encode_constraints_batch(train.take(slice(lo, hi)))
             np.testing.assert_allclose(mu, whole_mu[lo:hi], rtol=1e-12)
             np.testing.assert_allclose(logvar, whole_logvar[lo:hi], rtol=1e-12)
+
+    def test_chunks_are_encode_calls_bit_for_bit(self, trained_setup):
+        model, train, _ = trained_setup
+        samples = train.take(np.resize(np.arange(len(train)), 300))  # 600 states, 3 chunks
+        mu, logvar = model.encode_constraints_batch(samples)
+        states = samples.states().reshape(-1, INPUT_DIM)
+        chunks = [model.encode(states[lo:lo + ENCODE_CHUNK_ROWS])
+                  for lo in range(0, len(states), ENCODE_CHUNK_ROWS)]
+        shape = (300, 2, LATENT_DIM)
+        assert np.array_equal(mu, np.concatenate([c[0].data for c in chunks]).reshape(shape))
+        assert np.array_equal(logvar, np.concatenate([c[1].data for c in chunks]).reshape(shape))
+        one_mu, one_logvar = model.encode(states)
+        assert np.abs(mu - one_mu.data.reshape(shape)).max() <= 1e-12
+        assert np.abs(logvar - one_logvar.data.reshape(shape)).max() <= 1e-12
+
+    def test_encoding_a_large_split_keeps_a_flat_peak(self, trained_setup):
+        # One pass over 4,000 states would hold two [4000, 512] float64
+        # hidden arrays, 16 MB each; 256-row chunks hold two of 1 MB.
+        model, train, _ = trained_setup
+        samples = train.take(np.resize(np.arange(len(train)), 2000))
+        tracemalloc.start()
+        try:
+            model.encode_constraints_batch(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+    def test_empty_split_gets_empty_codes(self, trained_setup):
+        model, train, _ = trained_setup
+        mu, logvar = model.encode_constraints_batch(train.take(slice(0, 0)))
+        assert mu.shape == logvar.shape == (0, 2, LATENT_DIM)
 
     def test_distinct_tasks_get_distinct_code_pairs(self, trained_setup):
         model, train, _ = trained_setup
