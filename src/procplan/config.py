@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 # Horizons whose corpus windows ``generate_corpus`` checks identify the task.
 SUPPORTED_HORIZONS = range(3, 7)
+# Lengths of the task chains ``generate_corpus`` draws over distinct actions.
+CHAIN_LENGTH_RANGE = (6, 10)
 
 
 class ConfigError(Exception):
@@ -119,10 +121,12 @@ class RunConfig:
         data, sched = self.data, self.schedule
         horizons = f"{SUPPORTED_HORIZONS[0]}..{SUPPORTED_HORIZONS[-1]}"
         counts = ("epochs", "steps_per_epoch", "batch_size", "decay_every")
+        min_actions = max(CHAIN_LENGTH_RANGE[0], data.num_tasks)  # one start action per task
         rules = (
             ("horizon", self.horizon in SUPPORTED_HORIZONS, f"lie in {horizons}"),
             ("data.num_tasks", data.num_tasks >= 1, "be positive"),
-            ("data.num_actions", data.num_actions >= 2, "be >= 2"),
+            ("data.num_actions", data.num_actions >= min_actions,
+             f"be >= max({CHAIN_LENGTH_RANGE[0]}, data.num_tasks) = {min_actions}"),
             ("data.obs_dim", data.obs_dim >= 1, "be positive"),
             ("data.text_dim", data.text_dim >= 1, "be positive"),
             ("data.videos_per_task", data.videos_per_task >= 1, "be positive"),

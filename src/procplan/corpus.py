@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import SUPPORTED_HORIZONS, DataParams
+from .config import CHAIN_LENGTH_RANGE, SUPPORTED_HORIZONS, DataParams
 
 LEAD_IN_SECONDS = 2.0
 STEP_SECONDS = 6.0
-CHAIN_LENGTH_RANGE = (6, 10)
 _MAX_CHAIN_ATTEMPTS = 500
 
 

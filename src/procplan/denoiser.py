@@ -204,12 +204,12 @@ class ConditionedUNet:
         embedded once (``timestep_embedding``); ``z_c`` is the [B, C]
         constraint batch (use ``zero_constraint`` to disable).  A forward
         that records a graph (training) runs the engine (``_forward_rows``)
-        in the parameters' dtype, float32 once the diffusion stage has cast
-        them.  One that records no graph (a frozen network on
-        plain inputs, as in sampling) runs the sampler ``item_workers``
-        opened for this shape, or else a one-off sampler without a helper
-        (``_Sampler``): float32 chunks of whole items, returned as float64,
-        whose bytes do not depend on whether a helper shares them.
+        in the parameters' dtype.  One that records no graph (a frozen
+        network on plain inputs, as in sampling) runs the sampler
+        ``item_workers`` opened for this shape, or else a one-off sampler
+        without a helper (``_Sampler``): chunks of whole items in the
+        parameters' dtype, returned as float64, whose bytes do not depend on
+        whether a helper shares them.
         """
         if x.ndim != 3 or x.shape[-1] != self.feature_dim:
             raise ValueError(
@@ -237,9 +237,10 @@ class ConditionedUNet:
         sampler (``_Sampler``), opened on entry and closed, with any helper
         reaped, when the block ends by return or by exception.
 
-        The sampler casts the float32 weights once for the whole block, so a
-        parameter written in place inside it is not seen until the next
-        block.  A network that is not frozen opens none.
+        Each forward reads the frozen store as it is, so a parameter
+        written in place inside the block is seen by this process's next
+        forward; a forked helper keeps the parameters it forked with.  A
+        network that is not frozen opens none.
         """
         if not self.params.frozen:
             yield
@@ -268,20 +269,6 @@ class ConditionedUNet:
         return conv1d_same(concat([d1, h1], axis=-1), w("out.w"), w("out.b"))
 
 
-def _float32_weights(params: ParamStore) -> dict[str, np.ndarray]:
-    """float32 copies of the denoiser's parameters by short name, each conv
-    kernel flattened to its [K * C_in, C_out] gemm operand.  The diffusion
-    stage trains in float32, so the cast of its checkpoint is exact; a
-    value beyond float32's range, which only an edited checkpoint holds,
-    becomes infinite, which the output check of ``_Sampler._run`` catches."""
-    with np.errstate(over="ignore"):
-        return {
-            name.removeprefix("denoiser."): t.data.reshape(-1, t.shape[-1]).astype(np.float32)
-            if t.ndim == 3 else t.data.astype(np.float32)
-            for name, t in params.items()
-        }
-
-
 def _gelu_(x: np.ndarray) -> np.ndarray:
     """Tanh-form GELU of ``x`` in place, returned: ``tensor.gelu``'s
     arithmetic on its tanh term (``gelu_tanh``)."""
@@ -293,44 +280,47 @@ def _gelu_(x: np.ndarray) -> np.ndarray:
 
 
 def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
-                 w: dict[str, np.ndarray]) -> np.ndarray:
-    """The network body over one chunk of a graph-free forward, in float32
-    plain numpy, with no graph and no workspace kept past the call.
+                 params: ParamStore) -> np.ndarray:
+    """The network body over one chunk of a graph-free forward, in plain
+    numpy in the dtype of the frozen store ``params``, keeping nothing.
 
-    ``x`` is the chunk's [n, T, D] float64 state, ``z_c`` its [n, C]
-    constraints and ``emb`` its [n, E] timestep features, or one row that
-    every item shares; ``w`` holds the float32 weights
-    (``_float32_weights``).  It is ``_forward_rows`` line for line, through
-    the engine's own kernels (``im2col``, ``conv_step``, ``gelu_tanh``,
-    ``standardize``) on float32 arrays, except that a shared ``emb`` row
-    runs the time MLP once, gelu and the layer norm's affine map run in
-    place, and ``mid|h2`` and ``d1|h1`` go straight into the im2col
-    buffers of dec1 and out, with no separate concatenation.  Only the
-    layer-norm variance is checked, since an overflowed variance gives a
-    finite output; the caller checks the output.  Returns the
-    [n, T, num_actions] float32 output.
+    ``x`` is the chunk's [n, T, D] state, ``z_c`` its [n, C] constraints
+    and ``emb`` its [n, E] timestep features, or one row all items share,
+    each cast to that dtype.  It is ``_forward_rows`` line for line, with
+    the engine's kernels (``im2col``, ``conv_step``, ``gelu_tanh``,
+    ``standardize``), and gives its bytes, but runs gelu and the layer
+    norm's affine map in place, reads each conv kernel as its
+    [K * C_in, C_out] view, and builds the im2col buffers of dec1 and out
+    straight from ``mid|h2`` and ``d1|h1``.  Only the layer-norm variance
+    is checked, since an overflowed one gives a finite output; the caller
+    checks the [n, T, num_actions] output.
     """
     n, t_len, _ = x.shape
+    dtype = params.dtype
     spans = tap_spans(KERNEL, t_len)
 
+    def w(name: str) -> np.ndarray:
+        return params["denoiser." + name].data
+
     def linear(v: np.ndarray, name: str) -> np.ndarray:
-        out = v @ w[name + ".w"]
-        out += w[name + ".b"]
+        out = v @ w(name + ".w")
+        out += w(name + ".b")
         return out
 
     def conv(blocks: list[np.ndarray], name: str) -> np.ndarray:
-        cols = im2col(blocks, spans, np.float32)  # enc1 casts the float64 state
-        return conv_step(cols, w[name + ".w"], w[name + ".b"]).reshape(n, t_len, -1)
+        cols = im2col(blocks, spans, dtype)  # [n, T, K, C_in]; enc1 casts the state
+        kernel = w(name + ".w").reshape(KERNEL * cols.shape[-1], -1)
+        return conv_step(cols, kernel, w(name + ".b")).reshape(n, t_len, -1)
 
-    t_h = _gelu_(linear(emb.astype(np.float32), "time1"))
+    t_h = _gelu_(linear(emb.astype(dtype), "time1"))
     t_emb = linear(t_h, "time2")
     h1 = _gelu_(conv([x], "enc1"))
     h2 = _gelu_(conv([h1], "enc2"))
-    cond = t_emb + z_c.astype(np.float32)
+    cond = t_emb + z_c.astype(dtype)
     mid_in = h2 + cond[:, None, :]
     standardize(mid_in, 1e-5, out=mid_in)
-    mid_in *= w["bottleneck.ln_gain"]
-    mid_in += w["bottleneck.ln_bias"]
+    mid_in *= w("bottleneck.ln_gain")
+    mid_in += w("bottleneck.ln_bias")
     mid = _gelu_(conv([mid_in], "bottleneck"))
     d1 = _gelu_(conv([mid, h2], "dec1"))
     return conv([d1, h1], "out")
@@ -338,8 +328,8 @@ def sample_chunk(x: np.ndarray, emb: np.ndarray, z_c: np.ndarray,
 
 class _Sampler:
     """The graph-free forwards of one [items, t_len, D] batch shape: the
-    float32 weights (``_float32_weights``), cast once, and the chunk layout
-    (``chunk_bounds``), whose first half this process computes.
+    chunk layout (``chunk_bounds``), whose first half this process
+    computes, each chunk through ``sample_chunk`` on the network's store.
 
     With ``fork``, two or more chunks and ``can_fork()``, one forked helper
     computes the second half; per forward this process copies the batch to
@@ -353,7 +343,6 @@ class _Sampler:
 
     def __init__(self, net: ConditionedUNet, items: int, t_len: int, fork: bool = False):
         self.net, self.shape = net, (items, t_len, net.feature_dim)
-        self.weights = _float32_weights(net.params)
         bounds = chunk_bounds(items, t_len)
         chunks = list(zip(bounds, bounds[1:]))
         self.own, self.share = chunks[:len(chunks) // 2], chunks[len(chunks) // 2:]
@@ -429,23 +418,24 @@ class _Sampler:
              spans: list[tuple[int, int]]) -> None:
         """``sample_chunk`` over items [lo, hi) for each (lo, hi) in
         ``spans``, into ``out[lo:hi]`` as float64; the time MLP runs on one
-        row when every item shares its step.  A chunk whose output or
-        layer-norm variance is not finite reruns through the float64 engine
-        (``_forward_rows``), whose first non-finite op raises
-        ``NumericError`` naming itself; if that run is finite, the error
-        names "float32", as only the cast went beyond range.
+        row when every item shares its step.  A chunk that fails a check
+        reruns through the engine (``_forward_rows``) on the same inputs in
+        the store's dtype, whose first non-finite op names itself in the
+        ``NumericError``; an input beyond that dtype (a state entry of 1e39
+        in float32) is not rerun, and the error names the dtype.
         """
+        dtype = self.net.params.dtype
         one_row = bool((emb == emb[0]).all())
         with np.errstate(all="ignore"):  # non-finite values raise NumericError
             for lo, hi in spans:
+                rows = (x[lo:hi], emb[:1] if one_row else emb[lo:hi], z_c[lo:hi])
                 try:
-                    y = sample_chunk(x[lo:hi], emb[:1] if one_row else emb[lo:hi],
-                                     z_c[lo:hi], self.weights)
-                    check_finite("float32", y)
+                    y = sample_chunk(*rows, self.net.params)
+                    check_finite("sample_chunk", y)
                 except NumericError:
-                    self.net._forward_rows(Tensor(x[lo:hi]), Tensor(emb[lo:hi]),
-                                           Tensor(z_c[lo:hi]))
-                    raise NumericError("float32: produced non-finite values") from None
+                    if all(np.isfinite(a.astype(dtype)).all() for a in rows):  # inputs fit dtype
+                        self.net._forward_rows(*(Tensor(a, dtype=dtype) for a in rows))
+                    raise NumericError(f"{dtype}: produced non-finite values") from None
                 self.out[lo:hi] = y
 
     def close(self) -> None:

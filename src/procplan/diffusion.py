@@ -206,10 +206,10 @@ def generate_plans(
 
     Each reverse step is one ``denoiser.forward`` over all B items at
     step n, predicting the clean action blocks, and updates only the
-    action block; a frozen network runs it through its float32 body, with
-    the time MLP on one row since every item shares n.  The reverse loop runs
-    inside ``denoiser.item_workers``, whose one sampler casts the float32
-    weights once for the whole chain; with BLAS pinned to one thread on a
+    action block; a frozen network runs it through its graph-free body in
+    its own dtype, with the time MLP on one row since every item shares n.
+    The reverse loop runs inside ``denoiser.item_workers``, whose one
+    sampler serves the whole chain; with BLAS pinned to one thread on a
     multi-core Linux machine, that sampler's forked helper computes half of
     each step's item chunks, with the same bytes as this process would, and
     is reaped when the loop returns or raises.  The sampler state stays

@@ -25,8 +25,8 @@ class ParamStore:
     moments appear at the first ``adamw_step``, so a loaded, frozen or
     not-yet-stepped store holds only its weights.  Gradient accumulation
     is explicit: ``zero_grads`` must be called between steps, otherwise
-    backward passes keep adding up.  Parameters and moments are float64
-    until ``cast`` gives the store another ``dtype``.
+    backward passes keep adding up.  Parameters are float64 until ``cast``,
+    before the first step, gives the store another ``dtype``.
     """
 
     def __init__(self) -> None:
@@ -52,14 +52,13 @@ class ParamStore:
         return self._params.items()
 
     def cast(self, dtype) -> None:
-        """Move every parameter, and the moments that exist, to ``dtype``,
-        rounding each value once; the gradients are dropped."""
+        """Move every parameter to ``dtype``, rounding each value once, and
+        drop the gradients; a store that has stepped raises ``ValueError``."""
+        if self._m:
+            raise ValueError("cast: the store has stepped; cast it before its first step")
         self.dtype = np.dtype(dtype)
         for t in self._params.values():
             t.data, t.grad = t.data.astype(self.dtype), None
-        for moments in (self._m, self._v):
-            for name, a in moments.items():
-                moments[name] = a.astype(self.dtype)
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -84,6 +83,8 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every parameter from ``arrays`` in the store's dtype; a name or
+        shape mismatch, or a value not finite there, raises ``ValueError``."""
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
         if missing or extra:
@@ -91,14 +92,18 @@ class ParamStore:
                 f"parameter name mismatch, missing={missing} unexpected={extra}"
             )
         for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != t.data.shape:
+            src = np.asarray(arrays[name])
+            if src.shape != t.data.shape:
                 raise ValueError(
-                    f"parameter {name!r} has shape {t.data.shape}, checkpoint has {arr.shape}"
+                    f"parameter {name!r} has shape {t.data.shape}, checkpoint has {src.shape}"
                 )
-            if not np.isfinite(arr).all():
+            if not np.isfinite(src).all():
                 raise ValueError(f"parameter {name!r} holds non-finite values")
-            t.data = arr.copy()
+            with np.errstate(over="ignore"):  # a value beyond the dtype becomes inf
+                arr = src.astype(self.dtype)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name!r} holds values beyond {self.dtype}")
+            t.data = arr
 
 
 ADAM_BETAS = (0.9, 0.999)

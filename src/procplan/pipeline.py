@@ -169,15 +169,17 @@ def _ckpt_path(workdir: str, stage: str, tag: str = "") -> str:
 
 
 def _stage_model(stage: str, config: RunConfig, seed: int) -> StageModel:
-    """A fresh model for ``stage``."""
+    """A fresh model for ``stage``; the denoiser's dtype is set here, float32."""
     data = config.data
     if stage == "vae":
         return StateAutoencoder(input_dim=data.obs_dim + data.text_dim, seed=seed)
     if stage == "classifier":
         return TaskClassifier(obs_dim=data.obs_dim, num_tasks=data.num_tasks, seed=seed)
     if stage == "diffusion":
-        return ConditionedUNet(_layout(config).feature_dim, config.schedule.steps,
-                               num_actions=data.num_actions, seed=seed)
+        net = ConditionedUNet(_layout(config).feature_dim, config.schedule.steps,
+                              num_actions=data.num_actions, seed=seed)
+        net.params.cast(np.float32)
+        return net
     raise PipelineError(f"unknown stage {stage!r}, expected one of {STAGES}")
 
 
@@ -192,13 +194,12 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
     """Train one stage; writes its checkpoint and loss curve.
 
     The diffusion stage refuses to run without a vae checkpoint and
-    verifies that the frozen autoencoder is bit-identical afterwards.  It
-    trains the denoiser in float32: its parameters are cast once, before
-    the first step, which makes the AdamW moments in float32, and the
-    float64 checkpoint holds the parameters' exact values.  Every other stage, and everything around the
-    denoiser, stays float64.  A non-finite value raises ``NumericError``
-    naming the stage, step and op; numpy's floating-point warnings are off
-    during the steps, since the op's own check reports the value.
+    verifies that the frozen autoencoder is bit-identical afterwards.  The
+    denoiser and its AdamW moments are float32 (``_stage_model``), and the
+    float64 checkpoint holds the exact values.  Everything else stays
+    float64.  A non-finite value raises ``NumericError`` naming the stage,
+    step and op; numpy's floating-point warnings are off during the steps,
+    since the op's own check reports the value.
     """
     config.validate()
     model = _stage_model(stage, config, stage_seed(config.seed, f"init.{stage}"))
@@ -230,7 +231,6 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
             return [model.train_step(o_s, o_g, task, lr=lr, weight_decay=params.weight_decay)]
 
     else:
-        model.params.cast(np.float32)
         vae = load_stage("vae", config, workdir)
         frozen_checksum = vae.params.checksum()
         layout = _layout(config)
@@ -294,7 +294,8 @@ def train_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> d
 def load_stage(stage: str, config: RunConfig, workdir: str, tag: str = "") -> StageModel:
     """Load a trained stage's model, frozen, checking its checkpoint's
     provenance record against ``config`` (see ``check_provenance``) and
-    its parameter names and shapes against the model's."""
+    its parameter names, shapes and values against the model's, which has
+    ``_stage_model``'s dtype: float32 for the denoiser."""
     model = _stage_model(stage, config, seed=0)
     path = _ckpt_path(workdir, stage, tag)
     if not os.path.exists(path):

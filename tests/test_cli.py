@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import procplan
-from procplan import BLAS_THREAD_VARS
+from procplan import BLAS_THREAD_VARS, corpus
 from procplan.checkpoint import load_checkpoint, save_checkpoint
 from procplan.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_PREREQ, main
 from tests.conftest import plant_denoiser_weight
@@ -35,7 +35,9 @@ BAD_SETTINGS = [
     ("horizon=9", "horizon must lie in 3..6, got 9"),
     ("horizon=2", "horizon must lie in 3..6, got 2"),
     ("data.num_tasks=0", "data.num_tasks must be positive, got 0"),
-    ("data.num_actions=1", "data.num_actions must be >= 2, got 1"),
+    ("data.num_actions=1", "data.num_actions must be >= max(6, data.num_tasks) = 6, got 1"),
+    ("data.num_actions=4", "data.num_actions must be >= max(6, data.num_tasks) = 6, got 4"),
+    ("data.num_tasks=13", "data.num_actions must be >= max(6, data.num_tasks) = 13, got 12"),
     ("data.obs_dim=0", "data.obs_dim must be positive, got 0"),
     ("data.text_dim=0", "data.text_dim must be positive, got 0"),
     ("data.videos_per_task=0", "data.videos_per_task must be positive, got 0"),
@@ -158,9 +160,9 @@ class TestTrainEvalFlow:
         assert str(path) in err and "'denoiser.enc2.w' holds non-finite values" in err, err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_weight_beyond_float32_exits_numeric_naming_sampling_step(self, tmp_path, capsys):
-        # 1e39 is a finite float64, so the checkpoint loads; its float32
-        # copy is infinite, so sampling fails at its first step.
+    def test_weight_beyond_float32_exits_format_naming_file_and_parameter(self, tmp_path, capsys):
+        # 1e39 is a finite float64 in the file, but the denoiser loads as
+        # float32, which cannot hold it.
         assert _gen(tmp_path) == 0
         assert main(["train", "--stage", "all", "--workdir", str(tmp_path), *TINY_ARGS]) == 0
         path = tmp_path / "diffusion.ckpt"
@@ -168,9 +170,9 @@ class TestTrainEvalFlow:
         arrays["denoiser.enc2.w"].flat[0] = 1e39
         save_checkpoint(str(path), arrays)
         capsys.readouterr()
-        assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_NUMERIC
+        assert main(["eval", "--workdir", str(tmp_path), *TINY_ARGS]) == EXIT_FORMAT
         err = capsys.readouterr().err
-        assert re.search(r"numeric: sampling step \d+: \w+: produced non-finite", err), err
+        assert str(path) in err and "'denoiser.enc2.w' holds values beyond float32" in err, err
 
     @pytest.mark.parametrize("split,command,value", [
         ("test", ["eval"], np.nan),
@@ -349,13 +351,13 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not workdir.exists()
 
-    def test_infeasible_corpus_exits_format(self, tmp_path, capsys):
-        code = main(
-            ["gen-data", "--workdir", str(tmp_path), "--set", "data.num_tasks=10",
-             "--set", "data.num_actions=9"]
-        )
+    def test_infeasible_corpus_exits_format(self, tmp_path, capsys, monkeypatch):
+        # Enough actions for the chains, but no draw identifies every task:
+        # a search result, not a config range.
+        monkeypatch.setattr(corpus, "_chains_identifiable", lambda chains: False)
+        code = main(["gen-data", "--workdir", str(tmp_path)])
         assert code == EXIT_FORMAT
-        assert "disjoint-start" in capsys.readouterr().err
+        assert "could not build 5 identifiable chains" in capsys.readouterr().err
 
     def test_split_with_an_empty_side_exits_format(self, tmp_path, capsys):
         workdir = tmp_path / "work"

@@ -223,22 +223,24 @@ class TestForward:
             net.forward(Tensor(x[lo:hi]), steps[lo:hi], Tensor(z_c[lo:hi])).data
             for lo, hi in ((0, cut), (cut, items))
         ]
-        # Chunks run in float32, where a row's sums depend on the batching
-        # to about 3e-7 relative.
+        # A row's sums may depend on the batching by a rounding.
         assert np.allclose(whole, np.concatenate(parts), rtol=0.0, atol=1e-5 * np.abs(whole).max())
 
     def test_graph_free_forward_is_float32_close_to_graph_forward(self, net):
-        # One frozen network and one batch: with ``x`` requiring grad the
-        # forward records a graph in float64; on plain inputs it runs the
-        # float32 body (``sample_chunk``) and returns float64.
+        # The same weights and batch: with ``x`` requiring grad a float64
+        # network records a graph in float64; on plain inputs a float32
+        # network runs its body (``sample_chunk``) and returns float64.
         net.params.freeze()
+        net32 = ConditionedUNet(FEATURE_DIM, TIME_STEPS, num_actions=NUM_ACTIONS, seed=0)
+        net32.params.cast(np.float32)
+        net32.params.freeze()
         rng = np.random.default_rng(12)
         for t_len, items in ((3, 1), (3, 9), (6, 1), (6, 9)):
             x = rng.normal(size=(items, t_len, FEATURE_DIM))
             steps = rng.integers(1, TIME_STEPS + 1, size=items).tolist()
-            z_c = net.fuse_batch(*_code(rng, batch=items))
-            graph = net.forward(Tensor(x, requires_grad=True), steps, z_c)
-            free = net.forward(Tensor(x), steps, z_c)
+            code = _code(rng, batch=items)
+            graph = net.forward(Tensor(x, requires_grad=True), steps, net.fuse_batch(*code))
+            free = net32.forward(Tensor(x), steps, net32.fuse_batch(*code))
             assert graph.requires_grad and graph.data.dtype == np.float64
             assert not free.requires_grad and free.data.dtype == np.float64
             scale = np.abs(graph.data).max()
@@ -249,14 +251,14 @@ class TestForward:
     def test_one_row_time_mlp_matches_per_row(self, net, t_len, items):
         # Every item at one step: the time MLP runs on one shared row, which
         # agrees with running it on each item's copy of that row.
+        net.params.cast(np.float32)
         net.params.freeze()
         rng = np.random.default_rng(13)
         x = rng.normal(size=(items, t_len, FEATURE_DIM))
         z_c = net.fuse_batch(*_code(rng, batch=items)).data
         emb = np.stack([timestep_embedding(17, TIME_STEPS)] * items)
-        weights = denoiser._float32_weights(net.params)
-        shared = denoiser.sample_chunk(x, emb[:1], z_c, weights)
-        per_row = denoiser.sample_chunk(x, emb, z_c, weights)
+        shared = denoiser.sample_chunk(x, emb[:1], z_c, net.params)
+        per_row = denoiser.sample_chunk(x, emb, z_c, net.params)
         assert shared.shape == per_row.shape == (items, t_len, NUM_ACTIONS)
         assert np.allclose(shared, per_row, rtol=0.0, atol=1e-5 * np.abs(per_row).max())
 
@@ -265,8 +267,8 @@ class TestForward:
         ("bottleneck.ln_gain", "layer_norm"), ("out.b", "conv1d_same"),
     ])
     def test_non_finite_weight_names_first_op(self, net, name, op):
-        # The float32 body checks only its layer-norm variance and output;
-        # a failing chunk runs again through the float64 engine, whose
+        # The graph-free body checks only its layer-norm variance and
+        # output; a failing chunk runs again through the engine, whose
         # first non-finite op names itself.
         net.params["denoiser." + name].data.flat[0] = np.nan
         net.params.freeze()
@@ -279,33 +281,39 @@ class TestForward:
         # h2 alternates 1e30 and 0 over its channels (gelu zeroes -1e30), so
         # the centred squares overflow float32 and the variance is inf; the
         # layer norm's output would be its (finite) bias.
+        net.params.cast(np.float32)
+        net.params["denoiser.enc2.b"].data[:] = np.resize([1e30, -1e30], BOTTLENECK_CHANNELS)
         net.params.freeze()
         x = np.random.default_rng(15).normal(size=(2, 3, FEATURE_DIM))
-        weights = denoiser._float32_weights(net.params)
-        weights["enc2.b"] = np.resize(np.float32([1e30, -1e30]), BOTTLENECK_CHANNELS)
         z_c = np.zeros((2, BOTTLENECK_CHANNELS))
         emb = timestep_embedding(1, TIME_STEPS)[None]
         with np.errstate(all="ignore"), pytest.raises(T.NumericError, match="^layer_norm"):
-            denoiser.sample_chunk(x, emb, z_c, weights)
+            denoiser.sample_chunk(x, emb, z_c, net.params)
 
     def test_overflowed_float32_variance_names_float32(self, net):
-        # The same h2 through ``forward``: the float32 variance overflows,
-        # the float64 engine's does not, so the error names the cast.
+        # The same h2 through ``forward`` of a float32 network: the failed
+        # chunk reruns through the float32 engine, whose layer norm names
+        # itself.
+        net.params.cast(np.float32)
         net.params["denoiser.enc2.b"].data[:] = np.resize([1e30, -1e30], BOTTLENECK_CHANNELS)
         net.params.freeze()
         x = Tensor(np.random.default_rng(15).normal(size=(2, 3, FEATURE_DIM)))
         with pytest.raises(T.NumericError) as exc:
             net.forward(x, [1, 1], net.zero_constraint(2))
-        assert str(exc.value) == "float32: produced non-finite values"
+        assert str(exc.value) == "layer_norm: produced non-finite values"
 
-    @pytest.mark.parametrize("last,references", [(0.0, []), (1e39, [1])])
+    @pytest.mark.parametrize("last,references", [(0.0, []), (1e39, []), (1e30, [1])])
     def test_only_a_failing_chunk_runs_the_float64_reference(
         self, net, monkeypatch, last, references
     ):
-        # Chunks of 4 rows split a 3-item, T=3 batch in three.  A finite
-        # forward never runs the float64 body; an entry beyond float32's
-        # range in the last item runs it once, on that item's chunk alone.
+        # Chunks of 4 rows split a 3-item, T=3 batch in three, through a
+        # float32 network.  A finite forward never runs the engine body.  An
+        # entry of 1e30 in the last item overflows the layer-norm variance,
+        # and the engine reruns that item's chunk alone, naming the op.  One
+        # of 1e39 does not fit float32, so no rerun can name an op: the
+        # error names the dtype.
         monkeypatch.setattr(denoiser, "CHUNK_ROWS", 4)
+        net.params.cast(np.float32)
         calls = []
         body = ConditionedUNet._forward_rows
         monkeypatch.setattr(
@@ -315,23 +323,48 @@ class TestForward:
         net.params.freeze()
         x = np.random.default_rng(17).normal(size=(3, 3, FEATURE_DIM))
         x[-1, 0, 0] += last
-        fails = pytest.raises(T.NumericError, match="^float32: ") if last else contextlib.nullcontext()
+        op = "layer_norm" if references else "float32"
+        fails = pytest.raises(T.NumericError, match=f"^{op}: ") if last else contextlib.nullcontext()
         with fails:
             net.forward(Tensor(x), [4] * 3, net.zero_constraint(3))
         assert calls == references
 
-    def test_weights_cast_once_per_block(self, net, monkeypatch):
-        casts = []
-        cast = denoiser._float32_weights
-        monkeypatch.setattr(denoiser, "_float32_weights", lambda p: casts.append(1) or cast(p))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("items,t_len", [(122, 3), (54, 6), (1, 3), (9, 6)])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_sample_chunk_matches_forward_rows_bit_for_bit(self, net, dtype, items, t_len,
+                                                           shared):
+        # The desk (122 x 3) and horizon-6 (54 x 6) eval chunks, and two
+        # small ones: on the same inputs the graph-free body and the engine
+        # give the same bytes in the store's dtype, with one shared
+        # timestep row or one per item.
+        net.params.cast(dtype)
+        net.params.freeze()
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(items, t_len, FEATURE_DIM))
+        steps = [17] if shared else rng.integers(1, TIME_STEPS + 1, size=items).tolist()
+        emb = np.stack([timestep_embedding(n, TIME_STEPS) for n in steps])
+        z_c = net.fuse_batch(*_code(rng, batch=items)).data
+        chunk = denoiser.sample_chunk(x, emb, z_c, net.params)
+        rows = net._forward_rows(*(Tensor(a, dtype=dtype) for a in (x, emb, z_c))).data
+        assert chunk.dtype == rows.dtype == dtype
+        assert np.array_equal(chunk, rows)
+
+    def test_weight_written_in_a_block_is_seen_by_its_next_forward(self, net, monkeypatch):
+        # Forwards read the frozen store, not a copy made when the block
+        # opened.  One usable core keeps both chunks in this process.
+        monkeypatch.setattr(denoiser, "usable_cores", lambda: 1)
+        net.params.cast(np.float32)
         net.params.freeze()
         x = Tensor(np.random.default_rng(16).normal(size=(2, 3, FEATURE_DIM)))
         with net.item_workers(2, 3):
-            for _ in range(3):
-                net.forward(x, [4, 4], net.zero_constraint(2))
-        assert len(casts) == 1 and net._sampler is None
-        net.forward(x, [4, 4], net.zero_constraint(2))
-        assert len(casts) == 2
+            before = net.forward(x, [4, 4], net.zero_constraint(2)).data.copy()
+            net.params["denoiser.out.b"].data += 1.0
+            inside = net.forward(x, [4, 4], net.zero_constraint(2)).data.copy()
+        assert net._sampler is None
+        after = net.forward(x, [4, 4], net.zero_constraint(2)).data
+        assert np.array_equal(inside, after)
+        assert np.allclose(inside, before + 1.0, rtol=0.0, atol=1e-5)
 
     @pytest.mark.parametrize("frozen,x_grad,bodies", [
         (False, False, 1), (True, True, 1), (True, False, 3),
@@ -388,8 +421,8 @@ class TestForward:
 
 
 class TestSharedKernels:
-    """The float32 body's in-place gelu and layer norm give the engine ops'
-    bytes on float64 inputs, so neither side's arithmetic can drift."""
+    """The graph-free body's in-place gelu and layer norm give the engine
+    ops' bytes on float64 inputs, so neither side's arithmetic can drift."""
 
     def test_in_place_gelu_is_engine_gelu(self):
         x = np.random.default_rng(20).normal(size=(5, 3, 16)) * 3.0

@@ -746,10 +746,12 @@ class TestWorkerSampling:
             _one_core(monkeypatch)
             assert self._numeric_message(frozen_vae, samples=samples) == forked
 
-    def _state_entry_messages(self, forks, parent_chunks, monkeypatch, value):
+    def _state_entry_messages(self, forks, parent_chunks, monkeypatch, value, dtype):
         """The error of a finite state entry ``value`` in the helper's
-        half, forked and in one process, with no RuntimeWarning."""
+        half of a ``dtype`` network, forked and in one process, with no
+        RuntimeWarning."""
         net = _net(6, seed=3)
+        net.params.cast(dtype)
         net.params.freeze()
         x = np.random.default_rng(25).normal(size=(self.ITEMS, 3, LAYOUT.feature_dim))
         x[-1, 1, 0] = value
@@ -769,15 +771,17 @@ class TestWorkerSampling:
         return forked, message()
 
     def test_cast_overflow_raises_numeric_error(self, forks, parent_chunks, monkeypatch):
-        # 1e300 overflows the float32 cast and, in the float64 reference
-        # the failed chunk reruns, the layer-norm variance, which names it.
-        forked, in_process = self._state_entry_messages(forks, parent_chunks, monkeypatch, 1e300)
+        # In a float64 network 1e300 overflows the layer-norm variance; the
+        # failed chunk reruns through the engine, whose layer norm names it.
+        forked, in_process = self._state_entry_messages(forks, parent_chunks, monkeypatch, 1e300,
+                                                        np.float64)
         assert forked == in_process == "layer_norm: produced non-finite values"
 
     def test_state_beyond_float32_names_float32(self, forks, parent_chunks, monkeypatch):
-        # 1e39 overflows only the float32 cast; the float64 reference of
-        # the failed chunk finishes finite, so the error names the cast.
-        forked, in_process = self._state_entry_messages(forks, parent_chunks, monkeypatch, 1e39)
+        # 1e39 does not fit a float32 network's state, so no engine rerun
+        # can name an op: the error names the cast.
+        forked, in_process = self._state_entry_messages(forks, parent_chunks, monkeypatch, 1e39,
+                                                        np.float32)
         assert forked == in_process == "float32: produced non-finite values"
 
     def test_parent_exception_mid_loop_reaps_worker(self, frozen_vae, forks, monkeypatch):

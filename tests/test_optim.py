@@ -170,18 +170,25 @@ class TestAdamW:
 
 class TestFloat32Store:
     def test_cast_rounds_parameters_and_moments_once(self):
+        # A store is cast before its first step, which then makes its
+        # moments in the new dtype; a store that has stepped is refused.
         store = _store_with(value=(0.1, 2.0))
         store["w"].grad = np.ones(2)
-        adamw_step(store, lr=0.1)
-        m, v = store._m["w"].copy(), store._v["w"].copy()
         before = store["w"].data.copy()
         store.cast(np.float32)
         assert store.dtype == np.float32 and store["w"].grad is None
         assert np.array_equal(store["w"].data, before.astype(np.float32))
-        assert np.array_equal(store._m["w"], m.astype(np.float32))
-        assert np.array_equal(store._v["w"], v.astype(np.float32))
         store.add("b", np.ones(3))
         assert store["b"].data.dtype == np.float32
+        for p in (store["w"], store["b"]):
+            p.grad = np.ones_like(p.data)
+        adamw_step(store, lr=0.1)
+        assert store._m["w"].dtype == store._v["w"].dtype == np.float32
+        stepped = store["w"].data.copy()
+        with pytest.raises(ValueError, match="has stepped"):
+            store.cast(np.float64)
+        assert store.dtype == np.float32 and np.array_equal(store["w"].data, stepped)
+        assert store["w"].data.dtype == np.float32
 
     def test_adamw_stays_float32_and_matches_float64(self):
         rng = np.random.default_rng(5)

@@ -486,7 +486,7 @@ class TestFloat32Diffusion:
         codes = load_stage("vae", cfg, workdir).encode_constraints_batch(train)
         schedule = make_schedule(cfg.schedule.steps, cfg.schedule.beta_start, cfg.schedule.beta_end)
         nets = [pipeline._stage_model("diffusion", cfg, seed=3) for _ in range(2)]
-        nets[0].params.cast(np.float32)
+        nets[1].params.cast(np.float64)
         nets[1].params.load_state(nets[0].params.state_arrays())  # the same values, widened
         idx = np.arange(len(train))
         losses = []
@@ -516,12 +516,37 @@ class TestFloat32Diffusion:
         assert weights and all(a.dtype == np.float64 for a in weights.values())
         for name, a in weights.items():
             assert np.array_equal(a.astype(np.float32), a), name
-        # The frozen denoiser loads as float64, and its sampler's cast is exact.
+        # The frozen denoiser loads as float32, each weight exactly the
+        # checkpoint's.
         den = load_stage("diffusion", cfg, str(tmp_path / "a"))
-        assert den.params.dtype == np.float64
-        for name, a in denoiser._float32_weights(den.params).items():
-            assert np.array_equal(a.reshape(den.params["denoiser." + name].shape),
-                                  weights["denoiser." + name]), name
+        assert den.params.dtype == np.float32
+        for name, t in den.params.items():
+            assert t.data.dtype == np.float32 and np.array_equal(t.data, weights[name]), name
+
+    def test_loaded_denoiser_is_the_trained_float32_network(self, vae_workdir, tmp_path,
+                                                            monkeypatch):
+        # ``load_stage`` builds the denoiser ``train_stage`` trained, in the
+        # same dtype and with the same bits, and eval fuses the constraint
+        # in that dtype.
+        workdir, cfg = vae_workdir
+        clone = str(tmp_path / "clone")
+        shutil.copytree(workdir, clone)
+        built, make = [], pipeline._stage_model
+        monkeypatch.setattr(pipeline, "_stage_model",
+                            lambda *args, **kw: built.append(make(*args, **kw)) or built[-1])
+        train_stage("classifier", cfg, clone)
+        train_stage("diffusion", cfg, clone)
+        trained, = (m for m in built if isinstance(m, denoiser.ConditionedUNet))
+        loaded = load_stage("diffusion", cfg, clone)
+        assert trained.params.dtype == loaded.params.dtype == np.float32
+        for (name, a), (_, b) in zip(trained.params.items(), loaded.params.items()):
+            assert a.data.dtype == b.data.dtype == np.float32, name
+            assert np.array_equal(a.data, b.data), name
+        fused, fuse = [], denoiser.ConditionedUNet.fuse_batch
+        monkeypatch.setattr(denoiser.ConditionedUNet, "fuse_batch",
+                            lambda *args: fused.append(fuse(*args)) or fused[-1])
+        evaluate(cfg, clone)
+        assert len(fused) == 1 and fused[0].data.dtype == np.float32
 
     @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
     def test_every_variant_trains_in_float32(self, vae_workdir, tmp_path, monkeypatch, variant):
