@@ -1,13 +1,17 @@
-"""Synthetic instructional-video corpus.
+"""Synthetic instructional-video corpus, its step timing and window geometry.
 
 Each task owns a canonical chain of 6-10 distinct actions whose first
-action is unique to the task.  Videos replay their task's chain as
-contiguous fixed-length segments; frame features are the active action's
-embedding row plus Gaussian noise.  Chain sets are rejection-sampled until
-the curated start/goal observations identify the task for every window at
-every supported horizon, which is what gives the default corpus a
-success-rate ceiling of 1.0: the planning inputs determine the
-intermediate actions exactly.
+action is unique to the task.  A video replays its task's action list on
+one fixed timing: a ``LEAD_IN_SECONDS`` lead-in, then ``STEP_SECONDS`` per
+action, so step i covers seconds [LEAD_IN + i*STEP, LEAD_IN + (i+1)*STEP).
+Frames land at one feature row per second, the row of the action that
+``step_at`` maps the second to plus Gaussian noise.  The start/goal
+window geometry (``window_bounds``, ``frame_indices``) lives here too, so
+the identifiability check and live curation read the same windows.
+Chain sets are rejection-sampled until the curated start/goal
+observations identify the task for every window at every supported
+horizon, which is what gives the default corpus a success-rate ceiling of
+1.0: the planning inputs determine the intermediate actions exactly.
 
 Per-video branch substitutions (``branch_prob`` > 0) deliberately break
 that guarantee and default to off.
@@ -15,6 +19,7 @@ that guarantee and default to off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,30 +35,55 @@ class CorpusError(Exception):
     """Corpus configuration is invalid or infeasible."""
 
 
-@dataclass(frozen=True)
-class Step:
-    action: int
-    start: float
-    end: float
+class CurationError(Exception):
+    """Window curation failed for a video."""
+
+
+def step_start(i: int) -> float:
+    """Second at which step ``i`` begins."""
+    return LEAD_IN_SECONDS + i * STEP_SECONDS
+
+
+def frame_count(n_steps: int) -> int:
+    """Frames of a video of ``n_steps`` actions, one per second."""
+    return int(step_start(n_steps))
+
+
+def step_at(seconds, n_steps: int) -> np.ndarray:
+    """Index of the step each frame second shows; seconds before the first
+    step or after the last clamp to it."""
+    steps = (np.asarray(seconds) - LEAD_IN_SECONDS) // STEP_SECONDS
+    return np.clip(steps, 0, n_steps - 1).astype(np.intp)
+
+
+_WINDOW_OFFSETS = {
+    "pdpp": ((0.0, 3.0), (-2.0, 1.0)),
+    "kepp": ((-1.0, 2.0), (-1.0, 2.0)),
+}
+
+
+def window_bounds(
+    mode: str, t_first: float, t_last: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Unclamped (start_window, goal_window) second-ranges for a mode."""
+    if mode not in _WINDOW_OFFSETS:
+        raise CurationError(f"unknown curation mode {mode!r}, expected pdpp or kepp")
+    (s_lo, s_hi), (g_lo, g_hi) = _WINDOW_OFFSETS[mode]
+    return (t_first + s_lo, t_first + s_hi), (t_last + g_lo, t_last + g_hi)
+
+
+def frame_indices(lo: float, hi: float, n_frames: int) -> range:
+    """Integer seconds whose frame starts inside [lo, hi), clamped."""
+    start = max(0, math.ceil(lo))
+    stop = min(n_frames, math.ceil(hi))
+    return range(start, stop)
 
 
 @dataclass
 class Video:
     task: int
-    steps: list[Step]
+    actions: list[int]  # one per step, in order, on the fixed timing
     frames: np.ndarray  # [n_frames, obs_dim], one feature row per second
-
-    def __post_init__(self) -> None:
-        for step in self.steps:
-            if step.start >= step.end:
-                raise CorpusError(f"step {step} has start >= end")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if b.start < a.end:
-                raise CorpusError("steps must be temporally ordered and non-overlapping")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 @dataclass(frozen=True)
@@ -98,28 +128,13 @@ class Corpus:
     videos: list[Video] = field(default_factory=list)
 
 
-def active_step_index(steps: list[Step], t: float) -> int:
-    """Step active at time t; times outside the steps clamp to the nearest."""
-    if t < steps[0].start:
-        return 0
-    for i, step in enumerate(steps):
-        if t < step.end:
-            return i
-    return len(steps) - 1
-
-
 def render_frames(
-    steps: list[Step],
-    embeddings: np.ndarray,
-    n_frames: int,
-    noise_sd: float,
-    rng: np.random.Generator,
+    actions: list[int], embeddings: np.ndarray, noise_sd: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """One feature row per integer second: active action's row plus noise."""
-    obs_dim = embeddings.shape[1]
-    frames = np.empty((n_frames, obs_dim))
-    for t in range(n_frames):
-        frames[t] = embeddings[steps[active_step_index(steps, float(t))].action]
+    """One feature row per second of the video: the shown action's row
+    plus noise."""
+    seconds = np.arange(frame_count(len(actions)))
+    frames = embeddings[np.asarray(actions)[step_at(seconds, len(actions))]]
     if noise_sd > 0.0:
         frames += noise_sd * rng.standard_normal(frames.shape)
     return frames
@@ -133,16 +148,12 @@ def _chain_window_signature(
     Uses the same window bounds and frame selection as live curation, so
     the identifiability check below cannot drift from what the models see.
     """
-    from .curation import frame_indices, window_bounds
-
-    steps = [
-        Step(a, LEAD_IN_SECONDS + i * STEP_SECONDS, LEAD_IN_SECONDS + (i + 1) * STEP_SECONDS)
-        for i, a in enumerate(chain)
-    ]
-    n_frames = int(LEAD_IN_SECONDS + STEP_SECONDS * len(chain))
-    (s0, s1), (g0, g1) = window_bounds(mode, steps[first_idx].start, steps[last_idx].start)
-    sig_s = tuple(chain[active_step_index(steps, float(t))] for t in frame_indices(s0, s1, n_frames))
-    sig_g = tuple(chain[active_step_index(steps, float(t))] for t in frame_indices(g0, g1, n_frames))
+    n, labels = len(chain), np.asarray(chain)
+    windows = window_bounds(mode, step_start(first_idx), step_start(last_idx))
+    sig_s, sig_g = (
+        tuple(labels[step_at(frame_indices(lo, hi, frame_count(n)), n)].tolist())
+        for lo, hi in windows
+    )
     return sig_s, sig_g
 
 
@@ -214,15 +225,6 @@ def generate_corpus(data: DataParams, seed: int) -> Corpus:
                 for pos in range(1, len(actions) - 1):
                     if rng.random() < data.branch_prob:
                         actions[pos] = int(rng.integers(0, a))
-            steps = [
-                Step(
-                    action,
-                    LEAD_IN_SECONDS + i * STEP_SECONDS,
-                    LEAD_IN_SECONDS + (i + 1) * STEP_SECONDS,
-                )
-                for i, action in enumerate(actions)
-            ]
-            n_frames = int(LEAD_IN_SECONDS + STEP_SECONDS * len(actions))
-            frames = render_frames(steps, action_embeddings, n_frames, data.noise_sd, rng)
-            corpus.videos.append(Video(task=task, steps=steps, frames=frames))
+            frames = render_frames(actions, action_embeddings, data.noise_sd, rng)
+            corpus.videos.append(Video(task=task, actions=actions, frames=frames))
     return corpus

@@ -1,72 +1,41 @@
 """Window curation, horizon slicing, splitting and normalization.
 
-Two curation settings map an action's timestamp to the seconds-window
+Two curation settings map an action's start time to the seconds-window
 whose averaged frame features become the start/goal observation:
 
     pdpp  start [t_first, t_first + 3],  goal [t_last - 2, t_last + 1]
     kepp  start [t_first - 1, t_first + 2],  goal [t_last - 1, t_last + 2]
 
 with t_first / t_last the start times of the window's first and last
-action.  Windows clamp to the video bounds rather than rejecting the
-sample, and frames land at one feature per second.  Because the goal
-window is anchored at the last action's start, it shows the penultimate
-action for 2 of its 3 s under pdpp and for 1 of 3 s under kepp; at T=3
-that action is the plan's only intermediate action.
+action, read off the corpus's fixed step timing (``corpus.step_start``).
+The window geometry (``window_bounds``, ``frame_indices``) lives in
+``corpus`` beside that timing and is re-exported here.  Generated windows
+never reach a video's edge; ``frame_indices`` still clamps to the stored
+frames, and a window left empty raises ``CurationError``.  Because the
+goal window is anchored at the last action's start, it shows the
+penultimate action for 2 of its 3 s under pdpp and for 1 of 3 s under
+kepp; at T=3 that action is the plan's only intermediate action.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Samples, Video
-
-
-class CurationError(Exception):
-    """Window curation failed for a video."""
-
-
-_WINDOW_OFFSETS = {
-    "pdpp": ((0.0, 3.0), (-2.0, 1.0)),
-    "kepp": ((-1.0, 2.0), (-1.0, 2.0)),
-}
-
-
-def window_bounds(
-    mode: str, t_first: float, t_last: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Unclamped (start_window, goal_window) second-ranges for a mode."""
-    if mode not in _WINDOW_OFFSETS:
-        raise CurationError(f"unknown curation mode {mode!r}, expected pdpp or kepp")
-    (s_lo, s_hi), (g_lo, g_hi) = _WINDOW_OFFSETS[mode]
-    return (t_first + s_lo, t_first + s_hi), (t_last + g_lo, t_last + g_hi)
-
-
-def frame_indices(lo: float, hi: float, n_frames: int) -> range:
-    """Integer seconds whose frame starts inside [lo, hi), clamped."""
-    start = max(0, math.ceil(lo))
-    stop = min(n_frames, math.ceil(hi))
-    return range(start, stop)
+from .corpus import Corpus, CurationError, Samples, Video, frame_indices, step_start, window_bounds
 
 
 def curate_windows(
     video: Video, first_step: int, last_step: int, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean frame features over the mode's start and goal windows."""
-    if not video.steps:
-        raise CurationError("video has no steps")
-    if not (0 <= first_step <= last_step < len(video.steps)):
-        raise CurationError(
-            f"step range [{first_step}, {last_step}] invalid for {len(video.steps)} steps"
-        )
-    t_first = video.steps[first_step].start
-    t_last = video.steps[last_step].start
-    (s_lo, s_hi), (g_lo, g_hi) = window_bounds(mode, t_first, t_last)
+    n_steps = len(video.actions)
+    if not (0 <= first_step <= last_step < n_steps):
+        raise CurationError(f"step range [{first_step}, {last_step}] invalid for {n_steps} steps")
     observations = []
-    for lo, hi in ((s_lo, s_hi), (g_lo, g_hi)):
-        idx = frame_indices(lo, hi, video.n_frames)
+    for lo, hi in window_bounds(mode, step_start(first_step), step_start(last_step)):
+        idx = frame_indices(lo, hi, len(video.frames))
         if len(idx) == 0:
             raise CurationError(f"window [{lo}, {hi}] is empty after clamping")
         rows = video.frames[list(idx)]
@@ -87,9 +56,8 @@ def slide_horizon(corpus: Corpus, video: Video, horizon: int, mode: str) -> Samp
     """
     if horizon < 2:
         raise CurationError(f"horizon must be >= 2, got {horizon}")
-    n = max(0, len(video.steps) - horizon + 1)
-    labels = [step.action for step in video.steps]
-    actions = np.array([labels[i : i + horizon] for i in range(n)], dtype=np.int64)
+    n = max(0, len(video.actions) - horizon + 1)
+    actions = np.array([video.actions[i : i + horizon] for i in range(n)], dtype=np.int64)
     actions = actions.reshape(n, horizon)
     o_s = np.empty((n, video.frames.shape[1]))
     o_g = np.empty_like(o_s)
@@ -171,6 +139,7 @@ class MinMaxNormalizer:
         )
 
 
-def normalize_splits(train: Samples, test: Samples) -> tuple[Samples, Samples, MinMaxNormalizer]:
+def normalize_splits(train: Samples, test: Samples) -> tuple[Samples, Samples]:
+    """Both splits scaled by the normalizer fitted on ``train``."""
     norm = MinMaxNormalizer.fit(train)
-    return norm.apply(train), norm.apply(test), norm
+    return norm.apply(train), norm.apply(test)

@@ -53,9 +53,11 @@ class ParamStore:
 
     def cast(self, dtype) -> None:
         """Move every parameter to ``dtype``, rounding each value once, and
-        drop the gradients; a store that has stepped raises ``ValueError``."""
-        if self._m:
-            raise ValueError("cast: the store has stepped; cast it before its first step")
+        drop the gradients; a store that has stepped or is frozen raises
+        ``ValueError``."""
+        if self._m or self.frozen:
+            state = "is frozen" if self.frozen else "has stepped"
+            raise ValueError(f"cast: the store {state}; cast it before its first step and freeze")
         self.dtype = np.dtype(dtype)
         for t in self._params.values():
             t.data, t.grad = t.data.astype(self.dtype), None
@@ -65,9 +67,11 @@ class ParamStore:
             t.grad = None
 
     def freeze(self) -> None:
-        """Mark parameters read-only; gradients stop flowing into them."""
+        """Make the parameters read-only: gradients stop flowing into them,
+        and a write into their arrays raises ``ValueError``."""
         for t in self._params.values():
             t.requires_grad = False
+            t.data.flags.writeable = False
         self.frozen = True
 
     def checksum(self) -> str:
@@ -103,6 +107,7 @@ class ParamStore:
                 arr = src.astype(self.dtype)
             if not np.isfinite(arr).all():
                 raise ValueError(f"parameter {name!r} holds values beyond {self.dtype}")
+            arr.flags.writeable = not self.frozen
             t.data = arr
 
 

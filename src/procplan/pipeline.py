@@ -111,7 +111,7 @@ def generate_dataset(config: RunConfig, workdir: str) -> dict:
     corpus = generate_corpus(config.data, stage_seed(config.seed, "corpus"))
     samples = curate_corpus(corpus, config.horizon, config.curation)
     train, test = split(samples, config.data.split_ratio, seed=stage_seed(config.seed, "split"))
-    train, test, _ = normalize_splits(train, test)
+    train, test = normalize_splits(train, test)
     write_manifest(workdir, "train", train, **_manifest_meta(config))
     write_manifest(workdir, "test", test, **_manifest_meta(config))
     info = {

@@ -5,11 +5,12 @@ import pytest
 
 from procplan.config import DataParams
 from procplan.corpus import (
+    LEAD_IN_SECONDS,
+    STEP_SECONDS,
     CorpusError,
-    Step,
-    Video,
-    active_step_index,
+    frame_count,
     generate_corpus,
+    step_at,
 )
 
 
@@ -24,12 +25,11 @@ class TestGeneration:
         assert len(corpus.videos) == 150
 
     def test_noise_free_frames_equal_embedding_rows(self, noise_free):
+        # A 2 s lead-in showing the first action, then 6 s per action.
         for video in noise_free.videos[:5]:
-            for t in range(video.n_frames):
-                step = video.steps[active_step_index(video.steps, float(t))]
-                assert np.array_equal(
-                    video.frames[t], noise_free.action_embeddings[step.action]
-                )
+            shown = [video.actions[0]] * 2 + [a for a in video.actions for _ in range(6)]
+            assert len(video.frames) == len(shown)
+            assert np.array_equal(video.frames, noise_free.action_embeddings[shown])
 
     def test_same_seed_gives_byte_identical_corpora(self):
         a, b = generate_corpus(DataParams(), seed=7), generate_corpus(DataParams(), seed=7)
@@ -37,7 +37,7 @@ class TestGeneration:
         assert np.array_equal(a.language_embeddings, b.language_embeddings)
         assert a.task_chains == b.task_chains
         assert all(
-            np.array_equal(va.frames, vb.frames) and va.steps == vb.steps
+            np.array_equal(va.frames, vb.frames) and va.actions == vb.actions
             for va, vb in zip(a.videos, b.videos)
         )
 
@@ -57,20 +57,21 @@ class TestGeneration:
 
     def test_videos_follow_their_chain_by_default(self, noise_free):
         for video in noise_free.videos:
-            assert [s.action for s in video.steps] == noise_free.task_chains[video.task]
+            assert video.actions == noise_free.task_chains[video.task]
 
     def test_branch_substitutions_alter_some_videos(self):
         corpus = generate_corpus(DataParams(branch_prob=0.5), seed=3)
-        altered = sum(
-            [s.action for s in v.steps] != corpus.task_chains[v.task] for v in corpus.videos
-        )
+        altered = sum(v.actions != corpus.task_chains[v.task] for v in corpus.videos)
         assert altered > 0
 
     def test_steps_are_contiguous_and_ordered(self, noise_free):
+        # Past the lead-in, each step shows for STEP_SECONDS frames in order.
         for video in noise_free.videos[:5]:
-            for a, b in zip(video.steps, video.steps[1:]):
-                assert a.end == b.start
-                assert a.start < a.end
+            n = len(video.actions)
+            shown = step_at(np.arange(frame_count(n)), n)
+            lead_in = int(LEAD_IN_SECONDS)
+            assert np.all(shown[:lead_in] == 0)
+            assert np.array_equal(shown[lead_in:], np.repeat(np.arange(n), int(STEP_SECONDS)))
 
 
 class TestFeasibility:
@@ -91,19 +92,8 @@ class TestFeasibility:
             generate_corpus(DataParams(obs_dim=0), seed=0)
 
 
-class TestVideoValidation:
-    def test_overlapping_steps_rejected(self):
-        steps = [Step(0, 0.0, 5.0), Step(1, 4.0, 8.0)]
-        with pytest.raises(CorpusError, match="ordered"):
-            Video(task=0, steps=steps, frames=np.zeros((8, 2)))
-
-    def test_inverted_step_rejected(self):
-        with pytest.raises(CorpusError, match="start >= end"):
-            Video(task=0, steps=[Step(0, 5.0, 5.0)], frames=np.zeros((8, 2)))
-
-    def test_active_step_clamps_outside_range(self):
-        steps = [Step(3, 2.0, 8.0), Step(4, 8.0, 14.0)]
-        assert active_step_index(steps, 0.0) == 0
-        assert active_step_index(steps, 5.0) == 0
-        assert active_step_index(steps, 8.0) == 1
-        assert active_step_index(steps, 99.0) == 1
+class TestStepTiming:
+    def test_step_at_clamps_outside_range(self):
+        assert step_at([0.0, 1.0, 2.0, 7.0, 8.0, 13.0, 14.0, 99.0], 2).tolist() == [
+            0, 0, 0, 0, 1, 1, 1, 1,
+        ]

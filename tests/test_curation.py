@@ -5,7 +5,7 @@ import pytest
 
 from procplan.config import DataParams
 from procplan.corpus import (
-    Samples, Step, Video, _chain_window_signature, generate_corpus, render_frames,
+    Samples, Video, _chain_window_signature, generate_corpus, render_frames,
 )
 from procplan.curation import (
     CurationError,
@@ -20,14 +20,13 @@ from procplan.curation import (
 )
 
 
-def _fixture_video(embeddings, first_at=10.0, last_at=50.0, n_steps=6):
-    """Video whose first action starts at ``first_at`` and last at ``last_at``."""
-    gap = (last_at - first_at) / (n_steps - 1)
-    steps = [Step(i % embeddings.shape[0], first_at + i * gap, first_at + (i + 1) * gap) for i in range(n_steps)]
-    n_frames = int(steps[-1].end) + 2
-    rng = np.random.default_rng(0)
-    frames = render_frames(steps, embeddings, n_frames, 0.0, rng)
-    return Video(task=0, steps=steps, frames=frames)
+def _fixture_video(embeddings, n_steps=6, n_frames=None):
+    """Noise-free video of actions 0, 1, ... (mod the table) on the fixed
+    timing: step i starts at 2 + 6i s.  ``n_frames`` keeps only the first
+    frames, as a video cut short."""
+    actions = [i % embeddings.shape[0] for i in range(n_steps)]
+    frames = render_frames(actions, embeddings, 0.0, np.random.default_rng(0))
+    return Video(task=0, actions=actions, frames=frames[:n_frames])
 
 
 class TestWindowBounds:
@@ -67,9 +66,10 @@ class TestCurateWindows:
         emb = np.eye(6)
         video = _fixture_video(emb)
         o_s, o_g = curate_windows(video, 0, 5, "pdpp")
-        # Start window [10, 13) sits inside the 8-second first action.
+        # Start window [2, 5) sits inside the 6-second first action.
         assert np.array_equal(o_s, emb[0])
-        # Goal window [48, 51) spans 2 frames of action 4 and 1 of action 5.
+        # The last action starts at 32 s, so goal window [30, 33) spans
+        # 2 frames of action 4 and 1 of action 5.
         assert np.allclose(o_g, (2 * emb[4] + emb[5]) / 3.0)
 
     def test_modes_differ_on_the_same_video(self):
@@ -83,13 +83,12 @@ class TestCurateWindows:
         corpus = generate_corpus(DataParams(noise_sd=0.0), seed=2)
         video = corpus.videos[0]
         o_s, _ = curate_windows(video, 1, 2, "pdpp")
-        assert np.array_equal(o_s, corpus.action_embeddings[video.steps[1].action])
+        assert np.array_equal(o_s, corpus.action_embeddings[video.actions[1]])
 
     def test_empty_window_after_clamping(self):
-        emb = np.eye(3)
-        steps = [Step(0, 2.0, 8.0), Step(1, 8.0, 14.0), Step(2, 14.0, 20.0)]
-        video = Video(task=0, steps=steps, frames=render_frames(steps, emb, 10, 0.0, np.random.default_rng(0)))
-        # The goal window for the last action starts past the stored frames.
+        video = _fixture_video(np.eye(3), n_steps=3, n_frames=10)
+        # The last action starts at 14 s, so its goal window [12, 15)
+        # starts past the 10 stored frames.
         with pytest.raises(CurationError, match="empty"):
             curate_windows(video, 0, 2, "pdpp")
 
@@ -99,6 +98,8 @@ class TestCurateWindows:
             curate_windows(video, 4, 2, "pdpp")
         with pytest.raises(CurationError):
             curate_windows(video, 0, 9, "pdpp")
+        with pytest.raises(CurationError, match="invalid for 0 steps"):
+            curate_windows(Video(task=0, actions=[], frames=video.frames), 0, 0, "pdpp")
 
 
 @pytest.fixture(scope="module")
@@ -109,21 +110,17 @@ def corpus():
 class TestSlideHorizon:
     def test_window_count(self, corpus):
         video = corpus.videos[0]
-        n = len(video.steps)
+        n = len(video.actions)
         assert len(slide_horizon(corpus, video, 3, "pdpp")) == n - 2
         assert len(slide_horizon(corpus, video, n, "pdpp")) == 1
 
     def test_short_video_yields_nothing(self, corpus):
-        emb = corpus.action_embeddings
-        steps = [Step(0, 2.0, 8.0), Step(1, 8.0, 14.0)]
-        video = Video(
-            task=0, steps=steps, frames=render_frames(steps, emb, 14, 0.0, np.random.default_rng(0))
-        )
+        video = _fixture_video(corpus.action_embeddings, n_steps=2)
         assert len(slide_horizon(corpus, video, 3, "pdpp")) == 0
 
     def test_sample_k_covers_steps_k_through_k_plus_t(self, corpus):
         video = corpus.videos[0]
-        actions = [s.action for s in video.steps]
+        actions = video.actions
         samples = slide_horizon(corpus, video, 3, "pdpp")
         assert samples.actions.tolist() == [actions[k : k + 3] for k in range(len(actions) - 2)]
         assert np.array_equal(samples.task, np.full(len(samples), video.task))
@@ -136,7 +133,7 @@ class TestSlideHorizon:
 
     def test_total_count_formula(self, corpus):
         horizon = 4
-        expected = sum(max(0, len(v.steps) - horizon + 1) for v in corpus.videos)
+        expected = sum(max(0, len(v.actions) - horizon + 1) for v in corpus.videos)
         assert len(curate_corpus(corpus, horizon, "pdpp")) == expected
 
     def test_horizon_must_be_at_least_two(self, corpus):
@@ -198,7 +195,7 @@ class TestSplit:
 class TestNormalization:
     def test_outputs_in_unit_interval(self):
         train, test = split(_dummy_samples(40), 0.7, seed=0)
-        train_n, test_n, _ = normalize_splits(train, test)
+        train_n, test_n = normalize_splits(train, test)
         for part in (train_n, test_n):
             for vec in (part.o_s, part.o_g, part.n_es, part.n_eg):
                 assert vec.min() >= 0.0 and vec.max() <= 1.0

@@ -48,6 +48,23 @@ class TestParamStore:
         store.freeze()
         assert store._m == {} and store._v == {}
 
+    def test_frozen_weights_are_read_only(self):
+        store = _store_with()
+        store.freeze()
+        with pytest.raises(ValueError, match="read-only"):
+            store["w"].data[0] = 3.0
+        store.load_state({"w": np.array([3.0, 4.0])})
+        with pytest.raises(ValueError, match="read-only"):
+            store["w"].data += 1.0
+        assert store["w"].data.tolist() == [3.0, 4.0]
+
+    def test_cast_refuses_a_frozen_store(self):
+        store = _store_with()
+        store.freeze()
+        with pytest.raises(ValueError, match="is frozen"):
+            store.cast(np.float32)
+        assert store["w"].data.dtype == np.float64
+
     def test_freeze_blocks_updates(self):
         store = _store_with()
         store.freeze()

@@ -1,6 +1,7 @@
 """Learning-rate schedule, stage ordering, determinism, reports."""
 
 import gc
+import hashlib
 import json
 import os
 import re
@@ -374,6 +375,22 @@ class TestDeterminismEndToEnd:
         generate_dataset(cfg, str(tmp_path / "b"))
         for name in ("train.json", "train.f32", "test.json", "test.f32"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # The default (desk) config at seed 0.  A change to the corpus, its step
+    # timing, curation, the split, normalization or the manifest format that
+    # moves one byte of these files fails here.
+    DESK_SEED0_SHA256 = {
+        "train.json": "64c092f5fac881275f542b3347248599cdd35bb6736cc646f21cbbfdc5e267c5",
+        "train.f32": "3dc0d7129df85d2879410d4c48d962f8bb3ffff9e3097f87a0bcad9d896f95c6",
+        "test.json": "280217189d0ca244561b8e7fd7e955dbc7d9fed2b829c1d6336ea62e4c3098be",
+        "test.f32": "ae42937579ff0990ab6fbc6da4ad7f8be5ac9aa1cb6a2ccb3d891bb926d1de04",
+        "dataset.json": "382e0985ff51f71bd40f874af4ce90482d5af7bee46f0a6f877938f9ace06774",
+    }
+
+    def test_desk_seed0_gen_data_bytes_are_pinned(self, tmp_path):
+        generate_dataset(RunConfig(), str(tmp_path))
+        for name, digest in self.DESK_SEED0_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.fixture(scope="module")

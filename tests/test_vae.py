@@ -37,7 +37,7 @@ def trained_setup():
     corpus = generate_corpus(DataParams(noise_sd=0.0), seed=1)
     samples = curate_corpus(corpus, 3, "pdpp")
     train, test = split(samples, 0.7, seed=0)
-    train, test, _ = normalize_splits(train, test)
+    train, test = normalize_splits(train, test)
     model = StateAutoencoder(input_dim=INPUT_DIM, seed=3)
     rng = np.random.default_rng(0)
     states = train.states().reshape(-1, INPUT_DIM)
@@ -157,7 +157,7 @@ class TestTrainStep:
         corpus = generate_corpus(DataParams(noise_sd=0.0), seed=2)
         samples = curate_corpus(corpus, 3, "pdpp")
         train, test = split(samples, 0.7, seed=0)
-        train, _, _ = normalize_splits(train, test)
+        train, _ = normalize_splits(train, test)
         states = train.states().reshape(-1, INPUT_DIM)
         model = StateAutoencoder(input_dim=INPUT_DIM, seed=0)
         rng = np.random.default_rng(0)
